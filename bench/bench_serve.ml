@@ -838,7 +838,11 @@ let () =
   (* Optional corrupter: seeded silent rot into one shard at the op
      threshold, on its own connection so it never interleaves with the
      admin socket.  The damage is invisible to live reads — only the
-     scrubber can notice. *)
+     scrubber can notice.  The rot lands in the shard's durable commit
+     header and replica records, which its next commits may rewrite
+     before the scrubber passes (with few engine threads every record
+     is live), so re-inject with a fresh seed, at most 20 times, until
+     HEALTH shows a quarantine. *)
   let corrupted = ref false in
   let corrupter =
     match !corrupt_spec with
@@ -850,9 +854,25 @@ let () =
                  Unix.sleepf 0.001
                done;
                let cl = connect () in
-               (match Serve.Client.corrupt cl ~shard ~seed:!seed ~count:3 with
-               | Ok () -> corrupted := true
-               | Error e -> Printf.eprintf "CORRUPT failed: %s\n%!" e);
+               let caught () =
+                 match Serve.Client.health cl with
+                 | Ok j -> (
+                     match Obs.Json.member "serve.health.quarantines" j with
+                     | Some (Obs.Json.Int n) -> n >= 1
+                     | _ -> false)
+                 | Error _ -> false
+               in
+               let rec inject n =
+                 match
+                   Serve.Client.corrupt cl ~shard ~seed:(!seed + n) ~count:3
+                 with
+                 | Ok () ->
+                     corrupted := true;
+                     Unix.sleepf 0.05;
+                     if n < 19 && not (caught ()) then inject (n + 1)
+                 | Error e -> Printf.eprintf "CORRUPT failed: %s\n%!" e
+               in
+               inject 0;
                Serve.Client.close cl))
   in
 

@@ -600,7 +600,7 @@ let serve_mput_torture ~shards ~rounds ~seed ~evict_prob ~torn_prob ~bitflips
 
 (* ---- end-to-end chaos sweep (--serve-chaos) ----
 
-   Each round starts a FRESH engine + TCP server with a seeded network
+   Each round starts a FRESH engine + reactor with a seeded network
    chaos plan (sever / truncate / corrupt / delay / stall / drop-acked
    -response), then drives it with resilient tokened clients doing
    cross-shard MPUTs over real sockets.  Every third acked write is
@@ -628,6 +628,7 @@ let serve_chaos_torture ~shards ~rounds ~seed ~nclients ~per_client
   let module E = Serve.Engine in
   let module Ch = Serve.Chaos in
   let module C = Serve.Commit in
+  let module R = Serve.Reactor in
   let failures = ref 0 in
   let rows = ref [] in
   let repro round_seed plan =
@@ -659,27 +660,29 @@ let serve_chaos_torture ~shards ~rounds ~seed ~nclients ~per_client
     let plan = mk_plan round_seed in
     let src = Ch.source plan in
     let srv =
-      Serve.Server.start
+      R.start
         {
-          Serve.Server.host = "127.0.0.1";
-          port = 0;
-          max_conns = nclients + 4;
+          R.default_config with
+          R.max_conns = nclients + 4;
           engine =
             {
               E.default_config with
               E.shards;
-              num_threads = nclients + 6;
+              (* one tid per worker fiber, + 1 for the in-process tid *)
+              num_threads =
+                (R.default_config.reactors
+                * R.default_config.workers_per_reactor)
+                + 1;
               capacity_bytes = 1 lsl 20;
               max_batch = 8;
               queue_cap = 64;
             };
           chaos = Some src;
-          scrub_pause_us = None;
         }
     in
-    let e = Serve.Server.engine srv in
+    let e = R.engine srv in
     E.set_mutants e mutants;
-    let port = Serve.Server.port srv in
+    let port = R.port srv in
     let fail fmt =
       Printf.ksprintf
         (fun msg ->
@@ -815,7 +818,7 @@ let serve_chaos_torture ~shards ~rounds ~seed ~nclients ~per_client
             fail "token %d neither committed nor aborted after quiesce" tok
       done
     done;
-    Serve.Server.stop srv;
+    R.stop srv;
     let faults = Ch.tallies src in
     Printf.printf
       "  round %2d: plan [%s] -> %d acked, %d ambiguous, %d unacked; faults %s\n%!"
@@ -865,15 +868,16 @@ let serve_chaos_torture ~shards ~rounds ~seed ~nclients ~per_client
 
 (* ---- per-shard quarantine sweep (--serve-quarantine) ----
 
-   Each round starts a FRESH isolated server (per-shard fault isolation
+   Each round starts a FRESH isolated reactor (per-shard fault isolation
    on, online scrubber on its dedicated domain) and drives it with
    resilient tokened clients mixing single-shard PUTs and cross-shard
-   MPUTs over real sockets.  Mid-load the harness injects silent bit
-   rot into ONE victim shard's durable metadata over the wire (CORRUPT
-   — invisible to live reads).  The scrubber must find the rot,
-   quarantine only the victim, rebuild it online from its snapshot
-   export plus commit-journal replay, and readmit it — while every
-   other shard keeps serving without a single SHARD_UNAVAILABLE.  The
+   MPUTs over real sockets.  A third into the load, with every client
+   paused, the harness injects silent bit rot into ONE victim shard's
+   durable metadata over the wire (CORRUPT — invisible to live reads).
+   The scrubber must find the rot, quarantine only the victim, rebuild
+   it online from its snapshot export plus commit-journal replay, and
+   readmit it; the clients then finish their load, and every op that
+   avoided the victim must never have seen SHARD_UNAVAILABLE.  The
    harness then exercises the operator path: FREEZE the victim and
    REBUILD it over the wire while a hammer domain writes at it — the
    clean protocol refuses those writes, so a write that was ACKED
@@ -896,6 +900,7 @@ let serve_quarantine_torture ~shards ~rounds ~seed ~nclients ~per_client
     ~mutants ~json_file =
   let module E = Serve.Engine in
   let module C = Serve.Commit in
+  let module R = Serve.Reactor in
   let failures = ref 0 in
   let rows = ref [] in
   let repro round_seed =
@@ -907,34 +912,36 @@ let serve_quarantine_torture ~shards ~rounds ~seed ~nclients ~per_client
   for round = 1 to rounds do
     let round_seed = seed + round in
     let victim = round_seed mod shards in
-    let max_conns = nclients + 4 in
+    (* >= 2 reactors: a REBUILD executing on one reactor's worker fiber
+       blocks that whole loop, so the front-end must keep another loop
+       free to serve concurrent requests *)
     let srv =
-      Serve.Server.start
+      R.start
         {
-          Serve.Server.host = "127.0.0.1";
-          port = 0;
-          max_conns;
+          R.default_config with
+          R.reactors = 2;
+          max_conns = nclients + 4;
           engine =
             {
               E.default_config with
               E.shards;
-              (* + 1 for the in-process tid, + 1 for the scrub domain *)
-              num_threads = max_conns + 2;
+              (* one tid per worker fiber, + 1 for the in-process tid,
+                 + 1 for the scrub domain *)
+              num_threads = (2 * R.default_config.workers_per_reactor) + 2;
               capacity_bytes = 1 lsl 20;
               max_batch = 8;
               queue_cap = 64;
               isolate = true;
             };
-          chaos = None;
           scrub_pause_us = Some 200.;
         }
     in
-    let e = Serve.Server.engine srv in
+    let e = R.engine srv in
     E.set_mutants e mutants;
     (* a realistic device cost stretches the rebuild window the hammer
        below must race *)
     E.set_flush_cost e 150;
-    let port = Serve.Server.port srv in
+    let port = R.port srv in
     let fail fmt =
       Printf.ksprintf
         (fun msg ->
@@ -980,19 +987,37 @@ let serve_quarantine_torture ~shards ~rounds ~seed ~nclients ~per_client
         max_retries = 10;
       }
     in
+    let cv k =
+      match List.assoc_opt k (E.health_counters e) with
+      | Some v -> v
+      | None -> 0
+    in
+    (* Every client pauses a third in; the rot is injected only once all
+       of them have, and they resume once the scrubber has readmitted the
+       victim (bounded).  The rot lives in the durable commit header and
+       replica records, which the victim's next commit rewrites: injected
+       amid writes it can heal before the scrubber reaches it. *)
+    let paused = Atomic.make 0 in
+    let pause_point () =
+      Atomic.incr paused;
+      let until = Unix.gettimeofday () +. 10. in
+      while
+        cv "serve.health.readmissions" < 1 && Unix.gettimeofday () < until
+      do
+        Unix.sleepf 0.002
+      done
+    in
     let run_client c =
       match
         Serve.Client.connect ~retries:100 ~retry_delay:0.02 ~policy
           ~host:"127.0.0.1" ~port ()
       with
-      | exception _ -> ()
+      | exception _ -> Atomic.incr paused
       | cl ->
           Fun.protect ~finally:(fun () -> Serve.Client.close cl) @@ fun () ->
           Array.iteri
             (fun i (tok, kvs, _, st) ->
-              (* pause a third in so the mid-load corruption, quarantine
-                 and rebuild all land amid live traffic *)
-              if i = per_client / 3 then Unix.sleepf 0.08;
+              if i = per_client / 3 then pause_point ();
               let outcome =
                 match kvs with
                 | [ (k, v) ] -> (
@@ -1016,8 +1041,12 @@ let serve_quarantine_torture ~shards ~rounds ~seed ~nclients ~per_client
     let doms =
       List.init nclients (fun c -> Domain.spawn (fun () -> run_client c))
     in
-    (* mid-load: rot the victim silently, over the wire *)
-    Unix.sleepf 0.02;
+    (* a third in, every client paused: rot the victim silently, over
+       the wire *)
+    let until = Unix.gettimeofday () +. 10. in
+    while Atomic.get paused < nclients && Unix.gettimeofday () < until do
+      Unix.sleepf 0.002
+    done;
     let admin =
       Serve.Client.connect ~retries:100 ~retry_delay:0.02
         ~policy:Serve.Client.resilient ~host:"127.0.0.1" ~port ()
@@ -1029,11 +1058,6 @@ let serve_quarantine_torture ~shards ~rounds ~seed ~nclients ~per_client
     | Error d -> fail "CORRUPT refused: %s" d
     | exception Serve.Client.Protocol_error d -> fail "CORRUPT died: %s" d);
     (* self-healing: the scrubber must quarantine AND readmit on its own *)
-    let cv k =
-      match List.assoc_opt k (E.health_counters e) with
-      | Some v -> v
-      | None -> 0
-    in
     let deadline = Unix.gettimeofday () +. 10. in
     while
       cv "serve.health.readmissions" < 1 && Unix.gettimeofday () < deadline
@@ -1047,6 +1071,7 @@ let serve_quarantine_torture ~shards ~rounds ~seed ~nclients ~per_client
         victim;
     List.iter Domain.join doms;
     (* operator path: freeze, then rebuild over the wire under a hammer *)
+    let rebuilds_before = cv "serve.health.rebuilds" in
     (match Serve.Client.freeze admin victim with
     | Ok () -> ()
     | Error d -> fail "FREEZE refused: %s" d
@@ -1080,6 +1105,17 @@ let serve_quarantine_torture ~shards ~rounds ~seed ~nclients ~per_client
     in
     (match Serve.Client.rebuild admin victim with
     | Ok ms -> if ms < 0. then fail "negative rebuild time"
+    | Error _ when cv "serve.health.rebuilds" > rebuilds_before ->
+        (* the scrubber found the frozen shard first and is rebuilding
+           it itself: keep hammering until that rebuild readmits it *)
+        let until = Unix.gettimeofday () +. 10. in
+        while
+          (let st, _, _ = E.shard_health e victim in
+           st <> "healthy")
+          && Unix.gettimeofday () < until
+        do
+          Unix.sleepf 0.002
+        done
     | Error d -> fail "REBUILD failed: %s" d
     | exception Serve.Client.Protocol_error d -> fail "REBUILD died: %s" d);
     Atomic.set hammer_stop true;
@@ -1175,9 +1211,9 @@ let serve_quarantine_torture ~shards ~rounds ~seed ~nclients ~per_client
         fail "shard %d ended the round %s, not healthy" s state
     done;
     let hc = E.health_counters e in
-    Serve.Server.stop srv;
+    R.stop srv;
     let passes, anomalies =
-      match Serve.Server.scrubber srv with
+      match R.scrubber srv with
       | Some sc -> (Serve.Scrub.full_passes sc, Serve.Scrub.anomalies sc)
       | None -> (0, 0)
     in

@@ -1,6 +1,6 @@
-(* redodb_server: the sharded RedoDB serving engine behind a TCP
-   front-end.  Speaks the length-prefixed text protocol (see README
-   "Serving").
+(* redodb_server: the sharded RedoDB serving engine behind the
+   event-driven reactor front-end.  Speaks the length-prefixed text
+   protocol (see README "Serving").
 
    Plain mode: serve until SIGINT/SIGTERM, then drain gracefully (stop
    accepting, finish + ack in-flight requests, flush traces) and exit
@@ -241,7 +241,7 @@ let () =
   let linger_us = ref 0.0 in
   let queue_cap = ref 64 in
   let max_conns = ref 8 in
-  let reactors = ref 0 in
+  let reactors = ref 1 in
   let workers = ref 2 in
   let max_inflight = ref 64 in
   let block_mutant = ref false in
@@ -274,23 +274,23 @@ let () =
       ( "--queue-cap",
         Arg.Set_int queue_cap,
         "N per-shard admission bound; beyond it requests get OVERLOADED (default 64)" );
-      ("--max-conns", Arg.Set_int max_conns, "N connection slots (default 8)");
+      ( "--max-conns",
+        Arg.Set_int max_conns,
+        "N open-connection cap; excess accepts answer OVERLOADED (default 8)" );
       ( "--reactors",
         Arg.Int
           (fun n ->
-            reactors :=
-              if n < 0 then min 8 (max 1 (Domain.recommended_domain_count ()))
-              else n),
-        "N event-driven front-end with N reactor domains multiplexing all \
-         connections as fibers (-1 = auto: recommended_domain_count capped \
-         at 8; 0 = legacy thread-per-connection, the default)" );
+            if n < 1 then raise (Arg.Bad "--reactors must be at least 1");
+            reactors := n),
+        "N reactor domains multiplexing all connections as fibers \
+         (default 1)" );
       ( "--workers",
         Arg.Set_int workers,
-        "W worker fibers (engine tids) per reactor (default 2; reactor mode)" );
+        "W worker fibers (engine tids) per reactor (default 2)" );
       ( "--max-inflight",
         Arg.Set_int max_inflight,
         "D per-connection pipelining window before the reactor stops \
-         reading (default 64; reactor mode)" );
+         reading (default 64)" );
       ( "--block-in-reactor",
         Arg.Set block_mutant,
         " mutant: workers issue a blocking 20 ms sleep on the event loop \
@@ -372,18 +372,14 @@ let () =
         "--linger-us"; Printf.sprintf "%g" !linger_us;
         "--queue-cap"; string_of_int !queue_cap;
         "--max-conns"; string_of_int !max_conns;
+        "--reactors"; string_of_int !reactors;
+        "--workers"; string_of_int !workers;
+        "--max-inflight"; string_of_int !max_inflight;
         "--capacity-bytes"; string_of_int !capacity;
         "--flush-cost"; string_of_int !flush_cost;
         "--pmem-dir"; dir;
       ]
       @ (if !no_batch then [ "--no-batch" ] else [])
-      @ (if !reactors > 0 then
-           [
-             "--reactors"; string_of_int !reactors;
-             "--workers"; string_of_int !workers;
-             "--max-inflight"; string_of_int !max_inflight;
-           ]
-         else [])
       @ (if !metrics then [ "--metrics" ] else [])
       @ List.concat_map
           (fun m -> [ "--mutant"; Serve.Commit.pp_mutant m ])
@@ -403,16 +399,12 @@ let () =
       | Result.Ok plan -> Some (Serve.Chaos.source plan)
       | Error reason -> raise (Arg.Bad reason)
   in
-  (* Engine concurrency: one tid per request executor (a connection
-     slot on the legacy path, a worker fiber on the reactor path) plus
-     the in-process owner and, if scrubbing, the scrub domain. *)
-  let executors =
-    if !reactors > 0 then !reactors * !workers else !max_conns
-  in
+  (* Engine concurrency: one tid per worker fiber, plus the in-process
+     owner and, if scrubbing, the scrub domain. *)
   let engine_cfg =
     {
       Serve.Engine.shards = !shards;
-      num_threads = (executors + if scrubbing then 2 else 1);
+      num_threads = ((!reactors * !workers) + if scrubbing then 2 else 1);
       capacity_bytes = !capacity;
       batch = not !no_batch;
       max_batch = !max_batch;
@@ -423,51 +415,32 @@ let () =
       isolate = !isolate || scrubbing;
     }
   in
-  let scrub_pause_us = if scrubbing then Some !scrub_us else None in
-  let front =
-    if !reactors > 0 then
-      `Reactor
-        (Serve.Reactor.start
-           {
-             Serve.Reactor.host = !host;
-             port = !port;
-             reactors = !reactors;
-             workers_per_reactor = !workers;
-             max_conns = !max_conns;
-             max_inflight = !max_inflight;
-             ingress_cap = 4096;
-             engine = engine_cfg;
-             chaos = chaos_src;
-             scrub_pause_us;
-             block_in_reactor = !block_mutant;
-           })
-    else
-      `Server
-        (Serve.Server.start
-           {
-             Serve.Server.host = !host;
-             port = !port;
-             max_conns = !max_conns;
-             engine = engine_cfg;
-             chaos = chaos_src;
-             scrub_pause_us;
-           })
+  let srv =
+    Serve.Reactor.start
+      {
+        Serve.Reactor.host = !host;
+        port = !port;
+        reactors = !reactors;
+        workers_per_reactor = !workers;
+        max_conns = !max_conns;
+        max_inflight = !max_inflight;
+        ingress_cap = 4096;
+        engine = engine_cfg;
+        chaos = chaos_src;
+        scrub_pause_us = (if scrubbing then Some !scrub_us else None);
+        block_in_reactor = !block_mutant;
+      }
   in
-  let eng, bound_port =
-    match front with
-    | `Reactor r -> (Serve.Reactor.engine r, Serve.Reactor.port r)
-    | `Server s -> (Serve.Server.engine s, Serve.Server.port s)
-  in
+  let eng = Serve.Reactor.engine srv in
   if !mutants <> [] then Serve.Engine.set_mutants eng !mutants;
   (* After creation: initialisation flushes must not pay the device cost
      (a realistic model would stretch startup into seconds). *)
   Serve.Engine.set_flush_cost eng !flush_cost;
-  pf "redodb_server listening on %s:%d (%d shard%s, %s, %s%s%s)\n%!" !host
-    bound_port !shards
+  pf "redodb_server listening on %s:%d (%d shard%s, %d reactors x %d \
+      workers, %s%s%s)\n%!" !host
+    (Serve.Reactor.port srv) !shards
     (if !shards = 1 then "" else "s")
-    (if !reactors > 0 then
-       Printf.sprintf "%d reactors x %d workers" !reactors !workers
-     else Printf.sprintf "%d conn slots" !max_conns)
+    !reactors !workers
     (if !no_batch then "unbatched"
      else Printf.sprintf "batched: max %d, linger %.0fus" !max_batch !linger_us)
     (if !pmem_dir = "" then "" else ", backed by " ^ !pmem_dir)
@@ -483,9 +456,7 @@ let () =
   done;
   (* Graceful drain: stop accepting, let in-flight requests finish and
      ack (their writes are durable), then flush traces and exit 0. *)
-  (match front with
-  | `Reactor r -> Serve.Reactor.drain r
-  | `Server s -> Serve.Server.drain s);
+  Serve.Reactor.drain srv;
   if !trace_file <> "" then begin
     Obs.Trace.write_file !trace_file;
     epf "redodb_server: trace written to %s\n%!" !trace_file

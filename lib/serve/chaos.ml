@@ -4,14 +4,14 @@
    owns one deterministic splitmix64 stream per accepted connection
    (connection index -> derived seed), so a given (plan, connection
    order, request order) triple replays the exact same faults.  The
-   server consults the per-connection [conn] at two points:
+   reactor consults the per-connection [conn] at two points:
 
    - [before_read]: between requests — inject a receive delay, a long
      stall, or sever the connection outright ([Cut]);
-   - [send]: instead of [Protocol.Io.write_frame] — inject a send
-     delay, corrupt one payload byte, truncate the frame mid-write and
-     sever, or drop the response entirely AFTER the request executed
-     (the fault that forces clients into timeout/retry/TXSTAT paths).
+   - [send_verdict]: for every response — inject a send delay, corrupt
+     one payload byte, truncate the frame and sever, or drop the
+     response entirely AFTER the request executed (the fault that
+     forces clients into timeout/retry/TXSTAT paths).
 
    All faults are wall-clock (sleeps and real sockets): chaos never
    runs under the deterministic scheduler, whose adversary covers the
@@ -224,28 +224,13 @@ let before_read c =
   else if r < p.sever_prob +. p.stall_prob +. p.delay_prob then
     maybe_sleep c ~us:p.delay_us c.src.tally.delays c.src.c_delay
 
-(* Write [frame] (already length-prefix framed by the caller) raw,
-   possibly only a strict prefix of it.  EINTR/EAGAIN retried like
-   Protocol.Io.write_frame. *)
-let write_raw fd frame off len =
-  let b = Bytes.of_string frame in
-  let pos = ref off in
-  while !pos < off + len do
-    match Unix.write fd b !pos (off + len - !pos) with
-    | n -> pos := !pos + n
-    | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-      ->
-        ()
-  done
-
 (* Response-side fault verdict.  [payload] is the unframed response
    line; the length prefix is reconstructed here (same grammar as
    Protocol.Io) because truncation and corruption need byte-level
    control under the framing.  The verdict is a pure value so the
    reactor can apply it to its buffered, non-blocking write path
-   (appending the surviving bytes and scheduling the delay as a timer)
-   while the legacy blocking [send] below interprets it directly.
-   Tallies and counters are noted at decision time either way. *)
+   (appending the surviving bytes and scheduling the delay as a
+   timer).  Tallies and counters are noted at decision time. *)
 type verdict =
   | Deliver of string  (* the full frame bytes, unharmed or corrupted *)
   | Deliver_delayed of string * int  (* frame, delay in microseconds *)
@@ -294,14 +279,3 @@ let send_verdict c payload =
       else Deliver frame
     end
   end
-
-let send c fd payload =
-  match send_verdict c payload with
-  | Drop_response -> ()
-  | Truncate_and_cut prefix ->
-      write_raw fd prefix 0 (String.length prefix);
-      raise (Cut "truncate")
-  | Deliver_delayed (frame, us) ->
-      if us > 0 then Aio.sleep (float_of_int us *. 1e-6);
-      write_raw fd frame 0 (String.length frame)
-  | Deliver frame -> write_raw fd frame 0 (String.length frame)

@@ -8,9 +8,9 @@
     identically; [pp_plan]/[parse_plan] round-trip a plan through the
     sweep's repro lines. *)
 
-(** Raised when injected chaos decides the connection dies (sever, or
-    truncate mid-frame).  The server treats it as the peer vanishing:
-    close the socket, free the handler slot, nothing else. *)
+(** Raised by {!before_read} when injected chaos severs the connection.
+    The reactor treats it as the peer vanishing: drop the connection,
+    pending responses and all, nothing else. *)
 exception Cut of string
 
 type plan = {
@@ -61,7 +61,7 @@ type conn
 
 val conn : source -> tid:int -> conn
 
-(** Call between requests, before blocking on the next frame: may sleep
+(** Call between requests, before reading the next frame: may sleep
     (delay/stall — a fiber timer under an aio reactor, a real sleep
     elsewhere) or raise {!Cut} (sever). *)
 val before_read : conn -> unit
@@ -80,12 +80,6 @@ type verdict =
           retries must absorb *)
   | Truncate_and_cut of string  (** write this strict prefix, then sever *)
 
+(** [payload] is the unframed response line; the verdict carries the
+    framed bytes. *)
 val send_verdict : conn -> string -> verdict
-
-(** Chaos-mediated blocking response write, replacing
-    [Protocol.Io.write_frame]: interprets {!send_verdict} directly —
-    may drop the response entirely (returns, writes nothing), truncate
-    the frame mid-write and raise {!Cut}, corrupt one payload byte, or
-    delay — otherwise writes the frame intact.  [payload] is the
-    unframed response line. *)
-val send : conn -> Unix.file_descr -> string -> unit

@@ -1,8 +1,7 @@
-(* Request execution shared by the two serving front-ends: the legacy
-   thread-per-connection Server and the aio Reactor.  One Dispatch.t
-   per engine owns the op-class sliding windows, the shed counters,
-   and the STATS/METRICS assembly (including the connection-occupancy
-   figures the running front-end installs via [set_conn_stats]).
+(* Request execution for the Reactor front-end.  One Dispatch.t per
+   engine owns the op-class sliding windows, the shed counters, and the
+   STATS/METRICS assembly (including the reactor's connection-occupancy
+   figures, read through the [conn_stats] callback given at [create]).
 
    Degradation order under pressure: TTL-expired requests are shed
    first (queued writes by the batcher, reads here at execution), then
@@ -22,9 +21,9 @@ type t = {
   c_shed_mget : Obs.Metrics.counter;
   c_shed_read : Obs.Metrics.counter;  (* reads whose TTL expired pre-execution *)
   wins : Obs.Window.t array;  (* per op class, indexed like win_class *)
-  mutable conn_stats : unit -> int * int;
-      (* (open, rejected) connection occupancy, installed by the
-         front-end; surfaces in STATS and the Prometheus gauges *)
+  conn_stats : unit -> int * int;
+      (* (open, rejected) connection occupancy of the front-end;
+         surfaces in STATS and the Prometheus gauges *)
 }
 
 (* Sliding-window class of a request, or -1 for untracked admin ops.
@@ -44,7 +43,7 @@ let win_class : Protocol.req -> int = function
   | Rebuild _ | Corrupt _ ->
       -1
 
-let create eng =
+let create eng ~conn_stats =
   {
     eng;
     h_req = Obs.Metrics.histogram "serve.request_ns";
@@ -52,11 +51,8 @@ let create eng =
     c_shed_mget = Obs.Metrics.counter "serve.shed.mget";
     c_shed_read = Obs.Metrics.counter "serve.shed.read_expired";
     wins = Array.map Obs.Window.create win_names;
-    conn_stats = (fun () -> (0, 0));
+    conn_stats;
   }
-
-let engine t = t.eng
-let set_conn_stats t f = t.conn_stats <- f
 
 let err_of_engine = function
   | Engine.Overloaded -> Protocol.Overloaded
@@ -242,30 +238,24 @@ let execute t ~tid ~env ~deadline (req : Protocol.req) : Protocol.resp =
       end
 
 (* Execute under the Serve_op trace span and record the op-class
-   windows.  [extra_wins] lets a reactor feed its per-reactor window
-   set alongside the global one; [t_in] backdates the window span to
-   the request's ingress time, so on the reactor path the windows (and
-   the SLO gates asserted against them) cover the time a request spent
-   queued behind a stalled event loop, not just its execution. *)
-let serve_one t ~tid ?(env = Protocol.no_env) ?(deadline = 0.) ?extra_wins
-    ?t_in req =
+   windows.  [extra_wins] is the reactor's per-reactor window set,
+   recorded alongside the global one; [t_in] backdates the window span
+   to the request's ingress time, so the windows (and the SLO gates
+   asserted against them) cover the time a request spent queued behind
+   a stalled event loop, not just its execution. *)
+let serve_one t ~tid ~env ~deadline ~extra_wins ~t_in req =
   let rid = env.Protocol.rid in
-  let t0 =
-    match t_in with Some t -> t | None -> Unix.gettimeofday ()
-  in
   let resp =
     Obs.Trace.span Obs.Trace.Serve_op ~tid ~rid (fun () ->
         execute t ~tid ~env ~deadline req)
   in
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = Unix.gettimeofday () -. t_in in
   (* The per-class window is always on — it is what STATS exposes and
      what SLO gates assert against, with or without --metrics. *)
   let c = win_class req in
   if c >= 0 then begin
     Obs.Window.record_span_s t.wins.(c) dt;
-    match extra_wins with
-    | Some ws -> Obs.Window.record_span_s ws.(c) dt
-    | None -> ()
+    Obs.Window.record_span_s extra_wins.(c) dt
   end;
   if Obs.Metrics.is_on () then
     Obs.Metrics.record_ns t.h_req ~tid (int_of_float (dt *. 1e9));

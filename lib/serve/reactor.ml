@@ -11,21 +11,21 @@
      connection's inflight window fills — TCP backpressure — and when
      the socket runs dry);
    - W WORKER fibers per reactor (each owning a dedicated engine tid)
-     drain the ingress queue through the shared Dispatch executor —
-     requests from many connections interleave freely, and a response
-     completes whenever its engine call does, out of order within each
-     connection's window; the RID echoed on every response is the
-     correlator that lets the client match them back up;
+     drain the ingress queue through Dispatch — requests from many
+     connections interleave freely, and a response completes whenever
+     its engine call does, out of order within each connection's
+     window; the RID echoed on every response is the correlator that
+     lets the client match them back up;
    - an on-demand WRITER fiber per connection flushes the outgoing
      buffer and parks on write readiness when the socket pushes back.
 
    Backpressure, outermost first: the global max_conns cap answers the
    accept itself with Overloaded; a full ingress queue answers
    Overloaded without executing; a connection at max_inflight stops
-   being read.  TTL shedding, chaos injection (the response side via
-   Chaos.send_verdict, applied to the buffered write path), scrubbing
-   and graceful drain all match the legacy thread-per-connection
-   Server. *)
+   being read.  TTL-expired requests answer Timeout; chaos injection
+   applies Chaos.send_verdict to the buffered write path; an optional
+   scrubber domain verifies shards in the background; and a graceful
+   drain acks every admitted request before the loops wind down. *)
 
 module A = Stdlib.Atomic
 
@@ -282,7 +282,8 @@ let handle_frame t c payload =
           Obs.Metrics.record_ns t.h_parse ~tid:c.r.tid0
             (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9))
       end;
-      (* TTL clock starts at ingress, as on the blocking path. *)
+      (* The TTL clock starts at ingress, covering queueing and
+         execution but not the network hop in. *)
       let deadline =
         if env.Protocol.ttl_us > 0 then
           Unix.gettimeofday () +. (float_of_int env.Protocol.ttl_us *. 1e-6)
@@ -464,10 +465,13 @@ let start cfg =
           dom = None;
         })
   in
+  let conns_open = A.make 0 and conns_rejected = A.make 0 in
   let t =
     {
       cfg;
-      disp = Dispatch.create eng;
+      disp =
+        Dispatch.create eng ~conn_stats:(fun () ->
+            (A.get conns_open, A.get conns_rejected));
       eng;
       listener;
       bound_port;
@@ -477,14 +481,12 @@ let start cfg =
       accept_dom = None;
       scrubber = Option.map (fun _ -> Scrub.create eng) cfg.scrub_pause_us;
       scrub_dom = None;
-      conns_open = A.make 0;
-      conns_rejected = A.make 0;
+      conns_open;
+      conns_rejected;
       c_ingress_full = Obs.Metrics.counter "serve.reactor.ingress_full";
       h_parse = Obs.Metrics.histogram "serve.stage.parse";
     }
   in
-  Dispatch.set_conn_stats t.disp (fun () ->
-      (A.get t.conns_open, A.get t.conns_rejected));
   Array.iter
     (fun r ->
       r.dom <-

@@ -6,8 +6,8 @@
     reactors.  Each connection gets a read fiber that decodes frames
     incrementally ({!Protocol.Io.Decoder}) into the reactor's ingress
     queue; a small pool of worker fibers (each owning a dedicated
-    engine tid) drains that queue through the shared {!Dispatch}
-    executor and appends framed responses — tagged with the request's
+    engine tid) drains that queue through {!Dispatch} and appends
+    framed responses — tagged with the request's
     RID, the pipelining correlator — to the connection's outgoing
     buffer, flushed by an on-demand writer fiber.  Responses complete
     out of order across a connection's inflight window; the client
@@ -17,8 +17,14 @@
     the accept with [Overloaded]; a full ingress queue answers
     [Overloaded] without executing; a connection at [max_inflight]
     parks its read fiber (TCP backpressure) until a response retires.
-    TTL shedding, chaos injection, scrub/quarantine, and graceful
-    drain all behave as in the legacy {!Server}. *)
+
+    Degradation under pressure, in order: TTL-expired requests are shed
+    with the retryable [Timeout] (queued writes by the batcher, reads at
+    execution), then scans, then multi-gets (per-class thresholds on
+    {!Engine.overload_hint}); point ops and writes keep flowing until
+    admission control pushes back with [Overloaded].  Malformed
+    requests answer [Err] without killing the connection; a broken
+    frame answers [Err] and closes only that connection. *)
 
 type config = {
   host : string;
@@ -38,9 +44,13 @@ type config = {
       (** [num_threads] must be at least [reactors * workers_per_reactor + 1]
           (+1 more with a scrubber) *)
   chaos : Chaos.source option;
+      (** inject seeded network faults into every connection (tests and
+          the chaos sweep only) *)
   scrub_pause_us : float option;
-      (** as in {!Server.config}; the scrubber uses engine tid
-          [reactors * workers_per_reactor + 1] *)
+      (** [Some p]: run the online {!Scrub} scrubber on a dedicated
+          domain with engine tid [reactors * workers_per_reactor + 1],
+          pausing [p] µs between per-shard verifications.  [None]: no
+          scrubber. *)
   block_in_reactor : bool;
       (** mutant knob (CI only): workers issue a blocking 20 ms sleep
           on the event loop before each request, wrecking fairness —
@@ -49,7 +59,8 @@ type config = {
 
 (** 127.0.0.1, ephemeral port, 2 reactors x 2 workers, 1024
     connections, 64 inflight, 4096 ingress, {!Engine.default_config}
-    (num_threads raised to fit), no chaos, no scrubber, no mutant. *)
+    as is (size its [num_threads] by the [engine] rule above), no
+    chaos, no scrubber, no mutant. *)
 val default_config : config
 
 type t
@@ -69,10 +80,14 @@ val live_conns : t -> int
 val rejected_conns : t -> int
 
 (** Abrupt, idempotent shutdown: close the listener and every
-    connection, stop the loops, join all domains. *)
+    connection, stop the loops, join all domains.  A request
+    mid-execution loses its ack (the write may still be durable); use
+    {!drain} for the graceful variant. *)
 val stop : t -> unit
 
 (** Graceful drain: stop accepting, shut the receive side of every
     connection; in-flight requests finish executing and their acks
-    flush before the loops wind down.  Idempotent with {!stop}. *)
+    flush before the loops wind down.  Every acked write is durable, so
+    a restart after [drain] loses nothing.  Idempotent with {!stop}
+    (first of the two wins). *)
 val drain : t -> unit

@@ -812,33 +812,41 @@ let test_sched_span_tree () =
   Alcotest.(check int) "no spans under a foreign rid" 0
     (List.length (List.filter (fun ev -> rid_of ev = 41) events))
 
-(* ---- loopback TCP smoke (server + client over a real socket) ---- *)
+(* ---- loopback TCP smoke (reactor + client over a real socket) ---- *)
+
+let reactor_config ?(reactors = 2) ?(workers = 2) ?(max_conns = 16)
+    ?(max_inflight = 8) ?(linger_us = 0.) ?chaos () =
+  {
+    Serve.Reactor.host = "127.0.0.1";
+    port = 0;
+    reactors;
+    workers_per_reactor = workers;
+    max_conns;
+    max_inflight;
+    ingress_cap = 256;
+    engine =
+      {
+        E.default_config with
+        shards = 2;
+        num_threads = (reactors * workers) + 2;
+        capacity_bytes = 1 lsl 16;
+        max_batch = 8;
+        linger_us;
+      };
+    chaos;
+    scrub_pause_us = None;
+    block_in_reactor = false;
+  }
 
 let test_socket_smoke () =
-  match
-    Serve.Server.start
-      {
-        Serve.Server.host = "127.0.0.1";
-        port = 0;
-        max_conns = 2;
-        engine =
-          {
-            E.default_config with
-            shards = 2;
-            num_threads = 3;
-            capacity_bytes = 1 lsl 16;
-          };
-        chaos = None;
-        scrub_pause_us = None;
-      }
-  with
+  match Serve.Reactor.start (reactor_config ~max_conns:2 ()) with
   | exception Unix.Unix_error ((EPERM | EACCES | EADDRNOTAVAIL), _, _) ->
       Printf.printf "socket smoke skipped: loopback sockets unavailable\n"
   | srv ->
-      Fun.protect ~finally:(fun () -> Serve.Server.stop srv) @@ fun () ->
+      Fun.protect ~finally:(fun () -> Serve.Reactor.stop srv) @@ fun () ->
       let c =
         Serve.Client.connect ~retries:50 ~host:"127.0.0.1"
-          ~port:(Serve.Server.port srv) ()
+          ~port:(Serve.Reactor.port srv) ()
       in
       Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
       Serve.Client.ping c;
@@ -1176,24 +1184,6 @@ let test_unformatted_region_recreated () =
   | Ok (Some "yes") -> ()
   | _ -> Alcotest.fail "write over a recreated region must stick"
 
-let serve_config ?(max_conns = 4) ?(linger_us = 0.) () =
-  {
-    Serve.Server.host = "127.0.0.1";
-    port = 0;
-    max_conns;
-    engine =
-      {
-        E.default_config with
-        shards = 2;
-        num_threads = max_conns + 2;
-        capacity_bytes = 1 lsl 16;
-        max_batch = 8;
-        linger_us;
-      };
-    chaos = None;
-    scrub_pause_us = None;
-  }
-
 let loopback_unavailable = function
   | Unix.Unix_error ((EPERM | EACCES | EADDRNOTAVAIL), _, _) -> true
   | _ -> false
@@ -1266,15 +1256,15 @@ let test_client_call_timeout () =
             (t.Serve.Client.timeouts >= 2))
 
 let test_midframe_disconnect_no_leak () =
-  match Serve.Server.start (serve_config ~max_conns:2 ()) with
+  match Serve.Reactor.start (reactor_config ~max_conns:2 ()) with
   | exception e when loopback_unavailable e ->
       Printf.printf "mid-frame test skipped: loopback sockets unavailable\n"
   | srv ->
-      Fun.protect ~finally:(fun () -> Serve.Server.stop srv) @@ fun () ->
-      let port = Serve.Server.port srv in
+      Fun.protect ~finally:(fun () -> Serve.Reactor.stop srv) @@ fun () ->
+      let port = Serve.Reactor.port srv in
       let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
       (* Clients that die mid-frame (header sent, payload never comes)
-         must not leak handler slots. *)
+         must not leak connections. *)
       for _ = 1 to 6 do
         let s = Unix.socket PF_INET SOCK_STREAM 0 in
         Unix.connect s addr;
@@ -1283,12 +1273,12 @@ let test_midframe_disconnect_no_leak () =
       done;
       let deadline = Unix.gettimeofday () +. 5. in
       while
-        Serve.Server.live_conns srv > 0 && Unix.gettimeofday () < deadline
+        Serve.Reactor.live_conns srv > 0 && Unix.gettimeofday () < deadline
       do
         Unix.sleepf 0.005
       done;
       Alcotest.(check int) "mid-frame disconnects free their slots" 0
-        (Serve.Server.live_conns srv);
+        (Serve.Reactor.live_conns srv);
       (* The kernel backlog can still hold churn connections the server
          answers OVERLOADED while its slots cycle — keep probing until a
          fresh client is actually served. *)
@@ -1311,21 +1301,21 @@ let test_midframe_disconnect_no_leak () =
 let test_ttl_shed_over_wire () =
   (* 1 ms TTL inside a 30 ms group-commit linger window: the batcher
      must shed the queued write with TIMEOUT and commit nothing. *)
-  match Serve.Server.start (serve_config ~linger_us:30_000. ()) with
+  match Serve.Reactor.start (reactor_config ~linger_us:30_000. ()) with
   | exception e when loopback_unavailable e ->
       Printf.printf "ttl shed skipped: loopback sockets unavailable\n"
   | srv ->
-      Fun.protect ~finally:(fun () -> Serve.Server.stop srv) @@ fun () ->
+      Fun.protect ~finally:(fun () -> Serve.Reactor.stop srv) @@ fun () ->
       let c =
         Serve.Client.connect ~retries:50 ~host:"127.0.0.1"
-          ~port:(Serve.Server.port srv) ()
+          ~port:(Serve.Reactor.port srv) ()
       in
       Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
       (match Serve.Client.put c ~ttl_us:1000 ~key:"stale" ~value:"v" with
       | Error `Timeout -> ()
       | Ok () -> Alcotest.fail "expired TTL must shed the write"
       | Error _ -> Alcotest.fail "expected `Timeout");
-      (match E.get (Serve.Server.engine srv) ~tid:0 "stale" with
+      (match E.get (Serve.Reactor.engine srv) ~tid:0 "stale" with
       | Ok None -> ()
       | _ -> Alcotest.fail "shed write must leave nothing durable");
       (match Serve.Client.put c ~key:"fresh" ~value:"v" with
@@ -1336,26 +1326,26 @@ let test_ttl_shed_over_wire () =
       | _ -> Alcotest.fail "fresh write must be readable"
 
 let test_graceful_drain () =
-  match Serve.Server.start (serve_config ()) with
+  match Serve.Reactor.start (reactor_config ()) with
   | exception e when loopback_unavailable e ->
       Printf.printf "drain test skipped: loopback sockets unavailable\n"
   | srv ->
-      let port = Serve.Server.port srv in
+      let port = Serve.Reactor.port srv in
       let c = Serve.Client.connect ~retries:50 ~host:"127.0.0.1" ~port () in
       (match Serve.Client.put c ~key:"durable" ~value:"1" with
       | Ok () -> ()
       | Error _ -> Alcotest.fail "put before drain");
       Serve.Client.close c;
-      Serve.Server.drain srv;
+      Serve.Reactor.drain srv;
       let deadline = Unix.gettimeofday () +. 5. in
       while
-        Serve.Server.live_conns srv > 0 && Unix.gettimeofday () < deadline
+        Serve.Reactor.live_conns srv > 0 && Unix.gettimeofday () < deadline
       do
         Unix.sleepf 0.005
       done;
       Alcotest.(check int) "drained server holds no connections" 0
-        (Serve.Server.live_conns srv);
-      (match E.get (Serve.Server.engine srv) ~tid:0 "durable" with
+        (Serve.Reactor.live_conns srv);
+      (match E.get (Serve.Reactor.engine srv) ~tid:0 "durable" with
       | Ok (Some "1") -> ()
       | _ -> Alcotest.fail "acked write must survive the drain");
       (match Serve.Client.connect ~host:"127.0.0.1" ~port () with
@@ -1364,7 +1354,7 @@ let test_graceful_drain () =
           Serve.Client.close c2;
           Alcotest.fail "drained listener must refuse new connections");
       (* stop after drain is an idempotent no-op, not an error *)
-      Serve.Server.stop srv
+      Serve.Reactor.stop srv
 
 let test_resilient_client_under_chaos () =
   let plan =
@@ -1378,12 +1368,11 @@ let test_resilient_client_under_chaos () =
     }
   in
   let src = Serve.Chaos.source plan in
-  let cfg = { (serve_config ()) with Serve.Server.chaos = Some src } in
-  match Serve.Server.start cfg with
+  match Serve.Reactor.start (reactor_config ~chaos:src ()) with
   | exception e when loopback_unavailable e ->
       Printf.printf "chaos client skipped: loopback sockets unavailable\n"
   | srv ->
-      Fun.protect ~finally:(fun () -> Serve.Server.stop srv) @@ fun () ->
+      Fun.protect ~finally:(fun () -> Serve.Reactor.stop srv) @@ fun () ->
       let policy =
         {
           Serve.Client.resilient with
@@ -1395,7 +1384,7 @@ let test_resilient_client_under_chaos () =
       in
       let c =
         Serve.Client.connect ~retries:50 ~policy ~host:"127.0.0.1"
-          ~port:(Serve.Server.port srv) ()
+          ~port:(Serve.Reactor.port srv) ()
       in
       Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
       for i = 0 to 11 do
@@ -1407,7 +1396,7 @@ let test_resilient_client_under_chaos () =
             Alcotest.fail "tokened put must resolve, not stay in doubt"
         | Error _ -> Alcotest.fail ("put failed under chaos: " ^ key)
       done;
-      let e = Serve.Server.engine srv in
+      let e = Serve.Reactor.engine srv in
       for i = 0 to 11 do
         match E.get e ~tid:0 (Printf.sprintf "c%02d" i) with
         | Ok (Some v) when v = string_of_int i -> ()
@@ -1780,32 +1769,9 @@ let test_aio_loop () =
   Alcotest.(check string) "streamed byte-for-byte across fibers" msg
     (Buffer.contents received)
 
-let reactor_config ?(reactors = 2) ?(workers = 2) ?(max_conns = 16)
-    ?(max_inflight = 8) ?chaos () =
-  {
-    Serve.Reactor.host = "127.0.0.1";
-    port = 0;
-    reactors;
-    workers_per_reactor = workers;
-    max_conns;
-    max_inflight;
-    ingress_cap = 256;
-    engine =
-      {
-        E.default_config with
-        shards = 2;
-        num_threads = (reactors * workers) + 2;
-        capacity_bytes = 1 lsl 16;
-        max_batch = 8;
-      };
-    chaos;
-    scrub_pause_us = None;
-    block_in_reactor = false;
-  }
-
-(* The reactor front-end speaks the same protocol as the legacy server
-   (same client, serial and pipelined), exposes connection occupancy
-   in STATS, and drains gracefully with every acked write durable. *)
+(* The reactor serves the serial and the pipelined client over one
+   connection, exposes connection occupancy in STATS, and drains
+   gracefully with every acked write durable. *)
 let test_reactor_smoke () =
   match Serve.Reactor.start (reactor_config ()) with
   | exception e when loopback_unavailable e ->
