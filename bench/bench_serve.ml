@@ -835,26 +835,38 @@ let () =
     end
   in
 
-  (* Optional corrupter: seeded silent rot into one shard at the op
-     threshold, on its own connection so it never interleaves with the
-     admin socket.  The damage is invisible to live reads — only the
-     scrubber can notice.  The rot lands in the shard's durable commit
-     header and replica records, which its next commits may rewrite
-     before the scrubber passes (with few engine threads every record
-     is live), so re-inject with a fresh seed, at most 20 times, until
-     HEALTH shows a quarantine. *)
+  (* Optional corrupter: seeded silent rot into one shard once the load
+     reaches k ops, invisible to live reads — only the scrubber can
+     notice.  The rot lands in the shard's durable commit header and
+     replica records, which its next commit rewrites, so it goes in
+     exactly once, at a quiescent point: every client parks at its next
+     op boundary (or has finished), the corrupter injects on its own
+     connection, and the clients resume as soon as HEALTH shows the
+     quarantine, so their retries run through the quarantine, rebuild
+     and readmission.  A missed injection leaves nothing to heal and
+     fails the self-healing gate below. *)
   let corrupted = ref false in
+  let parked = Atomic.make 0 in
+  let resumed = Atomic.make (Option.is_none !corrupt_spec) in
   let corrupter =
     match !corrupt_spec with
     | None -> None
     | Some (shard, k) ->
         Some
           (Domain.spawn (fun () ->
+               Fun.protect ~finally:(fun () -> Atomic.set resumed true)
+               @@ fun () ->
                while Atomic.get done_ops < k do
                  Unix.sleepf 0.001
                done;
+               let until = Unix.gettimeofday () +. 10. in
+               while
+                 Atomic.get parked < nclients && Unix.gettimeofday () < until
+               do
+                 Unix.sleepf 0.001
+               done;
                let cl = connect () in
-               let caught () =
+               let quarantined () =
                  match Serve.Client.health cl with
                  | Ok j -> (
                      match Obs.Json.member "serve.health.quarantines" j with
@@ -862,17 +874,16 @@ let () =
                      | _ -> false)
                  | Error _ -> false
                in
-               let rec inject n =
-                 match
-                   Serve.Client.corrupt cl ~shard ~seed:(!seed + n) ~count:3
-                 with
-                 | Ok () ->
-                     corrupted := true;
-                     Unix.sleepf 0.05;
-                     if n < 19 && not (caught ()) then inject (n + 1)
-                 | Error e -> Printf.eprintf "CORRUPT failed: %s\n%!" e
-               in
-               inject 0;
+               (match Serve.Client.corrupt cl ~shard ~seed:!seed ~count:3 with
+               | Ok () ->
+                   corrupted := true;
+                   let until = Unix.gettimeofday () +. 10. in
+                   while
+                     (not (quarantined ())) && Unix.gettimeofday () < until
+                   do
+                     Unix.sleepf 0.001
+                   done
+               | Error e -> Printf.eprintf "CORRUPT failed: %s\n%!" e);
                Serve.Client.close cl))
   in
 
@@ -914,8 +925,27 @@ let () =
       | Error _ -> ());
       r
     in
+    (* counted once as quiescent for the corrupter: parked at its op
+       threshold, or finished *)
+    let parked_me = ref false in
+    let park () =
+      if not !parked_me then begin
+        parked_me := true;
+        Atomic.incr parked
+      end
+    in
     (try
        for i = 0 to per_client - 1 do
+         (match !corrupt_spec with
+         | Some (_, k)
+           when (not !parked_me)
+                && (not (Atomic.get resumed))
+                && Atomic.get done_ops >= k ->
+             park ();
+             while not (Atomic.get resumed) do
+               Unix.sleepf 0.001
+             done
+         | _ -> ());
          (* Closed loop with bounded retry: OVERLOADED is backpressure
             (ease off and resend); UNAVAILABLE means the engine is mid
             power-failure with no durable effect (wait out the outage);
@@ -991,6 +1021,7 @@ let () =
      with e ->
        Atomic.incr client_errors;
        Printf.eprintf "client %d died: %s\n%!" c (Printexc.to_string e));
+    park ();
     tally_acc.(c) <- Serve.Client.tallies cl;
     Serve.Client.close cl
   in

@@ -668,11 +668,6 @@ let serve_chaos_torture ~shards ~rounds ~seed ~nclients ~per_client
             {
               E.default_config with
               E.shards;
-              (* one tid per worker fiber, + 1 for the in-process tid *)
-              num_threads =
-                (R.default_config.reactors
-                * R.default_config.workers_per_reactor)
-                + 1;
               capacity_bytes = 1 lsl 20;
               max_batch = 8;
               queue_cap = 64;
@@ -871,13 +866,13 @@ let serve_chaos_torture ~shards ~rounds ~seed ~nclients ~per_client
    Each round starts a FRESH isolated reactor (per-shard fault isolation
    on, online scrubber on its dedicated domain) and drives it with
    resilient tokened clients mixing single-shard PUTs and cross-shard
-   MPUTs over real sockets.  A third into the load, with every client
-   paused, the harness injects silent bit rot into ONE victim shard's
-   durable metadata over the wire (CORRUPT — invisible to live reads).
-   The scrubber must find the rot, quarantine only the victim, rebuild
-   it online from its snapshot export plus commit-journal replay, and
-   readmit it; the clients then finish their load, and every op that
-   avoided the victim must never have seen SHARD_UNAVAILABLE.  The
+   MPUTs over real sockets.  A third into the load, while nothing
+   writes to it, the harness injects silent bit rot into ONE victim
+   shard's durable metadata over the wire (CORRUPT — invisible to live
+   reads).  The scrubber must find the rot, quarantine only the victim,
+   rebuild it online from its snapshot export plus commit-journal
+   replay, and readmit it — while healthy-shard traffic keeps flowing
+   and a probe client writes at the quarantined victim.  The
    harness then exercises the operator path: FREEZE the victim and
    REBUILD it over the wire while a hammer domain writes at it — the
    clean protocol refuses those writes, so a write that was ACKED
@@ -891,7 +886,8 @@ let serve_chaos_torture ~shards ~rounds ~seed ~nclients ~per_client
        carries the exact value written;
      - all-or-nothing: no cross-shard group is ever half-durable;
      - fault isolation: no op that avoided the victim shard was ever
-       refused with SHARD_UNAVAILABLE;
+       refused with SHARD_UNAVAILABLE, and some such op was in flight
+       across the victim's quarantine -> rebuild -> readmission;
      - self-healing: the scrubber actually quarantined AND readmitted
        the victim (the no-scrub-verify mutant must fail here), and a
        final mutant-blind verification of every shard passes. *)
@@ -925,9 +921,6 @@ let serve_quarantine_torture ~shards ~rounds ~seed ~nclients ~per_client
             {
               E.default_config with
               E.shards;
-              (* one tid per worker fiber, + 1 for the in-process tid,
-                 + 1 for the scrub domain *)
-              num_threads = (2 * R.default_config.workers_per_reactor) + 2;
               capacity_bytes = 1 lsl 20;
               max_batch = 8;
               queue_cap = 64;
@@ -992,59 +985,143 @@ let serve_quarantine_torture ~shards ~rounds ~seed ~nclients ~per_client
       | Some v -> v
       | None -> 0
     in
-    (* Every client pauses a third in; the rot is injected only once all
-       of them have, and they resume once the scrubber has readmitted the
-       victim (bounded).  The rot lives in the durable commit header and
-       replica records, which the victim's next commit rewrites: injected
-       amid writes it can heal before the scrubber reaches it. *)
-    let paused = Atomic.make 0 in
-    let pause_point () =
-      Atomic.incr paused;
-      let until = Unix.gettimeofday () +. 10. in
-      while
-        cv "serve.health.readmissions" < 1 && Unix.gettimeofday () < until
-      do
-        Unix.sleepf 0.002
-      done
+    let quarantined () = cv "serve.health.quarantines" >= 1 in
+    let readmitted () = cv "serve.health.readmissions" >= 1 in
+    let run_op cl (tok, kvs, _, st) =
+      st :=
+        match kvs with
+        | [ (k, v) ] -> (
+            match Serve.Client.put ~tok cl ~key:k ~value:v with
+            | Ok () -> `Acked
+            | Error (`InDoubt _) -> `Ambiguous
+            | Error (`Shard_down _) -> `Refused
+            | Error _ -> `Failed
+            | exception _ -> `Failed)
+        | _ -> (
+            match Serve.Client.mput ~tok cl kvs with
+            | Ok _ -> `Acked
+            | Error (`InDoubt _) -> `Ambiguous
+            | Error (`Shard_down _) -> `Refused
+            | Error _ -> `Failed
+            | exception _ -> `Failed)
+    in
+    (* The rot lives in the durable commit header and replica records,
+       which the victim's next commit rewrites: injected amid victim
+       writes it can heal before the scrubber reaches it.  So each client
+       runs its first third, then holds every victim-touching op until
+       the window closes (the scrubber has readmitted the victim) while
+       keeping healthy traffic flowing: its remaining healthy ops, then
+       filler PUTs and 2PC MPUTs over the healthy shards.  The rot goes
+       in once every client is past its third, so nothing writes the
+       victim between injection and quarantine.  A healthy op that
+       started before readmission and ended after quarantine straddled
+       the window; each client loops until the window closes, so (filler
+       cap aside) its last op before readmission does.  Ops beyond the
+       fixed matrix join the audit through [extra] (one slot per issuing
+       domain; the last is the victim probe's). *)
+    let past_third = Atomic.make 0 in
+    let window_closed = Atomic.make false in
+    let window_ops = Atomic.make 0 in
+    let extra = Array.make (nclients + 1) [] in
+    let healthy =
+      List.filter (fun s -> s <> victim) (List.init shards Fun.id)
+    in
+    let filler c n =
+      let tok = ((c + 1) * 1_000_000) + 500_000 + n in
+      let tag j = Printf.sprintf "h%d.%d.%d.%d" round_seed c n j in
+      let s1 = List.nth healthy (n mod List.length healthy) in
+      let kvs, on =
+        match List.filter (fun s -> s <> s1) healthy with
+        | s2 :: _ when n mod 2 = 1 ->
+            ( [
+                (key_for ~shard:s1 (tag 1), Printf.sprintf "v%d.1" tok);
+                (key_for ~shard:s2 (tag 2), Printf.sprintf "v%d.2" tok);
+              ],
+              List.sort_uniq compare [ s1; s2 ] )
+        | _ ->
+            ( [ (key_for ~shard:s1 (tag 0), Printf.sprintf "v%d.0" tok) ],
+              [ s1 ] )
+      in
+      (tok, kvs, on, ref `Failed)
     in
     let run_client c =
       match
         Serve.Client.connect ~retries:100 ~retry_delay:0.02 ~policy
           ~host:"127.0.0.1" ~port ()
       with
-      | exception _ -> Atomic.incr paused
+      | exception _ -> Atomic.incr past_third
       | cl ->
           Fun.protect ~finally:(fun () -> Serve.Client.close cl) @@ fun () ->
+          let third = per_client / 3 in
+          let held = ref [] in
+          let run_healthy op =
+            let before = readmitted () in
+            run_op cl op;
+            if (not before) && quarantined () then Atomic.incr window_ops
+          in
           Array.iteri
-            (fun i (tok, kvs, _, st) ->
-              if i = per_client / 3 then pause_point ();
-              let outcome =
-                match kvs with
-                | [ (k, v) ] -> (
-                    match Serve.Client.put ~tok cl ~key:k ~value:v with
-                    | Ok () -> `Acked
-                    | Error (`InDoubt _) -> `Ambiguous
-                    | Error (`Shard_down _) -> `Refused
-                    | Error _ -> `Failed
-                    | exception _ -> `Failed)
-                | _ -> (
-                    match Serve.Client.mput ~tok cl kvs with
-                    | Ok _ -> `Acked
-                    | Error (`InDoubt _) -> `Ambiguous
-                    | Error (`Shard_down _) -> `Refused
-                    | Error _ -> `Failed
-                    | exception _ -> `Failed)
-              in
-              st := outcome)
-            ops.(c)
+            (fun i ((_, _, on, _) as op) ->
+              if i = third then Atomic.incr past_third;
+              if i < third then run_op cl op
+              else if List.mem victim on then held := op :: !held
+              else run_healthy op)
+            ops.(c);
+          if per_client = 0 then Atomic.incr past_third;
+          let n = ref 0 in
+          while not (Atomic.get window_closed) do
+            if healthy <> [] && !n < 500 then begin
+              let op = filler c !n in
+              incr n;
+              extra.(c) <- op :: extra.(c);
+              run_healthy op
+            end
+            else Unix.sleepf 0.002
+          done;
+          List.iter (run_op cl) (List.rev !held)
+    in
+    (* Victim probe: from the observed quarantine until the window
+       closes, a client with no retries writes at the victim, so requests
+       reach it while it is quarantined or rebuilding.  Each must be
+       refused, or acked after readmission and durable. *)
+    let probe () =
+      let until = Unix.gettimeofday () +. 10. in
+      while
+        (not (quarantined ()))
+        && (not (Atomic.get window_closed))
+        && Unix.gettimeofday () < until
+      do
+        Unix.sleepf 0.0005
+      done;
+      match
+        Serve.Client.connect ~retries:100 ~retry_delay:0.02
+          ~policy:{ policy with max_retries = 0 } ~host:"127.0.0.1" ~port ()
+      with
+      | exception _ -> ()
+      | cl ->
+          Fun.protect ~finally:(fun () -> Serve.Client.close cl) @@ fun () ->
+          let n = ref 0 in
+          while (not (Atomic.get window_closed)) && !n < 500 do
+            let tok = ((nclients + 1) * 1_000_000) + !n + 1 in
+            let k =
+              key_for ~shard:victim (Printf.sprintf "p%d.%d" round_seed !n)
+            in
+            let op =
+              (tok, [ (k, Printf.sprintf "v%d.0" tok) ], [ victim ], ref `Failed)
+            in
+            incr n;
+            extra.(nclients) <- op :: extra.(nclients);
+            run_op cl op;
+            Unix.sleepf 0.0005
+          done
     in
     let doms =
       List.init nclients (fun c -> Domain.spawn (fun () -> run_client c))
     in
-    (* a third in, every client paused: rot the victim silently, over
-       the wire *)
+    let prober = Domain.spawn probe in
+    (* every client past its third, the victim idle: rot it silently,
+       over the wire *)
     let until = Unix.gettimeofday () +. 10. in
-    while Atomic.get paused < nclients && Unix.gettimeofday () < until do
+    while Atomic.get past_third < nclients && Unix.gettimeofday () < until do
       Unix.sleepf 0.002
     done;
     let admin =
@@ -1059,19 +1136,28 @@ let serve_quarantine_torture ~shards ~rounds ~seed ~nclients ~per_client
     | exception Serve.Client.Protocol_error d -> fail "CORRUPT died: %s" d);
     (* self-healing: the scrubber must quarantine AND readmit on its own *)
     let deadline = Unix.gettimeofday () +. 10. in
-    while
-      cv "serve.health.readmissions" < 1 && Unix.gettimeofday () < deadline
-    do
-      Unix.sleepf 0.01
+    while (not (readmitted ())) && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.002
     done;
-    if cv "serve.health.quarantines" < 1 then
+    Atomic.set window_closed true;
+    if not (quarantined ()) then
       fail "scrubber never quarantined the rotten shard %d" victim
-    else if cv "serve.health.readmissions" < 1 then
+    else if not (readmitted ()) then
       fail "victim shard %d was quarantined but never rebuilt + readmitted"
         victim;
     List.iter Domain.join doms;
+    Domain.join prober;
+    if quarantined () && healthy <> [] && Atomic.get window_ops = 0 then
+      fail "no healthy-shard op was in flight across shard %d's quarantine"
+        victim;
     (* operator path: freeze, then rebuild over the wire under a hammer *)
     let rebuilds_before = cv "serve.health.rebuilds" in
+    let scrub_rebuilds () =
+      match R.scrubber srv with
+      | Some sc -> Serve.Scrub.rebuilds sc
+      | None -> (0, 0)
+    in
+    let scrub_before = scrub_rebuilds () in
     (match Serve.Client.freeze admin victim with
     | Ok () -> ()
     | Error d -> fail "FREEZE refused: %s" d
@@ -1105,18 +1191,25 @@ let serve_quarantine_torture ~shards ~rounds ~seed ~nclients ~per_client
     in
     (match Serve.Client.rebuild admin victim with
     | Ok ms -> if ms < 0. then fail "negative rebuild time"
-    | Error _ when cv "serve.health.rebuilds" > rebuilds_before ->
-        (* the scrubber found the frozen shard first and is rebuilding
-           it itself: keep hammering until that rebuild readmits it *)
+    | Error d ->
+        (* The scrubber rebuilds any quarantined shard it walks past, so it
+           may take the frozen victim before this REBUILD arrives.  The
+           refusal is fine only if the scrubber's rebuild then readmits
+           the shard and every rebuild since FREEZE was the scrubber's
+           (the operator's never started).  Keep hammering meanwhile. *)
+        let ok0, failed0 = scrub_before in
         let until = Unix.gettimeofday () +. 10. in
         while
-          (let st, _, _ = E.shard_health e victim in
-           st <> "healthy")
-          && Unix.gettimeofday () < until
+          fst (scrub_rebuilds ()) <= ok0 && Unix.gettimeofday () < until
         do
           Unix.sleepf 0.002
-        done
-    | Error d -> fail "REBUILD failed: %s" d
+        done;
+        let ok1, failed1 = scrub_rebuilds () in
+        if
+          ok1 <= ok0
+          || cv "serve.health.rebuilds" - rebuilds_before
+             <> ok1 - ok0 + (failed1 - failed0)
+        then fail "REBUILD failed: %s" d
     | exception Serve.Client.Protocol_error d -> fail "REBUILD died: %s" d);
     Atomic.set hammer_stop true;
     Domain.join hammer;
@@ -1138,69 +1231,70 @@ let serve_quarantine_torture ~shards ~rounds ~seed ~nclients ~per_client
       !hammer_acked;
     (* quiesced: audit every op straight through the engine *)
     let acked = ref 0 and refused_victim = ref 0 in
-    Array.iter
-      (Array.iter (fun (tok, kvs, on, st) ->
-           let n = List.length kvs in
-           let n_present =
-             List.length
-               (List.filter
-                  (fun (k, v) ->
-                    match E.get e ~tid:0 k with
-                    | Ok (Some v') ->
-                        if v' <> v then
-                          fail "key %s mangled: got %s want %s" k v' v;
-                        true
-                    | Ok None -> false
-                    | Error err ->
-                        fail "audit get %s rejected (%s)" k (E.pp_error err);
-                        false)
-                  kvs)
-           in
-           if n_present <> 0 && n_present <> n then
-             fail "group tok %d half-applied: %d/%d keys durable" tok
-               n_present n;
-           (match !st with
-           | `Refused ->
-               if List.mem victim on then incr refused_victim
-               else
-                 fail
-                   "op tok %d touching only healthy shards answered \
-                    SHARD_UNAVAILABLE"
-                   tok
-           | `Acked -> incr acked
-           | `Ambiguous | `Failed -> ());
-           let stat =
-             match E.txstat e ~tid:0 tok with
-             | Ok s -> Some s
-             | Error err ->
-                 fail "TXSTAT %d rejected (%s)" tok (E.pp_error err);
-                 None
-           in
-           match (!st, stat) with
-           | `Acked, Some (E.Tx_committed { records; _ }) ->
-               if records <> 1 then
-                 fail "token %d: duplicated commit (%d outcome records)" tok
-                   records;
-               if n_present <> n then
-                 fail "ACKED group tok %d lost: %d/%d keys durable" tok
-                   n_present n
-           | `Acked, (Some (E.Tx_aborted | E.Tx_unknown) | None) ->
-               fail "ACKED token %d not committed in the ledger" tok
-           | _, Some (E.Tx_committed { records; _ }) ->
-               if records <> 1 then
-                 fail "token %d: duplicated commit (%d outcome records)" tok
-                   records;
-               if n_present <> n then
-                 fail "committed group tok %d half-durable: %d/%d keys" tok
-                   n_present n
-           | _, Some E.Tx_aborted ->
-               if n_present <> 0 then
-                 fail "aborted group tok %d left %d/%d keys behind" tok
-                   n_present n
-           | _, Some E.Tx_unknown ->
-               fail "token %d neither committed nor aborted after quiesce" tok
-           | _, None -> ()))
-      ops;
+    List.iter
+      (fun (tok, kvs, on, st) ->
+        let n = List.length kvs in
+        let n_present =
+          List.length
+            (List.filter
+               (fun (k, v) ->
+                 match E.get e ~tid:0 k with
+                 | Ok (Some v') ->
+                     if v' <> v then
+                       fail "key %s mangled: got %s want %s" k v' v;
+                     true
+                 | Ok None -> false
+                 | Error err ->
+                     fail "audit get %s rejected (%s)" k (E.pp_error err);
+                     false)
+               kvs)
+        in
+        if n_present <> 0 && n_present <> n then
+          fail "group tok %d half-applied: %d/%d keys durable" tok
+            n_present n;
+        (match !st with
+        | `Refused ->
+            if List.mem victim on then incr refused_victim
+            else
+              fail
+                "op tok %d touching only healthy shards answered \
+                 SHARD_UNAVAILABLE"
+                tok
+        | `Acked -> incr acked
+        | `Ambiguous | `Failed -> ());
+        let stat =
+          match E.txstat e ~tid:0 tok with
+          | Ok s -> Some s
+          | Error err ->
+              fail "TXSTAT %d rejected (%s)" tok (E.pp_error err);
+              None
+        in
+        match (!st, stat) with
+        | `Acked, Some (E.Tx_committed { records; _ }) ->
+            if records <> 1 then
+              fail "token %d: duplicated commit (%d outcome records)" tok
+                records;
+            if n_present <> n then
+              fail "ACKED group tok %d lost: %d/%d keys durable" tok
+                n_present n
+        | `Acked, (Some (E.Tx_aborted | E.Tx_unknown) | None) ->
+            fail "ACKED token %d not committed in the ledger" tok
+        | _, Some (E.Tx_committed { records; _ }) ->
+            if records <> 1 then
+              fail "token %d: duplicated commit (%d outcome records)" tok
+                records;
+            if n_present <> n then
+              fail "committed group tok %d half-durable: %d/%d keys" tok
+                n_present n
+        | _, Some E.Tx_aborted ->
+            if n_present <> 0 then
+              fail "aborted group tok %d left %d/%d keys behind" tok
+                n_present n
+        | _, Some E.Tx_unknown ->
+            fail "token %d neither committed nor aborted after quiesce" tok
+        | _, None -> ())
+      (List.concat (Array.to_list (Array.map Array.to_list ops))
+      @ List.concat (Array.to_list extra));
     (* final mutant-blind verification: surviving silent rot fails *)
     for s = 0 to shards - 1 do
       (match E.verify_shard e s with
@@ -1218,10 +1312,11 @@ let serve_quarantine_torture ~shards ~rounds ~seed ~nclients ~per_client
       | None -> (0, 0)
     in
     Printf.printf
-      "  round %2d: victim %d -> %d acked, %d victim refusals, %d \
-       rebuild-window acks; %s; scrub passes %d, anomalies %d\n\
+      "  round %2d: victim %d -> %d acked, %d victim refusals, %d healthy \
+       ops across the quarantine, %d rebuild-window acks; %s; scrub passes \
+       %d, anomalies %d\n\
        %!"
-      round victim !acked !refused_victim
+      round victim !acked !refused_victim (Atomic.get window_ops)
       (List.length !hammer_acked)
       (String.concat ", "
          (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) hc))
@@ -1236,6 +1331,7 @@ let serve_quarantine_torture ~shards ~rounds ~seed ~nclients ~per_client
           ("repro", String (repro round_seed));
           ("acked", Int !acked);
           ("victim_refusals", Int !refused_victim);
+          ("window_ops", Int (Atomic.get window_ops));
           ("rebuild_window_acks", Int (List.length !hammer_acked));
           ("health", Obj (List.map (fun (n, v) -> (n, Int v)) hc));
           ("scrub_full_passes", Int passes);

@@ -291,7 +291,7 @@ let check_health file doc =
           | Obs.Json.Int _ -> ()
           | _ -> fail "%s: rows[%d] %S is not an integer" file i k)
         [
-          "round"; "seed"; "victim"; "acked"; "victim_refusals";
+          "round"; "seed"; "victim"; "acked"; "victim_refusals"; "window_ops";
           "rebuild_window_acks"; "scrub_full_passes"; "scrub_anomalies";
         ];
       match rmem "health" with

@@ -399,12 +399,10 @@ let () =
       | Result.Ok plan -> Some (Serve.Chaos.source plan)
       | Error reason -> raise (Arg.Bad reason)
   in
-  (* Engine concurrency: one tid per worker fiber, plus the in-process
-     owner and, if scrubbing, the scrub domain. *)
   let engine_cfg =
     {
-      Serve.Engine.shards = !shards;
-      num_threads = ((!reactors * !workers) + if scrubbing then 2 else 1);
+      Serve.Engine.default_config with
+      shards = !shards;
       capacity_bytes = !capacity;
       batch = not !no_batch;
       max_batch = !max_batch;

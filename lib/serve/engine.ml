@@ -492,11 +492,19 @@ let scrub_step t ~tid s =
    SECOND — a commit landing between the two appears in both the journal
    and the snapshot, which idempotent replay tolerates; the opposite
    order could lose it from both.  Called by the scrubber after a clean
-   pass so journals stay short. *)
+   pass so journals stay short.  The health lock is held across the
+   check, the cut and the export: otherwise a FREEZE + REBUILD from
+   another domain could read the freshly cut journal together with the
+   previous export and lose every commit in between. *)
 let refresh_export t ~tid s =
-  if t.cfg.isolate && A.get t.health.(s) = 0 then begin
-    Kv.Redodb.journal_cut t.dbs.(s) ~tid;
-    t.exports.(s) <- Some (Kv.Redodb.export_snapshot t.dbs.(s) ~tid)
+  if t.cfg.isolate then begin
+    Sched.Mutex.lock t.health_lock ~tid;
+    Fun.protect ~finally:(fun () -> Sched.Mutex.unlock t.health_lock ~tid)
+    @@ fun () ->
+    if A.get t.health.(s) = 0 then begin
+      Kv.Redodb.journal_cut t.dbs.(s) ~tid;
+      t.exports.(s) <- Some (Kv.Redodb.export_snapshot t.dbs.(s) ~tid)
+    end
   end
 
 (* Test/torture hook: inject silent single-bit rot into one shard's

@@ -426,15 +426,19 @@ let start cfg =
   if cfg.max_conns < 1 then invalid_arg "Reactor.start: max_conns";
   if cfg.max_inflight < 1 then invalid_arg "Reactor.start: max_inflight";
   if cfg.ingress_cap < 1 then invalid_arg "Reactor.start: ingress_cap";
+  (* engine tids: one per worker fiber, tid 0 for the in-process owner,
+     and the next one for the scrub domain *)
   let wtids = cfg.reactors * cfg.workers_per_reactor in
-  let need = wtids + 1 + if cfg.scrub_pause_us <> None then 1 else 0 in
-  if cfg.engine.Engine.num_threads < need then
-    invalid_arg
-      (Printf.sprintf
-         "Reactor.start: engine.num_threads must be >= %d (reactors * \
-          workers_per_reactor + owner%s)"
-         need
-         (if cfg.scrub_pause_us <> None then " + scrubber" else ""));
+  let cfg =
+    {
+      cfg with
+      engine =
+        {
+          cfg.engine with
+          num_threads = wtids + 1 + if cfg.scrub_pause_us <> None then 1 else 0;
+        };
+    }
+  in
   (if Sys.unix then
      try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
      with Invalid_argument _ -> ());

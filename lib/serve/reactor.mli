@@ -41,8 +41,9 @@ type config = {
       (** per-reactor ingress-queue bound; a frame arriving past it
           answers [Overloaded] without executing *)
   engine : Engine.config;
-      (** [num_threads] must be at least [reactors * workers_per_reactor + 1]
-          (+1 more with a scrubber) *)
+      (** its [num_threads] is ignored: {!start} sizes the engine at
+          [reactors * workers_per_reactor + 1] tids (+1 more with a
+          scrubber) — one per worker fiber, tid 0 for in-process callers *)
   chaos : Chaos.source option;
       (** inject seeded network faults into every connection (tests and
           the chaos sweep only) *)
@@ -59,8 +60,7 @@ type config = {
 
 (** 127.0.0.1, ephemeral port, 2 reactors x 2 workers, 1024
     connections, 64 inflight, 4096 ingress, {!Engine.default_config}
-    as is (size its [num_threads] by the [engine] rule above), no
-    chaos, no scrubber, no mutant. *)
+    (tids sized by {!start}), no chaos, no scrubber, no mutant. *)
 val default_config : config
 
 type t

@@ -828,7 +828,6 @@ let reactor_config ?(reactors = 2) ?(workers = 2) ?(max_conns = 16)
       {
         E.default_config with
         shards = 2;
-        num_threads = (reactors * workers) + 2;
         capacity_bytes = 1 lsl 16;
         max_batch = 8;
         linger_us;
