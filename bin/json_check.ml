@@ -3,7 +3,7 @@
    Usage:
      dune exec bin/json_check.exe -- FILE...
      dune exec bin/json_check.exe -- --trace [--require-phases a,b,c] FILE...
-     dune exec bin/json_check.exe -- --serve-stats FILE...
+     dune exec bin/json_check.exe -- --serve-stats [--min-batch-mean M] FILE...
      dune exec bin/json_check.exe -- --prom FILE...
      dune exec bin/json_check.exe -- --chaos FILE...
      dune exec bin/json_check.exe -- --supervise FILE...
@@ -18,7 +18,10 @@
    lambda,flush,combine — the acceptance gate that a trace spans several
    distinct PTM phases).  --serve-stats validates the serving STATS
    document (per-shard rows with heat sketches, the "windows" member
-   with percentile snapshots).  --prom validates Prometheus text
+   with percentile snapshots); with --min-batch-mean M it also requires
+   the mean of the serve.batch_size histogram (the server must run with
+   --metrics) to be at least M — the gate that group commit actually
+   groups.  --prom validates Prometheus text
    exposition 0.0.4 (not JSON): every non-comment line is
    <name>[{labels}] <value>, every sample is preceded by a # TYPE for
    its family, and at least one sample exists.  --chaos validates the
@@ -307,6 +310,23 @@ let check_health file doc =
   Printf.printf "%s: valid quarantine report (%d rounds, %d violations)\n" file
     rounds violations
 
+(* Group-commit gate: the mean committed batch size, from the
+   serve.batch_size histogram in STATS "metrics".  A front-end that
+   commits every write alone reads exactly 1. *)
+let check_batch_mean ~min file doc =
+  let ( >>= ) = Option.bind in
+  match
+    Obs.Json.member "metrics" doc >>= Obs.Json.member "histograms"
+    >>= Obs.Json.member "serve.batch_size" >>= Obs.Json.member "mean_ns"
+  with
+  | Some (Obs.Json.Float m) when m >= min ->
+      Printf.printf "%s: mean group-commit batch size %.2f >= %.2f\n" file m min
+  | Some (Obs.Json.Float m) ->
+      fail "%s: mean group-commit batch size %.2f is below %.2f" file m min
+  | _ ->
+      fail "%s: no serve.batch_size histogram (server not run with --metrics?)"
+        file
+
 (* ---- pipelined open-loop report (bench_serve --connections) ---- *)
 
 let check_pipelined file doc =
@@ -522,6 +542,7 @@ let () =
   let supervise_mode = ref false in
   let health_mode = ref false in
   let pipelined_mode = ref false in
+  let min_batch_mean = ref None in
   let required = ref [] in
   let files = ref [] in
   let rec parse = function
@@ -537,13 +558,19 @@ let () =
         required := String.split_on_char ',' csv;
         parse rest
     | [ "--require-phases" ] -> fail "--require-phases needs a,b,c"
+    | "--min-batch-mean" :: m :: rest -> (
+        match float_of_string_opt m with
+        | Some m -> min_batch_mean := Some m; parse rest
+        | None -> fail "--min-batch-mean needs a number, got %S" m)
+    | [ "--min-batch-mean" ] -> fail "--min-batch-mean needs a number"
     | f :: rest -> files := !files @ [ f ]; parse rest
   in
   parse (List.tl (Array.to_list Sys.argv));
   if !files = [] then
     fail
-      "usage: json_check [--trace [--require-phases a,b] | --serve-stats | \
-       --prom | --chaos | --supervise | --health | --pipelined] FILE...";
+      "usage: json_check [--trace [--require-phases a,b] | --serve-stats \
+       [--min-batch-mean M] | --prom | --chaos | --supervise | --health | \
+       --pipelined] FILE...";
   List.iter
     (fun file ->
       if !prom_mode then check_prom file
@@ -552,7 +579,11 @@ let () =
         | Error e -> fail "%s: malformed JSON: %s" file e
         | Ok doc ->
             if !trace_mode then check_trace ~required:!required file doc
-            else if !serve_stats_mode then check_serve_stats file doc
+            else if !serve_stats_mode then begin
+              check_serve_stats file doc;
+              Option.iter (fun min -> check_batch_mean ~min file doc)
+                !min_batch_mean
+            end
             else if !chaos_mode then check_chaos file doc
             else if !supervise_mode then check_supervise file doc
             else if !health_mode then check_health file doc

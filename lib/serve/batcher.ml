@@ -1,26 +1,40 @@
-(* Per-shard group commit: concurrent client requests coalesce into one
+(* Per-shard group commit: queued write requests coalesce into one
    RedoDB write_batch (one PTM transaction) per batch window.
 
    There is no dedicated commit thread.  The queue is leader-based, like
-   classic WAL group commit: a client that finds the leader slot free
+   classic WAL group commit: a submitter that finds the leader slot free
    claims it, drains up to [max_batch] requests (waiting out the
    configurable linger window first, so followers can pile in), runs the
    combined transaction, acks every drained request, and repeats until
-   its own request is done.  While the leader commits, other clients
-   enqueue — the next leader drains them all, so batches form naturally
-   under load even with a zero linger.
+   all of its own requests are final.
 
-   Admission control is a bounded queue: a full queue rejects the
-   request immediately (`Overloaded) instead of buffering without bound,
-   so overload surfaces as explicit backpressure at the protocol layer.
+   A submission is a GROUP of requests, not one.  The reactor hands the
+   engine every single-key write queued at its ingress in one pass, and
+   the engine gives each shard's slice to that shard's batcher in one
+   [submit] (chunks of at most [min max_batch queue_cap], so a group
+   never overloads against its own size).  At zero linger on one event
+   loop that is where batches form: the leader's own group fills its
+   batch.  Followers — submitters that wait while someone else leads —
+   exist only across reactor domains or while a leader lingers.  Each
+   request keeps its own state, rid, enqueue time and deadline, and so
+   its own result, queue-wait span and TTL shedding.
 
-   The stage runs in two modes, like Sched.Mutex:
-   - under real Domains (the TCP server), waits are Domain.cpu_relax
-     spins and the linger window is wall-clock microseconds;
+   Admission control is a bounded queue: a request that finds it full is
+   rejected immediately (`Overloaded) instead of buffering without
+   bound, so overload surfaces as explicit backpressure at the protocol
+   layer.
+
+   Waits run under three runtimes:
    - under the deterministic scheduler (suite_serve), every Sched.Atomic
      access is a yield point and the linger window is measured in
      scheduler steps, so batch formation and ack order are a pure
-     function of the schedule seed.
+     function of the schedule seed;
+   - on an Aio event loop (the reactor's worker fibers), a waiting
+     follower yields its fiber so the loop keeps serving, and parks on a
+     timer past a burst;
+   - on plain Domains, waits are cpu_relax spins that back off to
+     sleeps.
+   The linger window is wall-clock microseconds outside the scheduler.
 
    An acknowledged request is durable: the ack is written only after the
    PTM transaction that contains it has committed (write_batch returned,
@@ -30,14 +44,19 @@
 
 module A = Sched.Atomic
 
-type request = {
+type write = {
   ops : (string * string option) list;
+  rid : int;  (* wire request id (0 = none), carried into trace spans *)
+  deadline : float;  (* absolute gettimeofday deadline; 0. = none *)
+}
+
+type request = {
+  w : write;
   state : int A.t;
       (* 0 = Pending, 1 = Acked, 2 = Rejected, 3 = Shed,
-         4 = Quarantined (shard health admission reject) *)
-  rid : int;  (* wire request id (0 = none), carried into trace spans *)
+         4 = Quarantined (shard health admission reject),
+         5 = Overloaded (never enqueued) *)
   t_enq : float;  (* gettimeofday at enqueue, 0. when obs is inactive *)
-  deadline : float;  (* absolute gettimeofday deadline; 0. = none *)
 }
 
 type t = {
@@ -146,7 +165,7 @@ let note_drained t ~tid batch =
     List.iter
       (fun r ->
         if r.t_enq > 0. then begin
-          Obs.Trace.complete Obs.Trace.Queue_wait ~tid ~rid:r.rid ~t0:r.t_enq;
+          Obs.Trace.complete Obs.Trace.Queue_wait ~tid ~rid:r.w.rid ~t0:r.t_enq;
           if on then
             Obs.Metrics.record_ns t.h_queue ~tid
               (int_of_float ((now -. r.t_enq) *. 1e9))
@@ -160,10 +179,10 @@ let note_drained t ~tid batch =
    scheduler carry no deadline, so scheduled-mode replay determinism is
    untouched. *)
 let split_expired batch =
-  if List.for_all (fun r -> r.deadline = 0.) batch then (batch, [])
+  if List.for_all (fun r -> r.w.deadline = 0.) batch then (batch, [])
   else
     let now = Unix.gettimeofday () in
-    List.partition (fun r -> r.deadline = 0. || now <= r.deadline) batch
+    List.partition (fun r -> r.w.deadline = 0. || now <= r.w.deadline) batch
 
 let shed t ~tid expired =
   List.iter (fun r -> A.set r.state 3) expired;
@@ -171,7 +190,7 @@ let shed t ~tid expired =
     List.iter (fun _ -> Obs.Metrics.incr t.c_shed ~tid) expired
 
 let commit_batch t ~tid batch =
-  let keys = List.concat_map (fun r -> List.map fst r.ops) batch in
+  let keys = List.concat_map (fun r -> List.map fst r.w.ops) batch in
   Sched.Mutex.lock t.lock ~tid;
   t.attempts <- keys :: t.attempts;
   Sched.Mutex.unlock t.lock ~tid;
@@ -191,7 +210,7 @@ let commit_batch t ~tid batch =
      exception surface through the leader's own submit. *)
   (try
      Obs.Trace.span Obs.Trace.Batch ~tid ~arg:size @@ fun () ->
-     Kv.Redodb.write_batch t.db ~tid (List.concat_map (fun r -> r.ops) batch)
+     Kv.Redodb.write_batch t.db ~tid (List.concat_map (fun r -> r.w.ops) batch)
    with e ->
      List.iter (fun r -> A.set r.state 2) batch;
      raise e);
@@ -207,8 +226,8 @@ let commit_batch t ~tid batch =
   Sched.Mutex.unlock t.lock ~tid;
   List.iter (fun r -> A.set r.state 1) batch
 
-let run_leader t ~tid ~mine =
-  while A.get mine.state = 0 do
+let run_leader t ~tid ~pending =
+  while pending () do
     if A.get t.crashing || A.get t.quarantined then begin
       (* Reject everything still queued (unacknowledged by construction);
          the engine's quiesce loop waits for this drain.  Quarantine
@@ -272,51 +291,72 @@ let run_leader t ~tid ~mine =
     end
   done
 
-let submit t ~tid ?(rid = 0) ?(deadline = 0.) ops =
-  if A.get t.quarantined then Error `Quarantined
-  else if A.get t.crashing then Error `Rejected
-  else if deadline > 0. && Unix.gettimeofday () > deadline then begin
-    (* Already expired at admission: shed without touching the queue. *)
-    if Obs.Metrics.is_on () then Obs.Metrics.incr t.c_shed ~tid;
-    Error `Shed
-  end
+let result_of_state = function
+  | 1 -> Result.Ok ()
+  | 2 -> Error `Rejected
+  | 3 -> Error `Shed
+  | 4 -> Error `Quarantined
+  | _ -> Error `Overloaded
+
+(* Admit a group in order: a request whose deadline already passed is
+   shed without touching the queue, and once the queue is full every
+   later request of the group is rejected (never enqueued). *)
+let admit t ~tid group =
+  let t_enq = if Obs.is_active () then Unix.gettimeofday () else 0. in
+  let now =
+    if List.exists (fun w -> w.deadline > 0.) group then Unix.gettimeofday ()
+    else 0.
+  in
+  let shed = ref 0 and over = ref 0 in
+  Sched.Mutex.lock t.lock ~tid;
+  let mine =
+    List.map
+      (fun w ->
+        let st =
+          if w.deadline > 0. && now > w.deadline then (incr shed; 3)
+          else if !over = 0 && Queue.length t.q < t.queue_cap then 0
+          else (incr over; 5)
+        in
+        let r = { w; state = A.make st; t_enq } in
+        if st = 0 then Queue.push r t.q;
+        r)
+      group
+  in
+  A.set t.qlen (Queue.length t.q);
+  Sched.Mutex.unlock t.lock ~tid;
+  for _ = 1 to !over do
+    Obs.Metrics.incr t.c_overload ~tid
+  done;
+  if Obs.Metrics.is_on () then begin
+    for _ = 1 to !shed do
+      Obs.Metrics.incr t.c_shed ~tid
+    done;
+    if !shed + !over < List.length group then
+      Obs.Metrics.record_ns t.h_qdepth ~tid (A.get t.qlen)
+  end;
+  mine
+
+let submit t ~tid group =
+  if A.get t.quarantined then List.map (fun _ -> Error `Quarantined) group
+  else if A.get t.crashing then List.map (fun _ -> Error `Rejected) group
   else begin
-    let t_enq = if Obs.is_active () then Unix.gettimeofday () else 0. in
-    Sched.Mutex.lock t.lock ~tid;
-    let admitted = Queue.length t.q < t.queue_cap in
-    let mine = { ops; state = A.make 0; rid; t_enq; deadline } in
-    if admitted then begin
-      Queue.push mine t.q;
-      A.set t.qlen (Queue.length t.q)
-    end;
-    Sched.Mutex.unlock t.lock ~tid;
-    if not admitted then begin
-      Obs.Metrics.incr t.c_overload ~tid;
-      Error `Overloaded
-    end
-    else begin
-      if Obs.Metrics.is_on () then
-        Obs.Metrics.record_ns t.h_qdepth ~tid (A.get t.qlen);
-      let rec wait n =
-        match A.get mine.state with
-        | 1 -> Result.Ok ()
-        | 2 -> Error `Rejected
-        | 3 -> Error `Shed
-        | 4 -> Error `Quarantined
-        | _ ->
-            if A.get t.leader = -1 && A.compare_and_set t.leader (-1) tid then begin
-              Fun.protect
-                ~finally:(fun () -> A.set t.leader (-1))
-                (fun () -> run_leader t ~tid ~mine);
-              wait n
-            end
-            else begin
-              backoff n;
-              wait (n + 1)
-            end
-      in
-      wait 0
-    end
+    let mine = admit t ~tid group in
+    let pending () = List.exists (fun r -> A.get r.state = 0) mine in
+    let rec wait n =
+      if pending () then
+        if A.get t.leader = -1 && A.compare_and_set t.leader (-1) tid then begin
+          Fun.protect
+            ~finally:(fun () -> A.set t.leader (-1))
+            (fun () -> run_leader t ~tid ~pending);
+          wait n
+        end
+        else begin
+          backoff n;
+          wait (n + 1)
+        end
+    in
+    wait 0;
+    List.map (fun r -> result_of_state (A.get r.state)) mine
   end
 
 (* ---- crash plumbing (engine-driven) ---- *)

@@ -1,17 +1,33 @@
-(** Per-shard group-commit stage: concurrent client write requests
-    coalesce into one RedoDB [write_batch] (one PTM transaction) per
-    batch window, leader-based — the first waiting client commits for
-    everyone, so no dedicated thread exists.  Bounded-queue admission
-    control rejects excess load with [`Overloaded] instead of buffering
-    without bound.
+(** Per-shard group-commit stage: queued write requests coalesce into
+    one RedoDB [write_batch] (one PTM transaction) per batch window,
+    leader-based — a waiting submitter commits for everyone, so no
+    dedicated thread exists.  Bounded-queue admission control rejects
+    excess load with [`Overloaded] instead of buffering without bound.
 
-    Dual-mode like {!Sched.Mutex}: under real [Domain]s waits are
-    cpu_relax spins and the linger window is wall-clock; under the
-    deterministic scheduler every access is a yield point and the window
-    counts scheduler steps, so batch formation and ack order are a pure
-    function of the schedule seed. *)
+    A submission is a group of requests: the engine hands each shard's
+    slice of a reactor ingress pass to {!submit} in one call, so at zero
+    linger the submitter's own group is what fills its batch.  Each
+    request keeps its own result, rid, enqueue time and deadline.
+
+    Waits run under three runtimes: under the deterministic scheduler
+    every access is a yield point and the linger window counts scheduler
+    steps, so batch formation and ack order are a pure function of the
+    schedule seed; on an {!Aio} loop a waiting follower yields its fiber;
+    on plain [Domain]s it spins, then sleeps.  Outside the scheduler the
+    linger window is wall-clock. *)
 
 type t
+
+(** One write request: [ops] is its write set ([Some v] puts, [None]
+    deletes), committed atomically in whichever batch drains it.
+    [rid] is the wire request id (0 = none): the request's queue-wait
+    trace span carries it, linking the span into the request's tree.
+    [deadline] is an absolute [Unix.gettimeofday] time ([0.] = none). *)
+type write = {
+  ops : (string * string option) list;
+  rid : int;
+  deadline : float;
+}
 
 (** [linger_us]/[linger_steps] bound how long a non-full batch waits for
     followers (the flush deadline) in real/scheduled mode respectively;
@@ -25,32 +41,33 @@ val create :
   queue_cap:int ->
   t
 
-(** Enqueue a write set ([Some v] puts, [None] deletes) and block until
-    its batch durably commits.  [Ok ()] means the containing PTM
-    transaction has committed — the write is durable and visible.
-    [`Overloaded]: the bounded queue was full, nothing was enqueued.
+(** Enqueue a group of writes in order and block until every one of
+    them is final; the results come back in the same order.  A
+    submitter that becomes leader commits batches until all of its own
+    requests are final.  Callers keep groups at most
+    [min max_batch queue_cap] long so that an idle stage always admits a
+    whole group.
+    [Ok ()] means the containing PTM transaction has committed — the
+    write is durable and visible.
+    [`Overloaded]: the bounded queue was full, this request (and every
+    later one in the group) was not enqueued.
     [`Rejected]: a crash tore the request down before commit (it was
     never acknowledged).
-    [`Shed]: the request's [deadline] (absolute [Unix.gettimeofday]
-    time; [0.] = none) expired while it queued — it was dropped before
-    any engine work, nothing durable happened, and the client may
-    safely retry.  Deadlines are wall-clock only: scheduled-mode
-    callers pass none, keeping replay determinism.
+    [`Shed]: the request's deadline expired before it was drained — it
+    was dropped before any engine work, nothing durable happened, and
+    the client may safely retry.  Deadlines are wall-clock only:
+    scheduled-mode callers pass none, keeping replay determinism.
     [`Quarantined]: the shard is under health quarantine — nothing
     durable happened; retry once the shard is readmitted (other shards
     keep serving).
-    [rid] is the wire request id (0 = none): the request's queue-wait
-    trace span carries it, linking the span into the request's tree.
     The stage also feeds the [serve.stage.{queue,linger,drain,txn}]
-    latency histograms when metrics are on, and counts TTL drops in
-    [serve.shed.expired]. *)
+    latency histograms and the [serve.batch_size] distribution when
+    metrics are on, and counts TTL drops in [serve.shed.expired]. *)
 val submit :
   t ->
   tid:int ->
-  ?rid:int ->
-  ?deadline:float ->
-  (string * string option) list ->
-  (unit, [ `Overloaded | `Rejected | `Shed | `Quarantined ]) result
+  write list ->
+  (unit, [ `Overloaded | `Rejected | `Shed | `Quarantined ]) result list
 
 (** {2 Crash plumbing (driven by {!Engine})} *)
 

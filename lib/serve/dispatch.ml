@@ -132,8 +132,10 @@ let stats_json t =
    ingress from the TTL envelope prefix.  Writes carry it into the
    engine (the batcher sheds queued expired requests); reads check it
    here at execution — either way an expired request answers the
-   retryable [Timeout], never a half-executed result. *)
-let execute t ~tid ~env ~deadline (req : Protocol.req) : Protocol.resp =
+   retryable [Timeout], never a half-executed result.  PUT and DEL have
+   already run as part of their unit's write group: [written] hands
+   over the engine's result for this one. *)
+let execute t ~tid ~env ~deadline ~written (req : Protocol.req) : Protocol.resp =
   let rid = env.Protocol.rid and tok = env.Protocol.tok in
   let expired () = deadline > 0. && Unix.gettimeofday () > deadline in
   let shed_read c =
@@ -149,12 +151,8 @@ let execute t ~tid ~env ~deadline (req : Protocol.req) : Protocol.resp =
         | Result.Ok (Some v) -> Val v
         | Result.Ok None -> Nil
         | Error e -> err_of_engine e)
-  | Put (k, v) -> (
-      match Engine.put ~rid ~tok ~deadline t.eng ~tid ~key:k ~value:v with
-      | Result.Ok () -> Ok
-      | Error e -> err_of_engine e)
-  | Del k -> (
-      match Engine.delete t.eng ~tid ~rid ~tok ~deadline k with
+  | Put _ | Del _ -> (
+      match written () with
       | Result.Ok () -> Ok
       | Error e -> err_of_engine e)
   | Scan { prefix; max } ->
@@ -237,26 +235,68 @@ let execute t ~tid ~env ~deadline (req : Protocol.req) : Protocol.resp =
         Ok
       end
 
-(* Execute under the Serve_op trace span and record the op-class
-   windows.  [extra_wins] is the reactor's per-reactor window set,
-   recorded alongside the global one; [t_in] backdates the window span
-   to the request's ingress time, so the windows (and the SLO gates
-   asserted against them) cover the time a request spent queued behind
-   a stalled event loop, not just its execution. *)
-let serve_one t ~tid ~env ~deadline ~extra_wins ~t_in req =
-  let rid = env.Protocol.rid in
-  let resp =
-    Obs.Trace.span Obs.Trace.Serve_op ~tid ~rid (fun () ->
-        execute t ~tid ~env ~deadline req)
+type item = {
+  env : Protocol.env;
+  req : Protocol.req;
+  deadline : float;
+  t_in : float;
+}
+
+let write_of (it : item) : Engine.write option =
+  let rid = it.env.Protocol.rid and tok = it.env.Protocol.tok in
+  let deadline = it.deadline in
+  match it.req with
+  | Put (key, v) -> Some { Engine.key; value = Some v; rid; tok; deadline }
+  | Del key -> Some { Engine.key; value = None; rid; tok; deadline }
+  | _ -> None
+
+(* Execute a unit of requests.  Its PUT/DELs commit first, as ONE
+   Engine.write_group (so writes to one key take effect in unit order);
+   every other request then executes on its own under its Serve_op span.
+   A write's Serve_op span covers the whole group it rode in.  Each
+   request records the op-class windows — the global set plus
+   [extra_wins], the reactor's own — from its ingress time [t_in], so
+   the windows (and the SLO gates asserted against them) cover the time
+   a request spent queued behind a stalled event loop, not just its
+   execution. *)
+let serve t ~tid ~extra_wins items =
+  let t0 = if Obs.is_active () then Unix.gettimeofday () else 0. in
+  let results =
+    ref
+      (match List.filter_map write_of items with
+      | [] -> []
+      | group -> Engine.write_group t.eng ~tid group)
   in
-  let dt = Unix.gettimeofday () -. t_in in
-  (* The per-class window is always on — it is what STATS exposes and
-     what SLO gates assert against, with or without --metrics. *)
-  let c = win_class req in
-  if c >= 0 then begin
-    Obs.Window.record_span_s t.wins.(c) dt;
-    Obs.Window.record_span_s extra_wins.(c) dt
-  end;
-  if Obs.Metrics.is_on () then
-    Obs.Metrics.record_ns t.h_req ~tid (int_of_float (dt *. 1e9));
-  resp
+  let written () =
+    match !results with
+    | r :: rest ->
+        results := rest;
+        r
+    | [] -> invalid_arg "Dispatch.serve: write without a group result"
+  in
+  List.map
+    (fun it ->
+      let rid = it.env.Protocol.rid in
+      let exec () =
+        execute t ~tid ~env:it.env ~deadline:it.deadline ~written it.req
+      in
+      let resp =
+        if t0 > 0. && write_of it <> None then begin
+          let resp = exec () in
+          Obs.Trace.complete Obs.Trace.Serve_op ~tid ~rid ~t0;
+          resp
+        end
+        else Obs.Trace.span Obs.Trace.Serve_op ~tid ~rid exec
+      in
+      let dt = Unix.gettimeofday () -. it.t_in in
+      (* The per-class window is always on — it is what STATS exposes
+         and what SLO gates assert against, with or without --metrics. *)
+      let c = win_class it.req in
+      if c >= 0 then begin
+        Obs.Window.record_span_s t.wins.(c) dt;
+        Obs.Window.record_span_s extra_wins.(c) dt
+      end;
+      if Obs.Metrics.is_on () then
+        Obs.Metrics.record_ns t.h_req ~tid (int_of_float (dt *. 1e9));
+      resp)
+    items

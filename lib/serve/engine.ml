@@ -517,30 +517,53 @@ let has_mutant t m = List.mem m t.mutants
 
 (* ---- writes ---- *)
 
-let submit_shard t ~tid ?(rid = 0) ?(deadline = 0.) shard ops =
-  match check_shard t shard with
-  | Error _ as e -> e
-  | Result.Ok () -> (
-      match
-        if t.cfg.batch then
-          match Batcher.submit t.batchers.(shard) ~tid ~rid ~deadline ops with
+(* Commit a group of write requests on one shard, results in order.
+   Batched, the group goes to the shard's batcher in chunks the stage
+   always admits whole on an idle queue; unbatched, every request is its
+   own transaction. *)
+let submit_shard t ~tid shard (group : Batcher.write list) =
+  let down ws = List.map (fun _ -> Error (Shard_down shard)) ws in
+  let chunk = if t.cfg.batch then min t.cfg.max_batch t.cfg.queue_cap else 1 in
+  let commit ws =
+    if t.cfg.batch then
+      List.map
+        (function
           | Result.Ok () -> Result.Ok ()
           | Error `Overloaded -> Error Overloaded
           | Error `Rejected -> Error (Unavailable "crashed before commit")
           | Error `Shed -> Error Timed_out
-          | Error `Quarantined -> Error (Shard_down shard)
-        else begin
-          Kv.Redodb.write_batch t.dbs.(shard) ~tid ops;
-          Result.Ok ()
-        end
-      with
-      | r -> r
-      | exception Ptm.Ptm_intf.Unrecoverable { detail; _ }
-        when t.cfg.isolate ->
-          (* a live op tripped over the shard's region: fault-isolate it
-             instead of taking the engine down *)
-          quarantine t ~tid shard ~reason:detail;
-          Error (Shard_down shard))
+          | Error `Quarantined -> Error (Shard_down shard))
+        (Batcher.submit t.batchers.(shard) ~tid ws)
+    else
+      List.map
+        (fun (w : Batcher.write) ->
+          Kv.Redodb.write_batch t.dbs.(shard) ~tid w.ops;
+          Result.Ok ())
+        ws
+  in
+  let rec split n = function
+    | x :: rest when n > 0 ->
+        let a, b = split (n - 1) rest in
+        (x :: a, b)
+    | l -> ([], l)
+  in
+  let rec go acc = function
+    | [] -> List.rev acc
+    | ws -> (
+        let now, rest = split chunk ws in
+        match commit now with
+        | rs -> go (List.rev_append rs acc) rest
+        | exception Ptm.Ptm_intf.Unrecoverable { detail; _ }
+          when t.cfg.isolate ->
+            (* a live op tripped over the shard's region: fault-isolate
+               it instead of taking the engine down *)
+            quarantine t ~tid shard ~reason:detail;
+            List.rev_append acc (down ws))
+  in
+  if shard_admits t shard then go [] group else down group
+
+let submit_one t ~tid ?(rid = 0) ?(deadline = 0.) shard ops =
+  List.hd (submit_shard t ~tid shard [ { Batcher.ops; rid; deadline } ])
 
 (* ---- exactly-once bookkeeping (the outcome ledger) ---- *)
 
@@ -609,31 +632,60 @@ let outcome_op t ~tok ~txid =
   ( Commit.outcome_key ~tok ~txid,
     Some (Commit.encode_outcome ~txid ~epoch:(A.get t.epoch_src)) )
 
+type write = {
+  key : string;
+  value : string option;
+  rid : int;
+  tok : int;
+  deadline : float;
+}
+
+(* Single-key writes, as a group: each request is deduplicated against
+   the ledger and routed on its own, then every shard's slice (in group
+   order) commits through that shard's group-commit stage, shards in
+   index order.  A tokened request carries its outcome record in its own
+   write set, so the record commits iff the write does. *)
+let write_group t ~tid (group : write list) =
+  match enter t with
+  | Error e -> List.map (fun _ -> Error e) group
+  | Result.Ok () ->
+      Fun.protect ~finally:(fun () -> exit_ t) @@ fun () ->
+      let res = Array.make (List.length group) (Result.Ok ()) in
+      let slices = Array.make t.cfg.shards [] in
+      let toks = ref [] in
+      List.iteri
+        (fun i w ->
+          Obs.Metrics.incr t.c_reqs ~tid;
+          if dedup_hit t ~tid w.tok = None then begin
+            register_tok t ~tid w.tok;
+            if w.tok > 0 then toks := w.tok :: !toks;
+            let s = shard_of t w.key in
+            touch t s w.key;
+            let ops = [ (Commit.user_key w.key, w.value) ] in
+            let ops = if w.tok > 0 then outcome_op t ~tok:w.tok ~txid:0 :: ops else ops in
+            slices.(s) <-
+              (i, { Batcher.ops; rid = w.rid; deadline = w.deadline }) :: slices.(s)
+          end)
+        group;
+      Fun.protect ~finally:(fun () -> List.iter (unregister_tok t ~tid) !toks)
+        (fun () ->
+          Array.iteri
+            (fun s slice ->
+              if slice <> [] then begin
+                let slice = List.rev slice in
+                List.iter2
+                  (fun (i, _) r -> res.(i) <- r)
+                  slice
+                  (submit_shard t ~tid s (List.map snd slice))
+              end)
+            slices);
+      Array.to_list res
+
 let put ?(rid = 0) ?(tok = 0) ?(deadline = 0.) t ~tid ~key ~value =
-  with_entry t ~tid @@ fun () ->
-  match dedup_hit t ~tid tok with
-  | Some _ -> Result.Ok ()
-  | None ->
-      register_tok t ~tid tok;
-      Fun.protect ~finally:(fun () -> unregister_tok t ~tid tok) @@ fun () ->
-      let s = shard_of t key in
-      touch t s key;
-      let ops = [ (Commit.user_key key, Some value) ] in
-      let ops = if tok > 0 then outcome_op t ~tok ~txid:0 :: ops else ops in
-      submit_shard t ~tid ~rid ~deadline s ops
+  List.hd (write_group t ~tid [ { key; value = Some value; rid; tok; deadline } ])
 
 let delete t ~tid ?(rid = 0) ?(tok = 0) ?(deadline = 0.) key =
-  with_entry t ~tid @@ fun () ->
-  match dedup_hit t ~tid tok with
-  | Some _ -> Result.Ok ()
-  | None ->
-      register_tok t ~tid tok;
-      Fun.protect ~finally:(fun () -> unregister_tok t ~tid tok) @@ fun () ->
-      let s = shard_of t key in
-      touch t s key;
-      let ops = [ (Commit.user_key key, None) ] in
-      let ops = if tok > 0 then outcome_op t ~tok ~txid:0 :: ops else ops in
-      submit_shard t ~tid ~rid ~deadline s ops
+  List.hd (write_group t ~tid [ { key; value = None; rid; tok; deadline } ])
 
 (* ---- cross-shard commit ---- *)
 
@@ -732,7 +784,7 @@ let two_phase t ~tid ~rid ~tok ~deadline slices parts =
         let record = Commit.encode_prep ~txid ~participants:parts ~ops in
         match
           stage t.h_prep Obs.Trace.Prepare ~tid ~arg:s ~rid @@ fun () ->
-          submit_shard t ~tid ~rid ~deadline s
+          submit_one t ~tid ~rid ~deadline s
             [ (Commit.prep_key txid, Some record) ]
         with
         | Result.Ok () ->
@@ -782,7 +834,7 @@ let two_phase t ~tid ~rid ~tok ~deadline slices parts =
       in
       match
         stage t.h_dec Obs.Trace.Decide ~tid ~arg:txid ~rid @@ fun () ->
-        submit_shard t ~tid ~rid coord dec_ops
+        submit_one t ~tid ~rid coord dec_ops
       with
       | Error e ->
           (* a rejected submit was never committed: definite abort *)
@@ -834,7 +886,7 @@ let multi_put t ~tid ?(rid = 0) ?(tok = 0) ?(deadline = 0.) ops =
       | [] -> Result.Ok { txid = 0; epoch = A.get t.epoch_src }
       | [ (s, ops) ] -> (
           let ops = if tok > 0 then outcome_op t ~tok ~txid:0 :: ops else ops in
-          match submit_shard t ~tid ~rid ~deadline s ops with
+          match submit_one t ~tid ~rid ~deadline s ops with
           | Result.Ok () -> Result.Ok { txid = 0; epoch = A.get t.epoch_src }
           | Error _ as e -> e)
       | _ when List.mem Commit.Skip_2pc t.mutants ->
@@ -844,7 +896,7 @@ let multi_put t ~tid ?(rid = 0) ?(tok = 0) ?(deadline = 0.) ops =
           let rec go k = function
             | [] -> Result.Ok { txid = 0; epoch = A.get t.epoch_src }
             | (s, ops) :: rest -> (
-                match submit_shard t ~tid s ops with
+                match submit_one t ~tid s ops with
                 | Result.Ok () ->
                     maybe_crash t (Commit.Prepare k);
                     go (k + 1) rest

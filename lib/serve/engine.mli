@@ -115,6 +115,25 @@ val shard_of : t -> string -> int
     deadline that expires while the request queues sheds it with
     [Timed_out] before any durable work. *)
 
+(** One single-key write request: [Some v] puts, [None] deletes. *)
+type write = {
+  key : string;
+  value : string option;
+  rid : int;
+  tok : int;
+  deadline : float;
+}
+
+(** Commit a group of single-key writes; results come back in group
+    order, one per request.  Each request keeps its own token dedup,
+    outcome record, deadline and rid.  The group is split by shard, and
+    each shard's slice goes, in group order, through that shard's
+    group-commit stage in chunks of at most [min max_batch queue_cap]
+    requests — so writes to one key take effect in group order, and a
+    group never answers [Overloaded] against its own size.  [put] and
+    [delete] are the one-element case. *)
+val write_group : t -> tid:int -> write list -> (unit, error) result list
+
 val put :
   ?rid:int ->
   ?tok:int ->

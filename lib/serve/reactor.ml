@@ -15,7 +15,10 @@
      connections interleave freely, and a response completes whenever
      its engine call does, out of order within each connection's
      window; the RID echoed on every response is the correlator that
-     lets the client match them back up;
+     lets the client match them back up.  Ingress is where group commit
+     forms its batches: a worker that pops a single-key write takes
+     every further queued write with it (see [take]) and hands the
+     engine the whole group;
    - an on-demand WRITER fiber per connection flushes the outgoing
      buffer and parks on write readiness when the socket pushes back.
 
@@ -78,7 +81,7 @@ and reactor = {
   idx : int;
   tid0 : int;  (* first worker tid; workers use tid0 .. tid0+W-1 *)
   loop : Aio.loop;
-  ingress : (rconn * Protocol.env * Protocol.req * float * float) Queue.t;
+  ingress : (rconn * Dispatch.item) Queue.t;
   mutable parked : (unit -> unit) list;  (* idle worker fibers *)
   conns : (Unix.file_descr, rconn) Hashtbl.t;
   rwins : Obs.Window.t array;  (* per-reactor serve.r<i>.win.* *)
@@ -240,22 +243,64 @@ let wake_one r =
       r.parked <- rest;
       k ()
 
-let rec worker_loop t r ~tid =
+(* Batch formation.  Single-key writes group; reads are skipped over
+   and keep their place in the queue; every other verb — MPUT, TXSTAT
+   and the admin verbs — is a barrier no write is grouped across. *)
+let kind : Protocol.req -> [ `Read | `Write | `Barrier ] = function
+  | Put _ | Del _ -> `Write
+  | Get _ | Mget _ | Scan _ | Ping | Stats | Metrics | Health -> `Read
+  | Mput _ | Txstat _ | Crash _ | Freeze _ | Rebuild _ | Corrupt _ -> `Barrier
+
+(* The next unit of work: the head request alone, or — when the head is
+   a single-key write — the head plus every further queued write in
+   ingress order, up to the next barrier.  At zero linger a unit runs
+   to completion without yielding its reactor, so writes take effect in
+   ingress order.  A unit that does yield (a follower of another
+   reactor's batch leader, a linger window) overlaps later units; their
+   requests were in flight together on the wire, so either order is
+   linearizable. *)
+let take r =
   match Queue.take_opt r.ingress with
-  | Some (c, env, req, deadline, t_in) ->
+  | None -> None
+  | Some ((_, it) as head) when kind it.Dispatch.req <> `Write -> Some [ head ]
+  | Some head ->
+      let skipped = Queue.create () in
+      let rec group acc =
+        match Queue.peek_opt r.ingress with
+        | Some (_, it) when kind it.Dispatch.req <> `Barrier ->
+            let x = Queue.pop r.ingress in
+            if kind it.Dispatch.req = `Write then group (x :: acc)
+            else begin
+              Queue.push x skipped;
+              group acc
+            end
+        | _ -> List.rev acc
+      in
+      let g = group [ head ] in
+      (* skipped reads go back in front of what is left *)
+      Queue.transfer r.ingress skipped;
+      Queue.transfer skipped r.ingress;
+      Some g
+
+let rec worker_loop t r ~tid =
+  match take r with
+  | Some unit ->
       (* The block-in-reactor mutant: a blocking sleep on the event
          loop freezes every fiber of this reactor for 20 ms per
-         request.  The pipelined SLO gate must catch the fairness
-         collapse. *)
-      if t.cfg.block_in_reactor then ignore (Unix.select [] [] [] 0.02);
+         request (each request of a group included).  The pipelined SLO
+         gate must catch the fairness collapse. *)
+      if t.cfg.block_in_reactor then
+        List.iter (fun _ -> ignore (Unix.select [] [] [] 0.02)) unit;
       (* Execute even if the peer vanished meanwhile: a tokened write
          may be the one its client is already retrying elsewhere. *)
-      let resp =
-        Dispatch.serve_one t.disp ~tid ~env ~deadline ~extra_wins:r.rwins
-          ~t_in req
+      let resps =
+        Dispatch.serve t.disp ~tid ~extra_wins:r.rwins (List.map snd unit)
       in
-      deliver t c ~rid:env.Protocol.rid resp;
-      retire t c;
+      List.iter2
+        (fun (c, it) resp ->
+          deliver t c ~rid:it.Dispatch.env.Protocol.rid resp;
+          retire t c)
+        unit resps;
       worker_loop t r ~tid
   | None ->
       if
@@ -301,7 +346,9 @@ let handle_frame t c payload =
         end
         else begin
           c.inflight <- c.inflight + 1;
-          Queue.push (c, env, req, deadline, Unix.gettimeofday ()) c.r.ingress;
+          Queue.push
+            (c, { Dispatch.env; req; deadline; t_in = Unix.gettimeofday () })
+            c.r.ingress;
           wake_one c.r
         end
 

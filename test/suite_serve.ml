@@ -2002,6 +2002,130 @@ let test_reactor_pipelined_chaos () =
       Alcotest.(check bool) "chaos actually injected faults" true
         (Serve.Chaos.total_faults src > 0)
 
+(* Pipeline [reqs] over one fresh connection in a SINGLE write, so the
+   reactor finds them queued at its ingress together, and return the
+   responses in request order (matched back by RID). *)
+let pipeline_at_once ~port reqs =
+  let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, port));
+  let buf = Buffer.create 4096 in
+  List.iteri
+    (fun i r ->
+      let p = P.encode_req ~rid:(i + 1) r in
+      Buffer.add_string buf (Printf.sprintf "%d\n%s" (String.length p) p))
+    reqs;
+  let s = Buffer.contents buf in
+  let rec send off =
+    if off < String.length s then
+      send (off + Unix.write_substring fd s off (String.length s - off))
+  in
+  send 0;
+  let io = P.Io.of_fd fd in
+  P.Io.set_deadline io (Unix.gettimeofday () +. 20.);
+  let out = Array.make (List.length reqs) None in
+  List.iter
+    (fun _ ->
+      match P.Io.read_frame io with
+      | Ok (Some payload) -> (
+          match P.decode_resp_rid payload with
+          | Ok (rid, resp) -> out.(rid - 1) <- Some resp
+          | Error e -> Alcotest.fail ("bad response: " ^ e))
+      | _ -> Alcotest.fail "connection ended before every response")
+    reqs;
+  Array.to_list (Array.map Option.get out)
+
+(* Group commit forms its batches at the reactor's ingress: at zero
+   linger on one event loop, 40 PUTs to one shard pipelined in one go
+   must share PTM transactions (a worker that committed each request
+   alone would leave every batch at size 1), and every acked PUT must
+   read back. *)
+let test_reactor_batch_formation () =
+  match
+    Serve.Reactor.start (reactor_config ~reactors:1 ~max_inflight:64 ())
+  with
+  | exception e when loopback_unavailable e ->
+      Printf.printf "batch formation skipped: loopback sockets unavailable\n"
+  | srv ->
+      Fun.protect ~finally:(fun () -> Serve.Reactor.stop srv) @@ fun () ->
+      let e = Serve.Reactor.engine srv in
+      let shard = 1 in
+      let keys =
+        List.init 40 (fun i -> key_on e shard (Printf.sprintf "b%02d-" i))
+      in
+      let resps =
+        pipeline_at_once ~port:(Serve.Reactor.port srv)
+          (List.map (fun k -> P.Put (k, "v:" ^ k)) keys)
+      in
+      List.iter
+        (fun r -> if r <> P.Ok then Alcotest.fail "pipelined PUT not acked")
+        resps;
+      let sizes = E.batch_sizes e ~shard in
+      Alcotest.(check int) "batches cover every PUT" 40
+        (List.fold_left ( + ) 0 sizes);
+      Alcotest.(check bool)
+        (Printf.sprintf "some batch holds more than one PUT (sizes %s)"
+           (String.concat "," (List.map string_of_int sizes)))
+        true
+        (List.exists (fun n -> n > 1) sizes);
+      List.iter
+        (fun k ->
+          Alcotest.(check (option string)) ("acked PUT reads back: " ^ k)
+            (Some ("v:" ^ k)) (present e k))
+        keys
+
+(* Grouping must keep each key's write order: one connection pipelines
+   interleaved PUT/DEL runs over a few keys (with reads between them,
+   which a group skips over) and one MPUT between two PUTs of the same
+   key.  Afterwards every key holds the last write sent. *)
+let test_reactor_write_order () =
+  match
+    Serve.Reactor.start (reactor_config ~reactors:1 ~max_inflight:128 ())
+  with
+  | exception e when loopback_unavailable e ->
+      Printf.printf "write order skipped: loopback sockets unavailable\n"
+  | srv ->
+      Fun.protect ~finally:(fun () -> Serve.Reactor.stop srv) @@ fun () ->
+      let key j = Printf.sprintf "ord%d" j in
+      let run i =
+        let k = key (i mod 4) in
+        if i mod 7 = 6 then P.Get k
+        else if i mod 5 = 3 then P.Del k
+        else P.Put (k, Printf.sprintf "v%d" i)
+      in
+      let reqs =
+        List.init 30 run
+        @ [ P.Mput [ (key 1, "mput"); (key 2, "mput") ] ]
+        @ List.init 30 (fun i -> run (i + 30))
+        @ [ P.Mput [ (key 3, "last") ] ]
+      in
+      let resps = pipeline_at_once ~port:(Serve.Reactor.port srv) reqs in
+      List.iter2
+        (fun req resp ->
+          match (req, resp) with
+          | (P.Put _ | P.Del _), P.Ok
+          | P.Mput _, P.Committed _
+          | P.Get _, (P.Val _ | P.Nil) ->
+              ()
+          | _ -> Alcotest.fail "pipelined request failed")
+        reqs resps;
+      let model = Hashtbl.create 4 in
+      List.iter
+        (function
+          | P.Put (k, v) -> Hashtbl.replace model k (Some v)
+          | P.Del k -> Hashtbl.replace model k None
+          | P.Mput kvs -> List.iter (fun (k, v) -> Hashtbl.replace model k (Some v)) kvs
+          | _ -> ())
+        reqs;
+      let e = Serve.Reactor.engine srv in
+      for j = 0 to 3 do
+        Alcotest.(check (option string))
+          (key j ^ " holds the last write sent")
+          (Hashtbl.find model (key j))
+          (present e (key j))
+      done
+
 let suites =
   [
     ( "serve-protocol",
@@ -2068,6 +2192,10 @@ let suites =
           test_pipeline_rid_matching;
         Alcotest.test_case "chaos round on the reactor path is exactly-once"
           `Quick test_reactor_pipelined_chaos;
+        Alcotest.test_case "pipelined writes form group-commit batches" `Quick
+          test_reactor_batch_formation;
+        Alcotest.test_case "grouped writes keep per-key order" `Quick
+          test_reactor_write_order;
       ] );
     ( "serve-resilience",
       [
