@@ -42,18 +42,27 @@ let node_words = 4
 
 let string_words len = 1 + ((len + 7) / 8)
 
+(* The one definition of the packed-bytes format: word [w] of [s] holds
+   bytes [8w .. 8w+7] little-endian, bytes past the end of [s] zero.
+   Both the stored layout ([write_string]) and the in-place prefix
+   compare ([seek]) go through it. *)
+let pack_word s w =
+  let off = w * 8 in
+  let n = String.length s - off in
+  if n >= 8 then String.get_int64_le s off
+  else begin
+    let v = ref 0L in
+    for b = 0 to n - 1 do
+      v := Int64.logor !v (Int64.shift_left (Int64.of_int (Char.code s.[off + b])) (8 * b))
+    done;
+    !v
+  end
+
 let write_string tx addr s =
   let len = String.length s in
   P.set tx addr (Int64.of_int len);
-  let nwords = (len + 7) / 8 in
-  for w = 0 to nwords - 1 do
-    let v = ref 0L in
-    for b = 0 to 7 do
-      let i = (w * 8) + b in
-      if i < len then
-        v := Int64.logor !v (Int64.shift_left (Int64.of_int (Char.code s.[i])) (8 * b))
-    done;
-    P.set tx (addr + 1 + w) !v
+  for w = 0 to ((len + 7) / 8) - 1 do
+    P.set tx (addr + 1 + w) (pack_word s w)
   done
 
 let read_string tx addr =
@@ -248,7 +257,7 @@ let delete_tx tx key =
 
 (* Db_op trace spans tag the operation kind in [arg]:
    0 = put, 1 = get, 2 = delete, 3 = write_batch (arg = 3; batch length is
-   visible from the nested Tx span), 4 = fold. *)
+   visible from the nested Tx span), 4 = fold or seek. *)
 
 let put t ~tid ~key ~value =
   Obs.Trace.span Obs.Trace.Db_op ~tid ~arg:0 @@ fun () ->
@@ -489,11 +498,18 @@ let verify_meta t = P.verify_meta t.p
 let corrupt_durable_meta t ~seed ~count = P.corrupt_durable_meta t.p ~seed ~count
 
 (* ---- cursors ----
-   The hash map is unordered, so a cursor materialises a consistent
-   key-sorted snapshot inside one read-only transaction (the same
-   own-snapshot mechanism that powers readwhilewriting) and then walks it
-   without further synchronization, like a LevelDB iterator pinned to a
-   snapshot. *)
+   The hash map is unordered, so a cursor materialises the keys that
+   start with its prefix, key-sorted, inside one read-only transaction
+   (the same own-snapshot mechanism that powers readwhilewriting) and
+   then walks them without further synchronization, like a LevelDB
+   iterator pinned to a snapshot.
+
+   The walk visits every node but decodes only matches: a node's key
+   block is tested in place — its length word, then the ceil(|prefix|/8)
+   packed words against the prefix packed by the same [pack_word], the
+   last partial word masked to the prefix's bytes.  The length test is
+   what keeps a key shorter than the prefix out when the prefix ends in
+   '\000' bytes (which pack exactly like the zero padding). *)
 
 type cursor = {
   entries : (string * string) array;
@@ -501,12 +517,46 @@ type cursor = {
 }
 
 let seek t ~tid prefix =
-  let all = fold t ~tid ~init:[] (fun acc k v -> (k, v) :: acc) in
-  let entries =
-    Array.of_list
-      (List.sort (fun (a, _) (b, _) -> String.compare a b)
-         (List.filter (fun (k, _) -> String.compare k prefix >= 0) all))
+  Obs.Trace.span Obs.Trace.Db_op ~tid ~arg:4 @@ fun () ->
+  let plen = String.length prefix in
+  let nw = (plen + 7) / 8 in
+  let pw = Array.init nw (pack_word prefix) in
+  let last_mask =
+    if plen mod 8 = 0 then -1L else Int64.pred (Int64.shift_left 1L (8 * (plen mod 8)))
   in
+  let matches tx ka =
+    let rec words w =
+      w = nw
+      ||
+      let v = P.get tx (ka + 1 + w) in
+      let v = if w = nw - 1 then Int64.logand v last_mask else v in
+      Int64.equal v pw.(w) && words (w + 1)
+    in
+    Int64.to_int (P.get tx ka) >= plen && words 0
+  in
+  let found = ref [] in
+  ignore
+    (P.read_only t.p ~tid (fun tx ->
+         (* a read that falls back to an update may run more than once *)
+         found := [];
+         let h = header tx in
+         let b = buckets tx h in
+         for i = 0 to bucket_count tx h - 1 do
+           let rec chain cur =
+             if cur <> 0 then begin
+               let ka = Int64.to_int (P.get tx (cur + 1)) in
+               if matches tx ka then
+                 found :=
+                   (read_string tx ka, read_string tx (Int64.to_int (P.get tx (cur + 2))))
+                   :: !found;
+               chain (Int64.to_int (P.get tx (cur + 3)))
+             end
+           in
+           chain (Int64.to_int (P.get tx (b + i)))
+         done;
+         0L));
+  let entries = Array.of_list !found in
+  Array.sort (fun (a, _) (b, _) -> String.compare a b) entries;
   { entries; pos = 0 }
 
 let entry c =

@@ -114,11 +114,20 @@ val apply_guarded :
 
 (** {1 Iteration (the paper's "extended with iterator capabilities")} *)
 
-(** A cursor over a consistent snapshot of the database, ordered by key. *)
+(** A cursor over the keys of a consistent snapshot that start with one
+    prefix, ordered by key. *)
 type cursor
 
-(** [seek t ~tid prefix] positions a cursor at the first key >= [prefix]
-    in a consistent snapshot taken at call time. *)
+(** [seek t ~tid prefix] is a cursor over exactly the entries whose key
+    starts with [prefix] (every entry for [""]), in ascending key order,
+    positioned at the first.  All of them come from one snapshot: the
+    read-only transaction the call runs in, so later writes never show.
+
+    Cost: one pass over every hash chain that reads, per node, the key's
+    length word and its first [ceil(|prefix| / 8)] packed words and
+    compares them in place; only the [m] matches are decoded (key and
+    value) and sorted — O(n + m log m) for a store of [n] keys, with
+    allocation proportional to [m] alone. *)
 val seek : t -> tid:int -> string -> cursor
 
 (** Current entry, if the cursor is valid. *)

@@ -573,13 +573,12 @@ let submit_one t ~tid ?(rid = 0) ?(deadline = 0.) shard ops =
    Latest txid/epoch wins for the reported ack. *)
 let outcome_records t ~tid tok =
   let prefix = Commit.outcome_prefix tok in
-  let plen = String.length prefix in
   let n = ref 0 and best = ref None in
   for s = 0 to t.cfg.shards - 1 do
     let c = Kv.Redodb.seek t.dbs.(s) ~tid prefix in
     let rec walk () =
       match Kv.Redodb.entry c with
-      | Some (k, v) when String.length k >= plen && String.sub k 0 plen = prefix ->
+      | Some (_, v) ->
           (match Commit.decode_outcome v with
           | Some (txid, epoch) ->
               incr n;
@@ -589,7 +588,7 @@ let outcome_records t ~tid tok =
           | None -> ());
           ignore (Kv.Redodb.next c);
           walk ()
-      | _ -> ()
+      | None -> ()
     in
     walk ()
   done;
@@ -984,10 +983,6 @@ let scan t ~tid ~prefix ~max =
   with_entry t ~tid @@ fun () ->
   Obs.Metrics.incr t.c_multi ~tid;
   let iprefix = Commit.user_key prefix in
-  let in_prefix k =
-    String.length k >= String.length iprefix
-    && String.sub k 0 (String.length iprefix) = iprefix
-  in
   Result.Ok
     ( snapshot_read t ~tid @@ fun () ->
       let all = ref [] in
@@ -996,16 +991,18 @@ let scan t ~tid ~prefix ~max =
          is missing *)
       for s = 0 to t.cfg.shards - 1 do
         if shard_admits t s then begin
+        (* each cursor is sorted: its first [max] entries are all this
+           shard can contribute to the merged first [max] *)
         let c = Kv.Redodb.seek t.dbs.(s) ~tid iprefix in
-        let rec walk () =
+        let rec walk n =
           match Kv.Redodb.entry c with
-          | Some (k, v) when in_prefix k ->
+          | Some (k, v) when n < max ->
               all := (Commit.user_of_internal k, v) :: !all;
               ignore (Kv.Redodb.next c);
-              walk ()
+              walk (n + 1)
           | _ -> ()
         in
-        walk ()
+        walk 0
         end
       done;
       let sorted = List.sort (fun (a, _) (b, _) -> String.compare a b) !all in

@@ -193,37 +193,99 @@ end
 
 (* RedoDB-specific: cursor iteration over a consistent snapshot. *)
 
+(* Every entry left from the cursor's position on. *)
+let cursor_entries c =
+  let rec go acc =
+    match Kv.Redodb.entry c with
+    | None -> List.rev acc
+    | Some kv -> ignore (Kv.Redodb.next c); go (kv :: acc)
+  in
+  go []
+
 let test_cursor_ordered_iteration () =
   let db = Kv.Redodb.open_db ~num_threads:2 ~capacity_bytes:(1 lsl 17) () in
   List.iter
     (fun (k, v) -> Kv.Redodb.put db ~tid:0 ~key:k ~value:v)
     [ ("b", "2"); ("d", "4"); ("a", "1"); ("c", "3") ];
-  let c = Kv.Redodb.seek db ~tid:0 "" in
-  let rec collect acc =
-    match Kv.Redodb.entry c with
-    | None -> List.rev acc
-    | Some kv -> ignore (Kv.Redodb.next c); collect (kv :: acc)
-  in
   Alcotest.(check (list (pair string string)))
     "sorted by key"
     [ ("a", "1"); ("b", "2"); ("c", "3"); ("d", "4") ]
-    (collect [])
+    (cursor_entries (Kv.Redodb.seek db ~tid:0 ""))
 
 let test_cursor_seek_prefix () =
   let db = Kv.Redodb.open_db ~num_threads:2 ~capacity_bytes:(1 lsl 17) () in
   List.iter
     (fun k -> Kv.Redodb.put db ~tid:0 ~key:k ~value:k)
-    [ "apple"; "banana"; "cherry" ];
+    [ "apple"; "banana"; "blueberry"; "cherry" ];
   let c = Kv.Redodb.seek db ~tid:0 "b" in
   (match Kv.Redodb.entry c with
-  | Some (k, _) -> Alcotest.(check string) "first >= b" "banana" k
+  | Some (k, _) -> Alcotest.(check string) "first under b" "banana" k
   | None -> Alcotest.fail "expected an entry");
-  ignore (Kv.Redodb.next c);
+  Alcotest.(check bool) "second exists" true (Kv.Redodb.next c);
   (match Kv.Redodb.entry c with
-  | Some (k, _) -> Alcotest.(check string) "next" "cherry" k
-  | None -> Alcotest.fail "expected cherry");
-  Alcotest.(check bool) "exhausted" false (Kv.Redodb.next c);
+  | Some (k, _) -> Alcotest.(check string) "next" "blueberry" k
+  | None -> Alcotest.fail "expected blueberry");
+  Alcotest.(check bool) "exhausted: cherry is not under b" false (Kv.Redodb.next c);
   Alcotest.(check bool) "entry none" true (Kv.Redodb.entry c = None)
+
+(* Model check of the prefix contract: [seek p] yields exactly the
+   entries whose key starts with [p], key-sorted.  Keys are binary, 0-20
+   bytes, rich in '\000' (which packs like the zero padding of a
+   partial word); prefixes are 0-17 bytes, so they end inside, on and
+   just past the 8-byte word boundaries of the packed compare.  Around
+   each prefix sit the keys that catch a wrong compare: the prefix
+   itself, every key shorter than it that it starts with (the length
+   test), every one-byte variant of it (the kept bytes of the masked
+   last word), and longer keys under it (the masked-off bytes). *)
+let test_cursor_seek_model () =
+  let st = Random.State.make [| 42 |] in
+  let alphabet = "\000\001a\255" in
+  let rand_string n = String.init n (fun _ -> alphabet.[Random.State.int st 4]) in
+  for _round = 1 to 3 do
+    let db = Kv.Redodb.open_db ~num_threads:2 ~capacity_bytes:(1 lsl 18) () in
+    let model = Hashtbl.create 1024 in
+    let put k =
+      let v = "v" ^ k in
+      Kv.Redodb.put db ~tid:0 ~key:k ~value:v;
+      Hashtbl.replace model k v
+    in
+    let prefixes =
+      List.concat_map
+        (fun plen ->
+          let p = rand_string plen in
+          if plen = 0 then [ p ] else [ p; rand_string (plen - 1) ^ "\000" ])
+        (List.init 18 Fun.id)
+    in
+    List.iter
+      (fun p ->
+        let plen = String.length p in
+        let tail () = rand_string (Random.State.int st (21 - plen)) in
+        put p;
+        for j = 0 to plen - 1 do
+          put (String.sub p 0 j);
+          let b = Bytes.of_string p in
+          Bytes.set b j (Char.chr ((Char.code p.[j] + 1) land 0xff));
+          put (Bytes.to_string b ^ tail ())
+        done;
+        put (p ^ tail ());
+        put (p ^ tail ()))
+      prefixes;
+    for _ = 1 to 100 do
+      put (rand_string (Random.State.int st 21))
+    done;
+    List.iter
+      (fun p ->
+        let want =
+          Hashtbl.fold (fun k v acc -> (k, v) :: acc) model []
+          |> List.filter (fun (k, _) -> String.starts_with ~prefix:p k)
+          |> List.sort compare
+        in
+        Alcotest.(check (list (pair string string)))
+          (Printf.sprintf "seek %S" p)
+          want
+          (cursor_entries (Kv.Redodb.seek db ~tid:0 p)))
+      prefixes
+  done
 
 let test_cursor_is_snapshot () =
   let db = Kv.Redodb.open_db ~num_threads:2 ~capacity_bytes:(1 lsl 17) () in
@@ -244,6 +306,7 @@ let cursor_suites =
       [
         Alcotest.test_case "ordered iteration" `Quick test_cursor_ordered_iteration;
         Alcotest.test_case "seek prefix" `Quick test_cursor_seek_prefix;
+        Alcotest.test_case "seek prefix vs model" `Quick test_cursor_seek_model;
         Alcotest.test_case "snapshot isolation" `Quick test_cursor_is_snapshot;
       ] );
   ]

@@ -193,6 +193,85 @@ let test_router_model () =
   in
   Alcotest.(check bool) "several shards in use" true (List.length shards_hit > 1)
 
+(* Scans over 4 shards that also hold commit metadata: outcome records
+   of tokened PUTs and MPUTs, the high-water keys of applied 2PCs, and
+   the prepare and decision records of a 2PC cut off right after its
+   decision (so nothing of it is applied).  User prefixes of 7 and 8
+   bytes become internal prefixes ("u" ^ p) of 8 and 9 bytes: exactly
+   one packed word, then a word plus a partial one.  Some user keys
+   imitate the metadata namespace, so only the 'u' escape keeps the
+   two apart. *)
+let test_scan_beside_commit_metadata () =
+  let e = small_engine ~shards:4 ~num_threads:2 () in
+  let ok what = function
+    | Ok v -> v
+    | Error err -> Alcotest.fail (what ^ ": " ^ E.pp_error err)
+  in
+  let model = Hashtbl.create 256 in
+  let families =
+    [| "grp0001"; "grp00012"; "grp000"; "grp0002"; "m!o!000"; "m!p!0000"; "m!he" |]
+  in
+  let st = Random.State.make [| 7 |] in
+  let key i =
+    let f = families.(i mod Array.length families) in
+    if Random.State.int st 4 = 0 then f else f ^ string_of_int (Random.State.int st 300)
+  in
+  for i = 0 to 139 do
+    let k = key i and v = Printf.sprintf "v%d" i in
+    match i mod 3 with
+    | 0 ->
+        ok "put" (E.put e ~tid:0 ~key:k ~value:v);
+        Hashtbl.replace model k v
+    | 1 ->
+        ok "tokened put" (E.put ~tok:(1000 + i) e ~tid:0 ~key:k ~value:v);
+        Hashtbl.replace model k v
+    | _ ->
+        let k2 = key (i + 1) in
+        let kvs = if k2 = k then [ (k, v) ] else [ (k, v); (k2, v ^ "b") ] in
+        ignore
+          (ok "tokened mput"
+             (E.multi_put ~tok:(1000 + i) e ~tid:0
+                (List.map (fun (k, v) -> (k, Some v)) kvs)));
+        List.iter (fun (k, v) -> Hashtbl.replace model k v) kvs
+  done;
+  (* prepare + decision (+ outcome) records, never applied *)
+  let on shard tag =
+    let rec go i =
+      let k = tag ^ string_of_int i in
+      if E.shard_of e k = shard then k else go (i + 1)
+    in
+    go 0
+  in
+  E.set_crash_after e (Some C.Decide);
+  (match
+     E.multi_put ~tok:99 e ~tid:0
+       [ (on 0 "grp0001", Some "cut"); (on 1 "grp00012", Some "cut") ]
+   with
+  | exception C.Injected_crash _ -> ()
+  | _ -> Alcotest.fail "expected the injected crash after the decision");
+  (match (E.txstat e ~tid:0 1001, E.txstat e ~tid:0 1002, E.txstat e ~tid:0 99) with
+  | ( Ok (E.Tx_committed { records = 1; _ }),
+      Ok (E.Tx_committed { records = 1; _ }),
+      Ok (E.Tx_committed { records = 1; _ }) ) -> ()
+  | _ -> Alcotest.fail "every token must have left exactly one outcome record");
+  Alcotest.(check int) "count excludes metadata" (Hashtbl.length model) (E.count e ~tid:0);
+  List.iter
+    (fun (prefix, max) ->
+      let want =
+        Hashtbl.fold (fun k v acc -> (k, v) :: acc) model []
+        |> List.filter (fun (k, _) -> String.starts_with ~prefix k)
+        |> List.sort compare
+        |> List.filteri (fun i _ -> i < max)
+      in
+      Alcotest.(check (list (pair string string)))
+        (Printf.sprintf "scan %S max %d" prefix max)
+        want
+        (ok "scan" (E.scan e ~tid:0 ~prefix ~max)))
+    [
+      ("grp0001", 1000); ("grp0001", 5); ("grp00012", 1000); ("grp00012", 3);
+      ("m!o!000", 1000); ("m!p!0000", 1000); ("m!he", 2); ("", 1000); ("", 7);
+    ]
+
 (* ---- deterministic batch formation under the scheduler ---- *)
 
 let status_strings r =
@@ -2152,6 +2231,8 @@ let suites =
     ( "serve-engine",
       [
         Alcotest.test_case "shard router vs model" `Quick test_router_model;
+        Alcotest.test_case "scan beside commit metadata vs model" `Quick
+          test_scan_beside_commit_metadata;
         Alcotest.test_case "deterministic batch formation" `Quick
           test_batch_determinism;
         Alcotest.test_case "stalled client cannot block batches" `Quick
