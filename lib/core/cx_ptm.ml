@@ -22,7 +22,10 @@
       [curComb] transition — efficient only for small objects;
     - {b CX-PTM} interposes stores and flushes only the mutated lines
       (replica copies still require a full-region flush, since the copy
-      makes every durable line of the destination stale).
+      makes every durable line of the destination stale).  Each replica
+      collects its mutated lines in a {!Line_set} (a byte mark per line,
+      no hashing), and its flush issues their pwbs in the order the lines
+      were first stored to.
 
     Queue-node reclamation: the original tracks nodes with wait-free hazard
     pointers + reference counting; here the GC frees unreachable nodes and
@@ -57,7 +60,7 @@ module Make (M : MODE) = struct
     mutable head : payload Sync_prims.Turn_queue.node;
     head_ticket : int Atomic.t; (* lock-free mirror of [head]'s ticket *)
     mutable valid : bool;
-    dirty : (int, unit) Hashtbl.t; (* logical lines awaiting flush *)
+    dirty : Line_set.t; (* logical lines awaiting flush *)
     mutable full_flush : bool; (* after a copy, flush everything *)
     base : int; (* physical address of this replica's region *)
   }
@@ -144,7 +147,7 @@ module Make (M : MODE) = struct
             head = sentinel;
             head_ticket = Atomic.make 0;
             valid = i = 0;
-            dirty = Hashtbl.create 64;
+            dirty = Line_set.create ~lines:(words / Pmem.words_per_line);
             full_flush = false;
             base = base i;
           })
@@ -195,8 +198,7 @@ module Make (M : MODE) = struct
     check_logical tx.p a;
     if tx.ro then invalid_arg (M.name ^ ": store in read-only operation");
     Pmem.set_word tx.p.pm ~tid:tx.tid (tx.c.base + a) v;
-    if M.interpose then
-      Hashtbl.replace tx.c.dirty (a / Pmem.words_per_line) ()
+    if M.interpose then Line_set.add tx.c.dirty (a / Pmem.words_per_line)
 
   let mem_of_tx tx = { Palloc.get = get tx; set = set tx }
   let alloc tx n = Palloc.alloc (mem_of_tx tx) n
@@ -254,7 +256,7 @@ module Make (M : MODE) = struct
           Atomic.set c.head_ticket (Atomic.get src.head_ticket);
           c.valid <- true;
           c.full_flush <- true;
-          Hashtbl.reset c.dirty;
+          Line_set.clear c.dirty;
           Obs.replica_copied ~tid;
           true
         end
@@ -299,11 +301,11 @@ module Make (M : MODE) = struct
           c.full_flush <- false
         end
         else
-          Hashtbl.iter
-            (fun line () ->
+          Line_set.iter
+            (fun line ->
               Pmem.pwb t.pm ~tid (c.base + (line * Pmem.words_per_line)))
             c.dirty;
-        Hashtbl.reset c.dirty;
+        Line_set.clear c.dirty;
         (* Refresh this replica's fallback record under the same fence that
            proves the replica consistent: no extra fence. *)
         let i = (c.base - 64) / t.words in
@@ -329,7 +331,7 @@ module Make (M : MODE) = struct
         then begin
           c.valid <- false;
           c.head <- sentinel;
-          Hashtbl.reset c.dirty;
+          Line_set.clear c.dirty;
           Sync_prims.Rwlock.exclusive_unlock c.rwlock ~tid
         end)
       t.combs
@@ -605,7 +607,7 @@ module Make (M : MODE) = struct
         Atomic.set c.head_ticket 0;
         c.valid <- i = ci;
         c.full_flush <- false;
-        Hashtbl.reset c.dirty)
+        Line_set.clear c.dirty)
       t.combs;
     (* Lock state is volatile and does not survive a crash; reset every
        lock outright (owner word and reader ingress count — dying readers

@@ -28,7 +28,12 @@
     - {b RedoOpt}: RedoTimed plus store aggregation (hash write-set),
       flush aggregation (postponed, deduplicated pwbs with a whole-region
       fallback past 1/10th of the object), and non-temporal-store replica
-      copies. *)
+      copies.
+
+    Each replica collects the lines it must flush in a {!Line_set} (a
+    byte mark per line, no hashing): lines dirtied by log replay or undo,
+    then, at flush time, the lines of the transaction's own write-set.
+    The pwbs of a flush go out in the order the lines were first added. *)
 
 module type CONFIG = sig
   val name : string
@@ -81,7 +86,7 @@ module Make (C : CONFIG) = struct
     rwlock : Sync_prims.Rwlock.t;
     head : int Atomic.t; (* SeqTidIdx of the last state applied here *)
     mutable valid : bool;
-    extra_dirty : (int, unit) Hashtbl.t; (* logical lines needing flush *)
+    extra_dirty : Line_set.t; (* logical lines needing flush *)
     mutable full_flush : bool;
     base : int;
   }
@@ -166,7 +171,7 @@ module Make (C : CONFIG) = struct
                 rwlock = Sync_prims.Rwlock.create ();
                 head = Atomic.make (Seqtid.pack ~seq:0 ~tid:num_threads ~idx:0);
                 valid = i = 0;
-                extra_dirty = Hashtbl.create 64;
+                extra_dirty = Line_set.create ~lines:(words / Pmem.words_per_line);
                 full_flush = false;
                 base = base i;
               });
@@ -310,7 +315,7 @@ module Make (C : CONFIG) = struct
                 Pmem.set_word t.pm ~tid (c.base + addr) v;
                 applied_any := true;
                 if C.deferred_pwb then
-                  Hashtbl.replace c.extra_dirty (addr / Pmem.words_per_line) ()
+                  Line_set.add c.extra_dirty (addr / Pmem.words_per_line)
                 else Pmem.pwb t.pm ~tid (c.base + addr)
               end);
           (* Recycled mid-replay?  The replica now holds garbage. *)
@@ -354,7 +359,7 @@ module Make (C : CONFIG) = struct
         Atomic.set c.head head0;
         c.valid <- true;
         c.full_flush <- not C.ntstore_copy;
-        Hashtbl.reset c.extra_dirty;
+        Line_set.clear c.extra_dirty;
         let ns = int_of_float ((clock () -. t0) *. 1e9) in
         Atomic.set t.copy_ns ns;
         Obs.replica_copied ~tid;
@@ -414,30 +419,30 @@ module Make (C : CONFIG) = struct
         if c.full_flush then begin
           Pmem.pwb_range t.pm ~tid c.base (c.base + t.words - 1);
           c.full_flush <- false;
-          Hashtbl.reset c.extra_dirty
+          Line_set.clear c.extra_dirty
         end
         else if C.deferred_pwb then begin
           let lines = c.extra_dirty in
           Wset.iter_redo st.log (fun addr _ ->
-              Hashtbl.replace lines (addr / Pmem.words_per_line) ());
+              Line_set.add lines (addr / Pmem.words_per_line));
           if
             C.flush_agg
-            && Hashtbl.length lines > t.words / Pmem.words_per_line / 10
+            && Line_set.length lines > t.words / Pmem.words_per_line / 10
           then Pmem.pwb_range t.pm ~tid c.base (c.base + t.words - 1)
           else
-            Hashtbl.iter
-              (fun line () ->
+            Line_set.iter
+              (fun line ->
                 Pmem.pwb t.pm ~tid (c.base + (line * Pmem.words_per_line)))
               lines;
-          Hashtbl.reset lines
+          Line_set.clear lines
         end
         else begin
           (* immediate-pwb mode: stores already flushed; only undo residue *)
-          Hashtbl.iter
-            (fun line () ->
+          Line_set.iter
+            (fun line ->
               Pmem.pwb t.pm ~tid (c.base + (line * Pmem.words_per_line)))
             c.extra_dirty;
-          Hashtbl.reset c.extra_dirty
+          Line_set.clear c.extra_dirty
         end;
         (* Refresh this replica's fallback record under the same fence that
            proves the replica consistent: no extra fence.  [tkt] is the
@@ -456,7 +461,7 @@ module Make (C : CONFIG) = struct
     Wset.iter_undo st.log (fun addr oldv ->
         Pmem.set_word t.pm ~tid (c.base + addr) oldv;
         if C.deferred_pwb then
-          Hashtbl.replace c.extra_dirty (addr / Pmem.words_per_line) ()
+          Line_set.add c.extra_dirty (addr / Pmem.words_per_line)
         else Pmem.pwb t.pm ~tid (c.base + addr))
 
   (* Copy applied/results from the state at the queue tail into our fresh
@@ -768,7 +773,7 @@ module Make (C : CONFIG) = struct
         Atomic.set c.head (Seqtid.pack ~seq:0 ~tid:t.num_threads ~idx:0);
         c.valid <- i = ci;
         c.full_flush <- false;
-        Hashtbl.reset c.extra_dirty)
+        Line_set.clear c.extra_dirty)
       t.combs;
     Array.iter
       (fun row ->

@@ -5,14 +5,25 @@ type _ Effect.t += Yield_eff : unit Effect.t
 
 let nop = fun () -> ()
 
+(* Number of scheduled runs live in the process (0 or 1: see [run]).
+   Outside a run every yield point is this one atomic load; only while a
+   run is live does it pay for the domain-local hook below. *)
+let live_runs = Stdlib.Atomic.make 0
+
 (* Domain-local so a scheduled run in one domain never perturbs real
    Domain-based tests running elsewhere in the process. *)
 let hook_key : (unit -> unit) Domain.DLS.key = Domain.DLS.new_key (fun () -> nop)
-let[@inline] yield () = (Domain.DLS.get hook_key) ()
-let active () = Domain.DLS.get hook_key != nop
+
+let[@inline] yield () =
+  if Stdlib.Atomic.get live_runs > 0 then (Domain.DLS.get hook_key) ()
+
+let active () =
+  Stdlib.Atomic.get live_runs > 0 && Domain.DLS.get hook_key != nop
+
 let perform_yield () = Effect.perform Yield_eff
 
-(* Run-scoped state.  A run owns its domain, so plain refs suffice. *)
+(* Run-scoped state, process-global: at most one run is live at a time,
+   and it owns its domain, so plain refs suffice. *)
 let cur_fiber : int option ref = ref None
 let step_counter = ref 0
 let current () = !cur_fiber
@@ -116,11 +127,9 @@ type fiber = {
   mutable pending : injection option;  (* due/deferred adversary action *)
 }
 
-let running = ref false
-
 let run ?(seed = 0) ?(budget = 2_000_000) ?(injections = []) ?hazard ?stop_at
     ~num_fibers body =
-  if !running || active () then invalid_arg "Sched.run: nested run";
+  if active () then invalid_arg "Sched.run: nested run";
   List.iter
     (fun inj ->
       let tid = match inj with Stall { tid; _ } | Kill { tid; _ } -> tid in
@@ -218,13 +227,14 @@ let run ?(seed = 0) ?(budget = 2_000_000) ?(injections = []) ?hazard ?stop_at
       budget_exhausted = !budget_exhausted;
     }
   in
-  running := true;
+  if not (Stdlib.Atomic.compare_and_set live_runs 0 1) then
+    invalid_arg "Sched.run: another run is live in this process";
   step_counter := 0;
   let restore () =
-    running := false;
     step_counter := 0;
     cur_fiber := None;
-    Domain.DLS.set hook_key nop
+    Domain.DLS.set hook_key nop;
+    Stdlib.Atomic.decr live_runs
   in
   Fun.protect ~finally:restore @@ fun () ->
   let stopped = ref false in

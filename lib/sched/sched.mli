@@ -21,9 +21,18 @@
     budget, which the harness reports as [budget_exhausted] instead of
     hanging.
 
-    Outside a scheduled run every yield point is a no-op (one
-    domain-local read), so the interposed primitives behave identically
-    under real [Domain]s. *)
+    {b Cost contract.}  Outside a scheduled run a yield point is one
+    atomic load of the process-wide count of live runs, so the
+    interposed primitives behave, and nearly cost, like plain ones under
+    real [Domain]s.  While a run is live, every yield point also reads
+    the domain-local hook: a no-op in any domain not executing the run's
+    fibers, the suspension inside them.  Inside a run nothing else
+    changes: the same yield points, the same schedule for a seed.
+
+    {b One run per process.}  The run state (current fiber, step
+    counter) is process-global, so at most one {!run} is live at a time
+    in the whole process; a second one, from any domain, is rejected
+    and leaves the live run untouched. *)
 
 (** [true] while the calling domain is executing fiber code inside
     {!run}.  Sync primitives use this to choose fiber-safe blocking
@@ -31,11 +40,13 @@
 val active : unit -> bool
 
 (** The yield point.  Inside a scheduled run: suspend the current fiber
-    and let the scheduler pick the next one.  Outside: no-op. *)
+    and let the scheduler pick the next one.  Outside: no-op (one atomic
+    load when no run is live in the process). *)
 val yield : unit -> unit
 
 (** Fiber id ([0 .. num_fibers-1]) of the currently executing fiber, or
-    [None] outside a scheduled run. *)
+    [None] outside a scheduled run.  Process-global like all run state:
+    only meaningful in the domain executing the run. *)
 val current : unit -> int option
 
 (** Global scheduler step counter of the run in progress ([0] outside).
@@ -126,8 +137,9 @@ val pp_status : Format.formatter -> status -> unit
     this value, leaving fibers suspended — the whole-machine crash used
     by the stall+crash+recovery composition.
 
-    @raise Invalid_argument on nested [run] or out-of-range injection
-    tids. *)
+    @raise Invalid_argument on a [run] nested in a fiber, on a [run]
+    while another one is live anywhere in the process, or on
+    out-of-range injection tids. *)
 val run :
   ?seed:int ->
   ?budget:int ->

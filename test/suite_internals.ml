@@ -1,9 +1,10 @@
 (* Unit tests for the PTM-internal building blocks: the SeqTidIdx control
-   word, the physical write-set (redo/undo log), the breakdown profiler,
-   and the rwlock upgrade path added for Redo-PTM. *)
+   word, the physical write-set (redo/undo log), the dirty-line set, the
+   breakdown profiler, and the rwlock upgrade path added for Redo-PTM. *)
 
 module Seqtid = Ptm.Seqtid
 module Wset = Ptm.Wset
+module Line_set = Ptm.Line_set
 module Breakdown = Ptm.Breakdown
 
 (* ---- Seqtid ---- *)
@@ -101,6 +102,66 @@ let qcheck_wset_redo_matches_model =
   Wset.iter_redo w (fun addr v -> Hashtbl.replace replay addr v);
   Hashtbl.fold (fun k v acc -> acc && Hashtbl.find_opt replay k = Some v) model true
 
+(* ---- Line_set ---- *)
+
+let line_set_elements s =
+  let seen = ref [] in
+  Line_set.iter (fun l -> seen := l :: !seen) s;
+  List.rev !seen
+
+let test_line_set_growth_and_order () =
+  let s = Line_set.create ~lines:300 in
+  for round = 1 to 2 do
+    for l = 299 downto 0 do
+      Line_set.add s l;
+      Line_set.add s l
+    done;
+    Alcotest.(check int) "deduplicated" 300 (Line_set.length s);
+    Alcotest.(check (list int))
+      (Printf.sprintf "insertion order, round %d" round)
+      (List.init 300 (fun i -> 299 - i))
+      (line_set_elements s);
+    Line_set.clear s;
+    Alcotest.(check int) "cleared" 0 (Line_set.length s)
+  done;
+  Alcotest.check_raises "line out of range"
+    (Invalid_argument "index out of bounds") (fun () -> Line_set.add s 300)
+
+(* Random add/clear sequences over 100 lines (so the 64-slot array grows)
+   against an insertion-ordered Hashtbl model: after every operation the
+   set holds exactly the model's lines, each visited once, in the order
+   first added since the last clear.  A [clear] that left marks behind
+   would drop every re-added line. *)
+let qcheck_line_set_matches_model =
+  QCheck.Test.make ~name:"line set = insertion-ordered model" ~count:300
+    QCheck.(
+      list_of_size
+        Gen.(0 -- 400)
+        (make
+           ~print:(function None -> "clear" | Some l -> string_of_int l)
+           Gen.(
+             frequency
+               [ (1, return None); (40, map Option.some (int_bound 99)) ])))
+  @@ fun ops ->
+  let s = Line_set.create ~lines:100 in
+  let model = Hashtbl.create 16 and order = ref [] in
+  List.for_all
+    (fun op ->
+      (match op with
+      | None ->
+          Line_set.clear s;
+          Hashtbl.reset model;
+          order := []
+      | Some l ->
+          Line_set.add s l;
+          if not (Hashtbl.mem model l) then begin
+            Hashtbl.replace model l ();
+            order := l :: !order
+          end);
+      Line_set.length s = Hashtbl.length model
+      && line_set_elements s = List.rev !order)
+    ops
+
 (* ---- Breakdown ---- *)
 
 let test_breakdown_disabled_is_passthrough () =
@@ -178,6 +239,12 @@ let suites =
         Alcotest.test_case "O(1) reset" `Quick test_wset_reset_is_cheap_and_complete;
         Alcotest.test_case "growth" `Quick test_wset_growth;
         QCheck_alcotest.to_alcotest qcheck_wset_redo_matches_model;
+      ] );
+    ( "line-set",
+      [
+        Alcotest.test_case "growth, dedup and order" `Quick
+          test_line_set_growth_and_order;
+        QCheck_alcotest.to_alcotest qcheck_line_set_matches_model;
       ] );
     ( "breakdown",
       [

@@ -69,6 +69,141 @@ let test_kill_drops_fiber () =
   Alcotest.(check string) "survivor finished" "finished"
     (List.nth (status_strings r) 1)
 
+(* [active] is the run count's test: false outside, true in a fiber,
+   false again after a run that ended with a raising fiber or a raising
+   [hazard] (which unwinds [run] itself through its [finally]). *)
+let test_active_scope () =
+  Alcotest.(check bool) "inactive before a run" false (Sched.active ());
+  let inside = ref [] in
+  let r =
+    Sched.run ~seed:1 ~num_fibers:2 (fun tid ->
+        inside := Sched.active () :: !inside;
+        if tid = 0 then failwith "boom")
+  in
+  Alcotest.(check (list bool)) "active in every fiber" [ true; true ] !inside;
+  Alcotest.(check (list string)) "fiber 0 raised"
+    [ "raised Failure(\"boom\")"; "finished" ]
+    (status_strings r);
+  Alcotest.(check bool) "inactive after a raising fiber" false
+    (Sched.active ());
+  (match
+     Sched.run ~seed:1
+       ~injections:[ Sched.Stall { tid = 0; at_step = 1; duration = None } ]
+       ~hazard:(fun _ -> failwith "hazard")
+       ~num_fibers:1
+       (fun _ -> Sched.yield ())
+   with
+  | _ -> Alcotest.fail "a raising hazard must unwind run"
+  | exception Failure _ -> ());
+  Alcotest.(check bool) "inactive after run raised" false (Sched.active ());
+  let r = Sched.run ~num_fibers:1 (fun _ -> Sched.yield ()) in
+  Alcotest.(check int) "a later run still schedules" 2 r.Sched.steps
+
+(* Inside a run the interposed accessors are still yield points: each
+   fiber takes one step to start and one more per access, and the two
+   fibers' accesses interleave. *)
+let test_accessors_yield_in_run () =
+  let pm = Pmem.create ~max_threads:1 ~words:64 () in
+  let a = Sched.Atomic.make 0 in
+  let accesses = 20 in
+  let trace = ref [] in
+  let r =
+    Sched.run ~seed:5 ~num_fibers:2 (fun tid ->
+        for i = 1 to accesses do
+          if i land 1 = 0 then ignore (Pmem.get_word pm tid)
+          else ignore (Sched.Atomic.get a);
+          trace := tid :: !trace
+        done)
+  in
+  Alcotest.(check int) "one step per access (+1 start per fiber)"
+    ((2 * accesses) + 2) r.Sched.steps;
+  let rec switches = function
+    | a :: (b :: _ as rest) -> (if a <> b then 1 else 0) + switches rest
+    | _ -> 0
+  in
+  Alcotest.(check bool) "fibers interleave between accesses" true
+    (switches !trace >= accesses / 2)
+
+(* Start a run in a second domain whose fibers spin at yield points until
+   [f] returns, then stop it; [f] gets the highest step its fibers saw. *)
+let with_live_run f =
+  let started = Stdlib.Atomic.make false in
+  let stop = Stdlib.Atomic.make false in
+  let seen = Stdlib.Atomic.make 0 in
+  let d =
+    Domain.spawn (fun () ->
+        Sched.run ~seed:2 ~budget:max_int ~num_fibers:2 (fun _ ->
+            Stdlib.Atomic.set started true;
+            while not (Sched.Atomic.get stop) do
+              Stdlib.Atomic.set seen (Sched.now ())
+            done))
+  in
+  while not (Stdlib.Atomic.get started) do
+    Domain.cpu_relax ()
+  done;
+  let result =
+    Fun.protect ~finally:(fun () -> Stdlib.Atomic.set stop true) (fun () ->
+        f seen)
+  in
+  let r = Domain.join d in
+  Alcotest.(check (list string)) "live run finished" [ "finished"; "finished" ]
+    (status_strings r);
+  result
+
+(* A domain outside the run pays no scheduling: its RedoOpt updates run
+   to completion with correct results (a stray yield would perform an
+   effect nobody handles here and raise). *)
+let test_updates_beside_live_run () =
+  with_live_run (fun _ ->
+      let module P = Ptm.Redo_ptm.Opt in
+      let p = P.create ~num_threads:2 ~words:4096 () in
+      let cell =
+        Int64.to_int (P.update p ~tid:0 (fun tx -> Int64.of_int (P.alloc tx 1)))
+      in
+      for i = 1 to 200 do
+        let r =
+          P.update p ~tid:(i land 1) (fun tx ->
+              let v = Int64.add (P.get tx cell) 1L in
+              P.set tx cell v;
+              v)
+        in
+        if r <> Int64.of_int i then Alcotest.failf "update %d returned %Ld" i r
+      done;
+      Alcotest.(check int64) "all increments applied" 200L
+        (P.read_only p ~tid:1 (fun tx -> P.get tx cell));
+      Alcotest.(check bool) "not active beside the run" false (Sched.active ()))
+
+(* One run per process: a second run from another domain is rejected
+   with a message that says so, and the rejection leaves the live run
+   scheduling and its count in place (a second attempt is rejected too;
+   a run after the live one ends is accepted). *)
+let test_second_run_rejected () =
+  let attempt () =
+    match Sched.run ~num_fibers:1 (fun _ -> ()) with
+    | _ -> Alcotest.fail "concurrent run accepted"
+    | exception Invalid_argument msg -> msg
+  in
+  with_live_run (fun seen ->
+      Alcotest.(check string) "message names the live run"
+        "Sched.run: another run is live in this process" (attempt ());
+      let at = Stdlib.Atomic.get seen in
+      while Stdlib.Atomic.get seen < at + 100 do
+        Domain.cpu_relax ()
+      done;
+      Alcotest.(check string) "count intact: still rejected"
+        "Sched.run: another run is live in this process" (attempt ()));
+  let r = Sched.run ~num_fibers:1 (fun _ -> Sched.yield ()) in
+  Alcotest.(check int) "accepted once the live run ended" 2 r.Sched.steps
+
+let test_nested_run_rejected () =
+  let msg = ref "" in
+  ignore
+    (Sched.run ~num_fibers:1 (fun _ ->
+         match Sched.run ~num_fibers:1 (fun _ -> ()) with
+         | _ -> ()
+         | exception Invalid_argument m -> msg := m));
+  Alcotest.(check string) "nested" "Sched.run: nested run" !msg
+
 (* The progress oracle itself must be deterministic: a verdict — repro
    line included — is a pure function of its parameters. *)
 module Prog_cx = Ptm.Progress.Make (Ptm.Cx_ptm.Ptm)
@@ -231,6 +366,15 @@ let suites =
         Alcotest.test_case "kill drops the fiber" `Quick test_kill_drops_fiber;
         Alcotest.test_case "mutex owner checks" `Quick
           test_sched_mutex_owner_checks;
+        Alcotest.test_case "active only inside a run" `Quick test_active_scope;
+        Alcotest.test_case "accessors yield inside a run" `Quick
+          test_accessors_yield_in_run;
+        Alcotest.test_case "updates beside a live run" `Quick
+          test_updates_beside_live_run;
+        Alcotest.test_case "second run rejected" `Quick
+          test_second_run_rejected;
+        Alcotest.test_case "nested run rejected" `Quick
+          test_nested_run_rejected;
       ] );
     ( "progress",
       [
