@@ -16,9 +16,7 @@ let c_pwb = 0
 let c_pfence = 1
 let c_psync = 2
 let c_ntstore = 3
-let c_words_written = 4
-let c_words_copied = 5
-let n_counters = 6
+let n_counters = 4
 
 (* Crash-injection plan: when armed, one persistence-relevant event (a
    "step") eventually fires the crash. *)
@@ -185,14 +183,12 @@ let[@inline] get_word t addr =
 let[@inline] mark_dirty t addr =
   Bytes.unsafe_set t.dirty (line_of addr) '\001'
 
-let[@inline] set_word t ~tid addr v =
+let[@inline] set_word t ~tid:_ addr v =
   Sched.yield ();
   check_addr t addr;
   if not t.frozen then begin
     Bytes.set_int64_le t.data (addr * 8) v;
     mark_dirty t addr;
-    let c = t.counters.(tid) in
-    c.(c_words_written) <- c.(c_words_written) + 1;
     step t
   end
 
@@ -205,7 +201,7 @@ let copy_words_raw src dst ~src_off ~dst_off len =
       (Bytes.get_int64_le src ((src_off + i) * 8))
   done
 
-let blit_words t ~tid ~src ~dst len =
+let blit_words t ~tid:_ ~src ~dst len =
   if len < 0 then invalid_arg "Pmem.blit_words: negative length";
   if len > 0 then begin
     check_addr t src;
@@ -213,7 +209,6 @@ let blit_words t ~tid ~src ~dst len =
     check_addr t dst;
     check_addr t (dst + len - 1);
     if not t.frozen then begin
-      let c = t.counters.(tid) in
       (* Line by line, one step each: an injected crash can land with the
          copy half done, exactly like a real replica copy interrupted by a
          power failure. *)
@@ -226,13 +221,12 @@ let blit_words t ~tid ~src ~dst len =
           ~dst_off:lo
           (hi - lo + 1);
         Bytes.unsafe_set t.dirty line '\001';
-        c.(c_words_copied) <- c.(c_words_copied) + (hi - lo + 1);
         step t
       done
     end
   end
 
-let cas_word t ~tid addr ~expected ~desired =
+let cas_word t ~tid:_ addr ~expected ~desired =
   (* Yield point before the lock: the rmw critical section itself never
      yields, so a fiber can never be suspended holding [rmw_lock]. *)
   Sched.yield ();
@@ -246,9 +240,7 @@ let cas_word t ~tid addr ~expected ~desired =
   let ok = Int64.equal cur expected in
   if ok then begin
     Bytes.set_int64_le t.data (addr * 8) desired;
-    mark_dirty t addr;
-    let c = t.counters.(tid) in
-    c.(c_words_written) <- c.(c_words_written) + 1
+    mark_dirty t addr
   end;
   Mutex.unlock t.rmw_lock;
   (* Step (and possibly raise) only after the lock is released, so an
@@ -350,7 +342,6 @@ let ntstore_word t ~tid addr v =
     stage_line t ~tid (line_of addr);
     let c = t.counters.(tid) in
     c.(c_ntstore) <- c.(c_ntstore) + 1;
-    c.(c_words_written) <- c.(c_words_written) + 1;
     step t
   end
 
@@ -374,7 +365,6 @@ let ntcopy_words t ~tid ~src ~dst len =
         Bytes.unsafe_set t.dirty line '\001';
         stage_line t ~tid line;
         c.(c_ntstore) <- c.(c_ntstore) + 1;
-        c.(c_words_copied) <- c.(c_words_copied) + (hi - lo + 1);
         step t
       done
     end
@@ -536,8 +526,6 @@ module Stats = struct
     pfence : int;
     psync : int;
     ntstore : int;
-    words_written : int;
-    words_copied : int;
     steps : int;
     crashes_injected : int;
     torn_lines : int;
@@ -550,8 +538,6 @@ module Stats = struct
       pfence = 0;
       psync = 0;
       ntstore = 0;
-      words_written = 0;
-      words_copied = 0;
       steps = 0;
       crashes_injected = 0;
       torn_lines = 0;
@@ -564,8 +550,6 @@ module Stats = struct
       pfence = a.pfence + b.pfence;
       psync = a.psync + b.psync;
       ntstore = a.ntstore + b.ntstore;
-      words_written = a.words_written + b.words_written;
-      words_copied = a.words_copied + b.words_copied;
       steps = a.steps + b.steps;
       crashes_injected = a.crashes_injected + b.crashes_injected;
       torn_lines = a.torn_lines + b.torn_lines;
@@ -578,8 +562,6 @@ module Stats = struct
       pfence = a.pfence - b.pfence;
       psync = a.psync - b.psync;
       ntstore = a.ntstore - b.ntstore;
-      words_written = a.words_written - b.words_written;
-      words_copied = a.words_copied - b.words_copied;
       steps = a.steps - b.steps;
       crashes_injected = a.crashes_injected - b.crashes_injected;
       torn_lines = a.torn_lines - b.torn_lines;
@@ -590,9 +572,9 @@ module Stats = struct
 
   let pp ppf s =
     Format.fprintf ppf
-      "pwb=%d pfence=%d psync=%d ntstore=%d written=%d copied=%d steps=%d \
-       injected=%d torn=%d flips=%d"
-      s.pwb s.pfence s.psync s.ntstore s.words_written s.words_copied s.steps
+      "pwb=%d pfence=%d psync=%d ntstore=%d steps=%d injected=%d torn=%d \
+       flips=%d"
+      s.pwb s.pfence s.psync s.ntstore s.steps
       s.crashes_injected s.torn_lines s.bit_flips
 end
 
@@ -602,8 +584,6 @@ let snapshot_of_counters c =
     pfence = c.(c_pfence);
     psync = c.(c_psync);
     ntstore = c.(c_ntstore);
-    words_written = c.(c_words_written);
-    words_copied = c.(c_words_copied);
     steps = 0;
     crashes_injected = 0;
     torn_lines = 0;

@@ -232,8 +232,6 @@ module Stats : sig
     pfence : int;
     psync : int;
     ntstore : int;
-    words_written : int;
-    words_copied : int;
     steps : int; (* persistence-relevant events seen while tracking *)
     crashes_injected : int; (* Crash_injected raised so far *)
     torn_lines : int; (* lines persisted partially by crash_with_faults *)

@@ -86,8 +86,6 @@ type req =
 (* Request envelope: the optional RID/TTL/TOK prefixes (0 = absent). *)
 type env = { rid : int; ttl_us : int; tok : int }
 
-let no_env = { rid = 0; ttl_us = 0; tok = 0 }
-
 type resp =
   | Ok
   | Ok_ms of float

@@ -42,9 +42,6 @@ type req =
     write token making PUT/DEL/MPUT retries exactly-once. *)
 type env = { rid : int; ttl_us : int; tok : int }
 
-(** All-zero envelope (no prefixes). *)
-val no_env : env
-
 type resp =
   | Ok
   | Ok_ms of float  (** CRASH acknowledgement carrying recovery milliseconds *)

@@ -565,7 +565,6 @@ let port t = t.bound_port
 let engine t = t.eng
 let scrubber t = t.scrubber
 let live_conns t = A.get t.conns_open
-let rejected_conns t = A.get t.conns_rejected
 
 let close_listener t =
   (try Unix.shutdown t.listener SHUTDOWN_ALL with Unix.Unix_error _ -> ());

@@ -76,9 +76,6 @@ val scrubber : t -> Scrub.t option
 (** Live connection count across all reactors. *)
 val live_conns : t -> int
 
-(** Rejected-accept count (global [max_conns] cap). *)
-val rejected_conns : t -> int
-
 (** Abrupt, idempotent shutdown: close the listener and every
     connection, stop the loops, join all domains.  A request
     mid-execution loses its ack (the write may still be durable); use

@@ -2,8 +2,8 @@
     re-verifies each shard's durable sealed PTM metadata (one shard per
     {!step}, round-robin) so silent media rot is quarantined before a
     client — or the next crash recovery — meets it.  Thin driver over
-    {!Engine.scrub_step}: policy and state transitions live in the
-    engine; this module sequences steps, confirms Suspect verdicts
+    {!Health.scrub_step}: policy and state transitions live in the
+    health machine; this module sequences steps, confirms Suspect verdicts
     immediately, optionally auto-rebuilds, and refreshes snapshot
     exports after clean passes so rebuild journals stay short. *)
 

@@ -121,9 +121,7 @@ let test_blit_words () =
   Pmem.blit_words pm ~tid:0 ~src:0 ~dst:100 10;
   for a = 0 to 9 do
     Alcotest.check i64 "blit" (Int64.of_int (100 + a)) (Pmem.get_word pm (100 + a))
-  done;
-  let s = Pmem.stats pm in
-  Alcotest.(check int) "copy counted" 10 s.Pmem.Stats.words_copied
+  done
 
 let test_stats_counters () =
   let pm = mk () in
@@ -137,7 +135,6 @@ let test_stats_counters () =
   Alcotest.(check int) "pwb" 2 s.Pmem.Stats.pwb;
   Alcotest.(check int) "pfence" 1 s.Pmem.Stats.pfence;
   Alcotest.(check int) "psync" 1 s.Pmem.Stats.psync;
-  Alcotest.(check int) "written" 2 s.Pmem.Stats.words_written;
   Alcotest.(check int) "fences" 2 (Pmem.Stats.fences s);
   Pmem.reset_stats pm;
   let s = Pmem.stats pm in
