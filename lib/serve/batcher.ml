@@ -368,13 +368,15 @@ let quiesced t = A.get t.leader = -1 && A.get t.qlen = 0
 
 (* Power-failure reset: the queue and every request in it are volatile.
    Only sound when no live thread is inside submit (fibers suspended
-   forever by a scheduler stop, or the engine's quiesce wait). *)
+   forever by a scheduler stop, or the engine's quiesce wait).  The
+   quarantine flag stays: quarantine survives a power failure (the
+   shard's region is still bad) and only a rebuild, with a fresh stage,
+   lifts it. *)
 let reset t =
   Queue.clear t.q;
   A.set t.qlen 0;
   A.set t.leader (-1);
   A.set t.crashing false;
-  A.set t.quarantined false;
   Sched.Mutex.reset t.lock
 
 (* ---- introspection ---- *)

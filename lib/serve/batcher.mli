@@ -92,7 +92,8 @@ val set_ack_early : t -> bool -> unit
 val quiesced : t -> bool
 
 (** Power-failure reset of all volatile stage state (queue, leader,
-    crash flag, lock).  Only sound when no live thread is inside
+    crash flag, lock); a quarantine outlives it, as it outlives the
+    power failure.  Only sound when no live thread is inside
     {!submit} — fibers suspended forever by a scheduler stop, or after
     the engine's quiesce wait. *)
 val reset : t -> unit
