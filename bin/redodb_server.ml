@@ -407,7 +407,6 @@ let () =
       batch = not !no_batch;
       max_batch = !max_batch;
       linger_us = !linger_us;
-      linger_steps = 0;
       queue_cap = !queue_cap;
       backing_dir = (if !pmem_dir = "" then None else Some !pmem_dir);
       isolate = !isolate || scrubbing;

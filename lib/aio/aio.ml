@@ -336,6 +336,24 @@ let poll l timeout =
           List.iter (fun fd -> dispatch l (int_of_fd fd) 2) w
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
 
+(* ---- fiber-facing API ---- *)
+
+let yield () = if active () then Effect.perform Yield_e
+
+let sleep s =
+  if s <= 0. then yield ()
+  else if active () then Effect.perform (Sleep_e s)
+  else Unix.sleepf s
+
+(* The loop's park record: a spinning fiber yields to its siblings, and
+   past a burst parks on a timer so an idle loop does not spin its core. *)
+let park_ops =
+  {
+    Park.pause = (fun n -> if n < 256 then yield () else sleep 5e-5);
+    sleep;
+    now_us = (fun () -> Unix.gettimeofday () *. 1e6);
+  }
+
 let run l main =
   if l.running then invalid_arg "Aio.run: loop already running";
   if active () then invalid_arg "Aio.run: nested run";
@@ -347,6 +365,7 @@ let run l main =
     Domain.DLS.set cur None
   in
   Fun.protect ~finally:restore @@ fun () ->
+  Park.within park_ops @@ fun () ->
   spawn_on l main;
   let stopped () = A.get l.stop_flag in
   let quiescent () =
@@ -375,15 +394,6 @@ let run l main =
       poll l timeout
     end
   done
-
-(* ---- fiber-facing API ---- *)
-
-let yield () = if active () then Effect.perform Yield_e
-
-let sleep s =
-  if s <= 0. then yield ()
-  else if active () then Effect.perform (Sleep_e s)
-  else Unix.sleepf s
 
 let suspend register =
   if not (active ()) then invalid_arg "Aio.suspend: not inside a running loop";

@@ -6,8 +6,9 @@
     condition arrives.  The suspend/resume machinery mirrors
     {!Sched} — a domain-local hook makes {!yield}/{!active} safe to
     call from library code that never heard of the loop (it no-ops
-    outside one), which is how the serving engine's spin-waits become
-    fiber yield points instead of reactor stalls.
+    outside one).  Library waits reach the loop through {!Park}: {!run}
+    installs the loop's park record, so the serving engine's spin-waits
+    become fiber yields instead of reactor stalls.
 
     {b IO contract}: file descriptors handed to {!wait_readable}/
     {!wait_writable} must be non-blocking, and a fiber must only wait
@@ -32,9 +33,12 @@ type loop
     counters (default 0). *)
 val create : ?tid:int -> unit -> loop
 
-(** [run l main] installs [l] as the calling domain's current loop,
-    runs [main] as the first fiber, and drives the event loop until
-    every fiber has finished or {!stop} is called.  A fiber that
+(** [run l main] installs [l] as the calling domain's current loop and
+    the loop's {!Park} record (a [pause] yields the fiber, then sleeps
+    it on a timer from the 256th consecutive pause on; [sleep] is a
+    fiber timer; [now_us] is wall time), runs [main] as the first fiber,
+    and drives the event loop until every fiber has finished or {!stop}
+    is called.  Both are restored when [run] returns or raises.  A fiber that
     raises is counted ([aio.fibers.raised]) and reported on stderr;
     the loop keeps running.  Nested runs are a programming error. *)
 val run : loop -> (unit -> unit) -> unit

@@ -332,13 +332,10 @@ module Make (C : CONFIG) = struct
     done;
     !ok
 
-  (* Time source for the timed-window optimization.  Under the
-     deterministic scheduler wall-clock reads would leak real time into
-     the schedule and break replay determinism, so time is virtualized
-     as a linear function of the step counter (1 step ~ 1 us). *)
-  let clock () =
-    if Sched.active () then float_of_int (Sched.now ()) *. 1e-6
-    else Unix.gettimeofday ()
+  (* Time source for the timed-window optimization, in seconds.  Park's
+     clock is the step counter under the deterministic scheduler (1 step
+     = 1 us), so wall time never leaks into a scheduled replay. *)
+  let clock () = Park.now_us () *. 1e-6
 
   (* Optimistic copy from curComb's replica (no lock: validated by curComb
      staying put).  With ntstore_copy the copied lines are staged for the

@@ -22,12 +22,23 @@ let active () =
 
 let perform_yield () = Effect.perform Yield_eff
 
+let spin os_wait = if active () then yield () else os_wait ()
+
 (* Run-scoped state, process-global: at most one run is live at a time,
    and it owns its domain, so plain refs suffice. *)
 let cur_fiber : int option ref = ref None
 let step_counter = ref 0
 let current () = !cur_fiber
 let now () = !step_counter
+
+(* The run's park record: every wait is one schedule step and the clock
+   is the step counter, so one step reads as one microsecond. *)
+let park_ops =
+  {
+    Park.pause = (fun _ -> yield ());
+    sleep = (fun _ -> yield ());
+    now_us = (fun () -> float_of_int !step_counter);
+  }
 
 module Atomic = struct
   type 'a t = 'a Stdlib.Atomic.t
@@ -237,6 +248,7 @@ let run ?(seed = 0) ?(budget = 2_000_000) ?(injections = []) ?hazard ?stop_at
     Stdlib.Atomic.decr live_runs
   in
   Fun.protect ~finally:restore @@ fun () ->
+  Park.within park_ops @@ fun () ->
   let stopped = ref false in
   while not !stopped do
     Array.iter wake fibers;

@@ -44,6 +44,13 @@ val active : unit -> bool
     load when no run is live in the process). *)
 val yield : unit -> unit
 
+(** [spin os_wait] is one round of a sync primitive's spin wait: the
+    yield point in a fiber of a run, [os_wait ()] anywhere else.  Unlike
+    a {!Park} op it never switches an event loop's fibers: the waiter
+    may hold a {!Mutex}, an OS mutex outside a run, that a sibling fiber
+    would then re-lock.  {!Mutex.lock} makes the same choice. *)
+val spin : (unit -> unit) -> unit
+
 (** Fiber id ([0 .. num_fibers-1]) of the currently executing fiber, or
     [None] outside a scheduled run.  Process-global like all run state:
     only meaningful in the domain executing the run. *)
@@ -136,6 +143,11 @@ val pp_status : Format.formatter -> status -> unit
     [stop_at]: end the run unconditionally once the step counter reaches
     this value, leaving fibers suspended — the whole-machine crash used
     by the stall+crash+recovery composition.
+
+    For the extent of the run the calling domain's {!Park} record is the
+    scheduler's: [pause] and [sleep] are each one {!yield}, and [now_us]
+    is [float (now ())].  The previous record is restored when [run]
+    returns or raises.
 
     @raise Invalid_argument on a [run] nested in a fiber, on a [run]
     while another one is live anywhere in the process, or on

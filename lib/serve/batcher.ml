@@ -24,17 +24,9 @@
    bound, so overload surfaces as explicit backpressure at the protocol
    layer.
 
-   Waits run under three runtimes:
-   - under the deterministic scheduler (suite_serve), every Sched.Atomic
-     access is a yield point and the linger window is measured in
-     scheduler steps, so batch formation and ack order are a pure
-     function of the schedule seed;
-   - on an Aio event loop (the reactor's worker fibers), a waiting
-     follower yields its fiber so the loop keeps serving, and parks on a
-     timer past a burst;
-   - on plain Domains, waits are cpu_relax spins that back off to
-     sleeps.
-   The linger window is wall-clock microseconds outside the scheduler.
+   Every wait and the linger clock go through Park, so the same code
+   runs under the scheduler (where the window counts steps), on an event
+   loop and on plain Domains.
 
    An acknowledged request is durable: the ack is written only after the
    PTM transaction that contains it has committed (write_batch returned,
@@ -63,8 +55,7 @@ type t = {
   db : Kv.Redodb.t;
   shard : int;
   max_batch : int;
-  linger_us : float;  (* real-time linger of a non-full batch *)
-  linger_steps : int;  (* the same window under the scheduler *)
+  linger_us : float;  (* linger of a non-full batch, on Park's clock *)
   queue_cap : int;
   lock : Sched.Mutex.t;  (* protects q, sizes, attempts *)
   q : request Queue.t;
@@ -95,7 +86,7 @@ type t = {
   h_txn : Obs.Metrics.histogram;  (* combined write_batch transaction, ns *)
 }
 
-let create ~db ~shard ~max_batch ~linger_us ~linger_steps ~queue_cap =
+let create ~db ~shard ~max_batch ~linger_us ~queue_cap =
   if max_batch < 1 then invalid_arg "Batcher.create: max_batch";
   if queue_cap < 1 then invalid_arg "Batcher.create: queue_cap";
   {
@@ -103,7 +94,6 @@ let create ~db ~shard ~max_batch ~linger_us ~linger_steps ~queue_cap =
     shard;
     max_batch;
     linger_us;
-    linger_steps;
     queue_cap;
     lock = Sched.Mutex.create ();
     q = Queue.create ();
@@ -124,29 +114,6 @@ let create ~db ~shard ~max_batch ~linger_us ~linger_steps ~queue_cap =
     h_drain = Obs.Metrics.histogram "serve.stage.drain";
     h_txn = Obs.Metrics.histogram "serve.stage.txn";
   }
-
-(* Waiting for an ack can outlast a timeslice (the leader is committing a
-   whole batch through the simulated device), and on few cores a pure
-   spin starves the very leader it waits for — back off to the OS after a
-   burst of spins.  Under an aio reactor the wait is a fiber yield
-   point instead: the loop keeps serving sibling connections (including
-   the fiber that will lead the commit) and, past a burst, parks on a
-   timer so an idle reactor does not spin its core. *)
-let backoff n =
-  if Sched.active () then Sched.yield ()
-  else if Aio.active () then if n < 256 then Aio.yield () else Aio.sleep 5e-5
-  else if n < 64 then Domain.cpu_relax ()
-  else Unix.sleepf 5e-5
-
-(* Virtualized clock for the linger window, like Redo's timed window:
-   wall-clock reads under the scheduler would leak real time into the
-   schedule and break replay determinism. *)
-let now_expired t ~opened =
-  if Sched.active () then Sched.now () - int_of_float opened >= t.linger_steps
-  else (Unix.gettimeofday () -. opened) *. 1e6 >= t.linger_us
-
-let clock () =
-  if Sched.active () then float_of_int (Sched.now ()) else Unix.gettimeofday ()
 
 (* Drain up to max_batch requests.  Must run with the lock held. *)
 let drain_locked t =
@@ -197,13 +164,14 @@ let commit_batch t ~tid batch =
   let size = List.length batch in
   let t_txn = if Obs.Metrics.is_on () then Unix.gettimeofday () else 0. in
   (* Mutant: release every waiter (their TCP acks go out) BEFORE the
-     batch transaction commits, then hold the window open a beat so a
-     process kill reliably lands inside it — the unsoundness the
-     supervised kill-restart audit exists to catch.  Real mode only
-     (ack_early is never set under the deterministic scheduler). *)
+     batch transaction commits, then park a beat so a process kill
+     reliably lands inside the window — the unsoundness the supervised
+     kill-restart audit exists to catch.  On an event loop the park lets
+     the loop write those acks meanwhile.  Real mode only (ack_early is
+     never set under the deterministic scheduler). *)
   if A.get t.ack_early then begin
     List.iter (fun r -> A.set r.state 1) batch;
-    Unix.sleepf 0.005
+    Park.sleep 0.005
   end;
   (* If the transaction dies (e.g. allocator exhaustion), the drained
      requests must not hang their clients: reject them and let the
@@ -248,18 +216,18 @@ let run_leader t ~tid ~pending =
          the flush deadline.  A zero window commits what is queued.
          (Observability timestamps are wall clock even under the
          scheduler — recording never yields, so determinism holds; only
-         the linger logic itself uses the virtual clock.) *)
+         the linger logic itself uses Park's clock.) *)
       let obs = Obs.is_active () in
       let t_linger = if obs then Unix.gettimeofday () else 0. in
-      let opened = clock () in
+      let opened = Park.now_us () in
       let spins = ref 0 in
       while
         A.get t.qlen < t.max_batch
-        && (not (now_expired t ~opened))
+        && Park.now_us () -. opened < t.linger_us
         && (not (A.get t.crashing))
         && not (A.get t.quarantined)
       do
-        backoff !spins;
+        Park.pause !spins;
         incr spins
       done;
       let t_drain = if obs then Unix.gettimeofday () else 0. in
@@ -351,7 +319,7 @@ let submit t ~tid group =
           wait n
         end
         else begin
-          backoff n;
+          Park.pause n;
           wait (n + 1)
         end
     in

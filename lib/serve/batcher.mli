@@ -9,12 +9,9 @@
     linger the submitter's own group is what fills its batch.  Each
     request keeps its own result, rid, enqueue time and deadline.
 
-    Waits run under three runtimes: under the deterministic scheduler
-    every access is a yield point and the linger window counts scheduler
-    steps, so batch formation and ack order are a pure function of the
-    schedule seed; on an {!Aio} loop a waiting follower yields its fiber;
-    on plain [Domain]s it spins, then sleeps.  Outside the scheduler the
-    linger window is wall-clock. *)
+    Every wait and the linger clock go through {!Park}, so under the
+    deterministic scheduler the window counts steps and batch formation
+    is a pure function of the schedule seed. *)
 
 type t
 
@@ -29,15 +26,14 @@ type write = {
   deadline : float;
 }
 
-(** [linger_us]/[linger_steps] bound how long a non-full batch waits for
-    followers (the flush deadline) in real/scheduled mode respectively;
-    [0] commits whatever is queued.  [queue_cap] bounds admission. *)
+(** [linger_us] bounds how long a non-full batch waits for followers
+    (the flush deadline), on {!Park.now_us}'s clock; [0] commits whatever
+    is queued.  [queue_cap] bounds admission. *)
 val create :
   db:Kv.Redodb.t ->
   shard:int ->
   max_batch:int ->
   linger_us:float ->
-  linger_steps:int ->
   queue_cap:int ->
   t
 

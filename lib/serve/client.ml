@@ -265,54 +265,53 @@ let idem ?(ttl_us = 0) t req =
    connection, where the commit may have happened and only the ack was
    lost — resolves the token first: COMMITTED recovers the lost ack
    from the ledger, ABORTED proves a resend safe, UNKNOWN polls.  Only
-   tokened writes get this; an untokened ambiguous write raises. *)
-let write_call ?(ttl_us = 0) ~tok t req =
-  let give_up_unresolved () = Protocol.Txstat_unknown in
-  let rec go k =
-    ensure t;
-    match attempt t ~ttl_us ~tok req with
-    | Result.Ok
-        (Protocol.Overloaded | Protocol.Timeout | Protocol.Shard_unavailable _)
-      when k < t.policy.max_retries ->
+   tokened writes get this; an untokened ambiguous write raises.  One
+   retry count [k] bounds sends and resolutions together: an ABORTED
+   answer backs off and resends without resetting it. *)
+let rec send ~ttl_us ~tok t req k =
+  ensure t;
+  match attempt t ~ttl_us ~tok req with
+  | Result.Ok
+      (Protocol.Overloaded | Protocol.Timeout | Protocol.Shard_unavailable _)
+    when k < t.policy.max_retries ->
+      backoff t k;
+      send ~ttl_us ~tok t req (k + 1)
+  | Result.Ok resp -> resp
+  | Error why ->
+      if tok > 0 && k < t.policy.max_retries then
+        resolve ~ttl_us ~tok t req (k + 1)
+      else (
+        match why with
+        | Timed_out -> Protocol.Timeout
+        | Conn_dead reason -> raise (Protocol_error reason))
+
+(* Resolve-FIRST entry of the same loop, for a tokened write whose
+   attempt was already on the wire when the stream died. *)
+and resolve ~ttl_us ~tok t req k =
+  ensure t;
+  match attempt t (Protocol.Txstat tok) with
+  | Result.Ok (Protocol.Txstat_committed _ as resp) ->
+      t.n_resolved <- t.n_resolved + 1;
+      resp
+  | Result.Ok Protocol.Txstat_aborted ->
+      backoff t k;
+      send ~ttl_us ~tok t req k
+  | Result.Ok (Protocol.Txstat_unknown | Protocol.Overloaded | Protocol.Timeout)
+  | Error Timed_out ->
+      if k < t.policy.max_retries then begin
         backoff t k;
-        go (k + 1)
-    | Result.Ok resp -> resp
-    | Error why ->
-        if tok > 0 && k < t.policy.max_retries then resolve (k + 1)
-        else (
-          match why with
-          | Timed_out -> Protocol.Timeout
-          | Conn_dead reason -> raise (Protocol_error reason))
-  and resolve k =
-    ensure t;
-    match attempt t (Protocol.Txstat tok) with
-    | Result.Ok (Protocol.Txstat_committed _ as resp) ->
-        t.n_resolved <- t.n_resolved + 1;
-        resp
-    | Result.Ok Protocol.Txstat_aborted ->
+        resolve ~ttl_us ~tok t req (k + 1)
+      end
+      else Protocol.Txstat_unknown
+  | Result.Ok resp -> resp
+  | Error (Conn_dead reason) ->
+      if k < t.policy.max_retries then begin
         backoff t k;
-        go k
-    | Result.Ok Protocol.Txstat_unknown ->
-        if k < t.policy.max_retries then begin
-          backoff t k;
-          resolve (k + 1)
-        end
-        else give_up_unresolved ()
-    | Result.Ok (Protocol.Overloaded | Protocol.Timeout) | Error Timed_out ->
-        if k < t.policy.max_retries then begin
-          backoff t k;
-          resolve (k + 1)
-        end
-        else give_up_unresolved ()
-    | Result.Ok resp -> resp
-    | Error (Conn_dead reason) ->
-        if k < t.policy.max_retries then begin
-          backoff t k;
-          resolve (k + 1)
-        end
-        else raise (Protocol_error ("write resolution failed: " ^ reason))
-  in
-  go 0
+        resolve ~ttl_us ~tok t req (k + 1)
+      end
+      else raise (Protocol_error ("write resolution failed: " ^ reason))
+
+let write_call ?(ttl_us = 0) ~tok t req = send ~ttl_us ~tok t req 0
 
 (* Typed wrappers.  [`Overloaded] is the backpressure signal callers are
    expected to handle; [`Timeout] means the request was shed (or every
@@ -346,75 +345,55 @@ let shape (resp : Protocol.resp) =
 let unexpected what resp =
   raise (Protocol_error (Printf.sprintf "%s: unexpected %s response" what (shape resp)))
 
-let ping t = match idem t Protocol.Ping with Ok -> () | r -> unexpected "PING" r
-
-let put ?ttl_us ?(tok = 0) t ~key ~value =
-  match write_call ?ttl_us ~tok t (Protocol.Put (key, value)) with
-  | Ok -> Result.Ok ()
-  | Txstat_committed _ -> Result.Ok ()  (* an earlier attempt committed *)
-  | Txstat_unknown -> Error (`InDoubt 0)
+(* The five failure answers every typed request maps the same way. *)
+let failed what (resp : Protocol.resp) =
+  match resp with
   | Overloaded -> Error `Overloaded
   | Timeout -> Error `Timeout
   | Unavail d -> Error (`Unavailable d)
   | Shard_unavailable s -> Error (`Shard_down s)
   | Err e -> Error (`Err e)
-  | r -> unexpected "PUT" r
+  | r -> unexpected what r
+
+let ping t = match idem t Protocol.Ping with Ok -> () | r -> unexpected "PING" r
+
+(* PUT and DEL: [Txstat_committed] is an earlier attempt's recovered
+   ack; [Txstat_unknown] is a token resolution that ran out of
+   retries. *)
+let write_unit what ?ttl_us ~tok t req =
+  match write_call ?ttl_us ~tok t req with
+  | Ok | Txstat_committed _ -> Result.Ok ()
+  | Txstat_unknown -> Error (`InDoubt 0)
+  | r -> failed what r
+
+let put ?ttl_us ?(tok = 0) t ~key ~value =
+  write_unit "PUT" ?ttl_us ~tok t (Protocol.Put (key, value))
+
+let del ?ttl_us ?(tok = 0) t key = write_unit "DEL" ?ttl_us ~tok t (Protocol.Del key)
 
 let get ?ttl_us t key =
   match idem ?ttl_us t (Protocol.Get key) with
   | Val v -> Result.Ok (Some v)
   | Nil -> Result.Ok None
-  | Overloaded -> Error `Overloaded
-  | Timeout -> Error `Timeout
-  | Unavail d -> Error (`Unavailable d)
-  | Shard_unavailable s -> Error (`Shard_down s)
-  | Err e -> Error (`Err e)
-  | r -> unexpected "GET" r
-
-let del ?ttl_us ?(tok = 0) t key =
-  match write_call ?ttl_us ~tok t (Protocol.Del key) with
-  | Ok -> Result.Ok ()
-  | Txstat_committed _ -> Result.Ok ()
-  | Txstat_unknown -> Error (`InDoubt 0)
-  | Overloaded -> Error `Overloaded
-  | Timeout -> Error `Timeout
-  | Unavail d -> Error (`Unavailable d)
-  | Shard_unavailable s -> Error (`Shard_down s)
-  | Err e -> Error (`Err e)
-  | r -> unexpected "DEL" r
+  | r -> failed "GET" r
 
 let mget ?ttl_us t keys =
   match idem ?ttl_us t (Protocol.Mget keys) with
   | Vals vs -> Result.Ok vs
-  | Overloaded -> Error `Overloaded
-  | Timeout -> Error `Timeout
-  | Unavail d -> Error (`Unavailable d)
-  | Shard_unavailable s -> Error (`Shard_down s)
-  | Err e -> Error (`Err e)
-  | r -> unexpected "MGET" r
+  | r -> failed "MGET" r
 
 let mput ?ttl_us ?(tok = 0) t kvs =
   match write_call ?ttl_us ~tok t (Protocol.Mput kvs) with
-  | Committed { txid; epoch } -> Result.Ok (txid, epoch)
-  | Txstat_committed { txid; epoch; _ } -> Result.Ok (txid, epoch)
+  | Committed { txid; epoch } | Txstat_committed { txid; epoch; _ } ->
+      Result.Ok (txid, epoch)
   | Txstat_unknown -> Error (`InDoubt 0)
-  | Overloaded -> Error `Overloaded
-  | Timeout -> Error `Timeout
-  | Unavail d -> Error (`Unavailable d)
-  | Shard_unavailable s -> Error (`Shard_down s)
   | In_doubt txid -> Error (`InDoubt txid)
-  | Err e -> Error (`Err e)
-  | r -> unexpected "MPUT" r
+  | r -> failed "MPUT" r
 
 let scan ?ttl_us t ~prefix ~max =
   match idem ?ttl_us t (Protocol.Scan { prefix; max }) with
   | Kvs kvs -> Result.Ok kvs
-  | Overloaded -> Error `Overloaded
-  | Timeout -> Error `Timeout
-  | Unavail d -> Error (`Unavailable d)
-  | Shard_unavailable s -> Error (`Shard_down s)
-  | Err e -> Error (`Err e)
-  | r -> unexpected "SCAN" r
+  | r -> failed "SCAN" r
 
 let txstat t tok =
   match idem t (Protocol.Txstat tok) with
@@ -422,114 +401,58 @@ let txstat t tok =
       Result.Ok (`Committed (txid, epoch, records))
   | Txstat_aborted -> Result.Ok `Aborted
   | Txstat_unknown -> Result.Ok `Unknown
-  | Overloaded -> Error `Overloaded
-  | Timeout -> Error `Timeout
-  | Unavail d -> Error (`Unavailable d)
-  | Shard_unavailable s -> Error (`Shard_down s)
-  | Err e -> Error (`Err e)
-  | r -> unexpected "TXSTAT" r
+  | r -> failed "TXSTAT" r
 
-(* Admin calls never raise on a well-formed reply of the wrong shape:
-   the server legitimately answers OVERLOADED/UNAVAILABLE under load or
-   mid-crash, and a stats probe must degrade to an [Error], not tear
-   down the caller. *)
-let stats t =
-  match idem t Protocol.Stats with
-  | Json s -> Obs.Json.parse s
+(* Probes (STATS, METRICS, HEALTH) never raise on a well-formed reply of
+   the wrong shape: the server legitimately answers
+   OVERLOADED/UNAVAILABLE under load or mid-crash, and a probe must
+   degrade to an [Error], not tear down the caller. *)
+let probe_failed what (resp : Protocol.resp) =
+  match resp with
   | Overloaded -> Error "overloaded"
   | Timeout -> Error "timeout"
   | Unavail d -> Error ("unavailable: " ^ d)
   | Err e -> Error e
-  | r -> Error (Printf.sprintf "STATS: unexpected %s response" (shape r))
+  | r -> Error (Printf.sprintf "%s: unexpected %s response" what (shape r))
+
+let stats t =
+  match idem t Protocol.Stats with
+  | Json s -> Obs.Json.parse s
+  | r -> probe_failed "STATS" r
 
 let metrics t =
   match idem t Protocol.Metrics with
   | Text s -> Result.Ok s
-  | Overloaded -> Error "overloaded"
-  | Timeout -> Error "timeout"
-  | Unavail d -> Error ("unavailable: " ^ d)
-  | Err e -> Error e
-  | r -> Error (Printf.sprintf "METRICS: unexpected %s response" (shape r))
-
-(* Recovery legitimately takes longer than any per-request budget:
-   CRASH runs with the deadline disarmed. *)
-let crash t ~seed ~evict_prob ~torn_prob ~bitflips =
-  ensure t;
-  match
-    attempt ~timeout:0. t (Protocol.Crash { seed; evict_prob; torn_prob; bitflips })
-  with
-  | Result.Ok (Ok_ms ms) -> Result.Ok ms
-  | Result.Ok (Err e) -> Error e
-  | Result.Ok r -> unexpected "CRASH" r
-  | Error Timed_out -> raise (Protocol_error "CRASH timed out")
-  | Error (Conn_dead reason) -> raise (Protocol_error reason)
-
-(* Health-plane calls.  HEALTH is an idempotent probe like STATS;
-   FREEZE/REBUILD/CORRUPT are single-shot admin verbs (REBUILD replays a
-   commit journal and, like CRASH, can outlast any per-request budget,
-   so all three run with the deadline disarmed). *)
+  | r -> probe_failed "METRICS" r
 
 let health t =
   match idem t Protocol.Health with
   | Json s -> Obs.Json.parse s
-  | Overloaded -> Error "overloaded"
-  | Timeout -> Error "timeout"
-  | Unavail d -> Error ("unavailable: " ^ d)
-  | Err e -> Error e
-  | r -> Error (Printf.sprintf "HEALTH: unexpected %s response" (shape r))
+  | r -> probe_failed "HEALTH" r
 
-let admin what t req =
+(* Single-shot admin verbs run with the deadline disarmed: CRASH
+   recovery and REBUILD's journal replay legitimately outlast any
+   per-request budget.  [ok] picks the verb's success answer. *)
+let admin what ok t req =
   ensure t;
   match attempt ~timeout:0. t req with
-  | Result.Ok Protocol.Ok -> Result.Ok ()
   | Result.Ok (Err e) -> Error e
-  | Result.Ok r -> unexpected what r
+  | Result.Ok r -> (
+      match ok r with Some v -> Result.Ok v | None -> unexpected what r)
   | Error Timed_out -> raise (Protocol_error (what ^ " timed out"))
   | Error (Conn_dead reason) -> raise (Protocol_error reason)
 
-let freeze t shard = admin "FREEZE" t (Protocol.Freeze shard)
+let acked = function Protocol.Ok -> Some () | _ -> None
+let took_ms = function Protocol.Ok_ms ms -> Some ms | _ -> None
 
-let rebuild t shard =
-  ensure t;
-  match attempt ~timeout:0. t (Protocol.Rebuild shard) with
-  | Result.Ok (Ok_ms ms) -> Result.Ok ms
-  | Result.Ok (Err e) -> Error e
-  | Result.Ok r -> unexpected "REBUILD" r
-  | Error Timed_out -> raise (Protocol_error "REBUILD timed out")
-  | Error (Conn_dead reason) -> raise (Protocol_error reason)
+let crash t ~seed ~evict_prob ~torn_prob ~bitflips =
+  admin "CRASH" took_ms t (Protocol.Crash { seed; evict_prob; torn_prob; bitflips })
+
+let freeze t shard = admin "FREEZE" acked t (Protocol.Freeze shard)
+let rebuild t shard = admin "REBUILD" took_ms t (Protocol.Rebuild shard)
 
 let corrupt t ~shard ~seed ~count =
-  admin "CORRUPT" t (Protocol.Corrupt { shard; seed; count })
-
-(* Resolve-FIRST variant of [write_call], for a tokened write whose
-   first attempt was already on the wire when the stream died: the
-   commit may have happened, so the token is queried before any
-   resend.  ABORTED proves the resend safe and falls back into the
-   ordinary exactly-once loop. *)
-let write_resolve ?(ttl_us = 0) ~tok t req =
-  let rec resolve k =
-    ensure t;
-    match attempt t (Protocol.Txstat tok) with
-    | Result.Ok (Protocol.Txstat_committed _ as resp) ->
-        t.n_resolved <- t.n_resolved + 1;
-        resp
-    | Result.Ok Protocol.Txstat_aborted -> write_call ~ttl_us ~tok t req
-    | Result.Ok (Protocol.Txstat_unknown | Protocol.Overloaded | Protocol.Timeout)
-    | Error Timed_out ->
-        if k < t.policy.max_retries then begin
-          backoff t k;
-          resolve (k + 1)
-        end
-        else Protocol.Txstat_unknown
-    | Result.Ok resp -> resp
-    | Error (Conn_dead reason) ->
-        if k < t.policy.max_retries then begin
-          backoff t k;
-          resolve (k + 1)
-        end
-        else raise (Protocol_error ("write resolution failed: " ^ reason))
-  in
-  resolve 0
+  admin "CORRUPT" acked t (Protocol.Corrupt { shard; seed; count })
 
 (* Pipelined mode: up to [window] requests in flight on one connection,
    responses matched back to submissions by the RID echoed on every
@@ -541,7 +464,7 @@ let write_resolve ?(ttl_us = 0) ~tok t req =
    (timeout, unmatched RID, dead socket) the client reconnects and
    settles every unresolved submission serially — idempotent requests
    re-run via [idem]; tokened writes resolve their token FIRST
-   ([write_resolve]: COMMITTED recovers the lost ack, ABORTED proves a
+   ([resolve]: COMMITTED recovers the lost ack, ABORTED proves a
    resend safe, UNKNOWN polls); an untokened write raises, exactly as
    strict mode would.  Server shed answers (OVERLOADED/TIMEOUT) are
    delivered raw: an open-loop driver decides its own retry policy. *)
@@ -593,7 +516,7 @@ module Pipeline = struct
   let redo p e =
     if is_idem e.preq then idem ~ttl_us:e.pttl_us p.c e.preq
     else if e.ptok > 0 then
-      write_resolve ~ttl_us:e.pttl_us ~tok:e.ptok p.c e.preq
+      resolve ~ttl_us:e.pttl_us ~tok:e.ptok p.c e.preq 0
     else
       raise
         (Protocol_error

@@ -319,15 +319,6 @@ let stage h kind ~tid ~arg ~rid f =
           Obs.Metrics.record_ns h ~tid
             (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9)))
 
-(* Spin-wait escape valve.  Under the deterministic scheduler it is a
-   schedule step; under an aio reactor it MUST yield the fiber — a
-   cpu_relax spin here would wedge the whole reactor domain, including
-   the sibling fibers whose progress the spin is waiting on. *)
-let relax () =
-  if Sched.active () then Sched.yield ()
-  else if Aio.active () then Aio.yield ()
-  else Domain.cpu_relax ()
-
 (* ---- the resolver ---- *)
 
 (* The reachable shards: [view s] is the instance to use for shard [s],
@@ -510,8 +501,10 @@ let resolve_shard c ~tid ~view db =
   lift ();
   Hashtbl.iter
     (fun ((txid, _) as txn) () ->
+      let n = ref 0 in
       while locked c ~tid (fun () -> Hashtbl.mem c.live txid) do
-        relax ()
+        Park.pause !n;
+        incr n
       done;
       resolve c ~tid ~view txn)
     txns
@@ -540,25 +533,25 @@ let help c ~tid ~view =
 let snapshot_read c ~tid ~view f =
   if has c No_read_validation then f ()
   else begin
-    let rec loop () =
+    let rec loop n =
       help c ~tid ~view;
       let d0 = A.get c.decided in
       if A.get c.applied <> d0 then begin
         Obs.Metrics.incr c.c_retry ~tid;
-        relax ();
-        loop ()
+        Park.pause n;
+        loop (n + 1)
       end
       else begin
         let r = f () in
         if A.get c.decided <> d0 then begin
           Obs.Metrics.incr c.c_retry ~tid;
-          relax ();
-          loop ()
+          Park.pause n;
+          loop (n + 1)
         end
         else r
       end
     in
-    loop ()
+    loop 0
   end
 
 let two_phase c ~tid ~rid ~tok ~deadline ~view ~submit slices =

@@ -137,11 +137,6 @@ val stats : t -> int * int
 (** Epoch, next txid, decided/applied counts and pending commits. *)
 val stats_json : t -> (string * Obs.Json.t) list
 
-(** One spin-wait step that lets the spun-on party run: a schedule step
-    under {!Sched}, a fiber yield on an {!Aio} loop, [cpu_relax]
-    otherwise. *)
-val relax : unit -> unit
-
 (** [tid] holds the registry lock or sits between its durable decision
     and the decision's publication to helping readers. *)
 val stall_hazard : t -> tid:int -> bool

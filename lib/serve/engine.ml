@@ -17,7 +17,6 @@ type config = {
   batch : bool;
   max_batch : int;
   linger_us : float;
-  linger_steps : int;
   queue_cap : int;
   backing_dir : string option;
   isolate : bool;
@@ -31,7 +30,6 @@ let default_config =
     batch = true;
     max_batch = 16;
     linger_us = 0.;
-    linger_steps = 0;
     queue_cap = 64;
     backing_dir = None;
     isolate = false;
@@ -124,8 +122,7 @@ let create cfg =
     else
       Array.init cfg.shards (fun shard ->
           Batcher.create ~db:dbs.(shard) ~shard ~max_batch:cfg.max_batch
-            ~linger_us:cfg.linger_us ~linger_steps:cfg.linger_steps
-            ~queue_cap:cfg.queue_cap)
+            ~linger_us:cfg.linger_us ~queue_cap:cfg.queue_cap)
   in
   let mutants = ref [] in
   let t =
@@ -545,8 +542,7 @@ let rebuild_shard t ~tid s =
             if Array.length t.batchers > 0 then begin
               t.batchers.(s) <-
                 Batcher.create ~db:fresh ~shard:s ~max_batch:t.cfg.max_batch
-                  ~linger_us:t.cfg.linger_us ~linger_steps:t.cfg.linger_steps
-                  ~queue_cap:t.cfg.queue_cap;
+                  ~linger_us:t.cfg.linger_us ~queue_cap:t.cfg.queue_cap;
               Batcher.set_ack_early t.batchers.(s) (List.mem Commit.Ack_early !(t.mutants))
             end;
             Kv.Redodb.journal_cut fresh ~tid;
@@ -561,8 +557,10 @@ let crash_with_faults t ~tid ~seed ~evict_prob ~torn_prob ~bitflips =
   let t0 = Unix.gettimeofday () in
   A.set t.crashing true;
   Array.iter (fun b -> Batcher.set_crashing b true) t.batchers;
+  let n = ref 0 in
   while A.get t.inflight > 0 || not (Array.for_all Batcher.quiesced t.batchers) do
-    Commit.relax ()
+    Park.pause !n;
+    incr n
   done;
   match recover_all t ~seed ~evict_prob ~torn_prob ~bitflips with
   | Result.Ok _ ->

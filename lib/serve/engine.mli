@@ -21,8 +21,9 @@ type config = {
   capacity_bytes : int;  (** total user-data budget, split across shards *)
   batch : bool;  (** route writes through the group-commit stage *)
   max_batch : int;  (** group-commit batch size cap *)
-  linger_us : float;  (** flush deadline of a non-full batch (wall clock) *)
-  linger_steps : int;  (** the same window in scheduler steps under {!Sched} *)
+  linger_us : float;
+      (** flush deadline of a non-full batch, on {!Park.now_us}'s clock
+          (scheduler steps under {!Sched}) *)
   queue_cap : int;  (** per-shard admission bound *)
   backing_dir : string option;
       (** when set, each shard's durable image is a [MAP_SHARED] region

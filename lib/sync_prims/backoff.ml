@@ -5,28 +5,22 @@ type t = {
 
 let create ?(max_spins = 1024) () = { spins = 4; max_spins }
 
-let yield () =
-  (* Under the deterministic scheduler, yielding means suspending the
-     fiber; under Domains, Unix.sleepf 0.0 releases the processor
-     without a measurable delay (Domain.cpu_relax alone never lets the
-     holder's domain run on 1 core). *)
-  if Sched.active () then Sched.yield () else Unix.sleepf 0.0
-
+(* Past the cap, Unix.sleepf 0.0 releases the processor without a
+   measurable delay (Domain.cpu_relax alone never lets the holder's
+   domain run on 1 core).  Under the scheduler a round is one yield
+   point, which keeps the spins-growth contract without burning host CPU
+   on spins that advance no simulated time. *)
 let once ?(tid = 0) t =
   let n = t.spins in
-  if Sched.active () then
-    (* Spinning burns host CPU without advancing simulated time; one
-       yield point per backoff round keeps the spins-growth contract
-       while handing control back to the scheduler. *)
-    Sched.yield ()
-  else if n >= t.max_spins then begin
-    Obs.backoff_yielded ~tid;
-    yield ()
-  end
-  else
-    for _ = 1 to n do
-      Domain.cpu_relax ()
-    done;
+  Sched.spin (fun () ->
+      if n >= t.max_spins then begin
+        Obs.backoff_yielded ~tid;
+        Unix.sleepf 0.0
+      end
+      else
+        for _ = 1 to n do
+          Domain.cpu_relax ()
+        done);
   if t.spins < t.max_spins then t.spins <- t.spins * 2;
   n
 

@@ -2,7 +2,8 @@
 
     On the single-core hosts this reproduction targets, pure [cpu_relax]
     spinning can burn a whole scheduler quantum while the lock holder is
-    descheduled, so past a spin threshold the backoff yields to the OS. *)
+    descheduled, so past a spin threshold the backoff yields to the OS.
+    Inside a {!Sched} run a round is one yield point ({!Sched.spin}). *)
 
 type t
 
@@ -19,6 +20,3 @@ val once : ?tid:int -> t -> int
 
 (** Reset the delay to the minimum. *)
 val reset : t -> unit
-
-(** Yield the processor to the OS scheduler immediately. *)
-val yield : unit -> unit

@@ -356,6 +356,103 @@ let test_sched_mutex_owner_checks () =
   Sched.Mutex.unlock m ~tid:1;
   Alcotest.(check (option int)) "released" None (Sched.Mutex.holder m)
 
+(* ---- Park: one park interface behind one domain-local hook ---- *)
+
+(* Inside a run every park op is exactly one schedule step, whatever the
+   spin count, and the clock is the step counter. *)
+let test_park_in_sched () =
+  let steps = ref [] and clock_ok = ref true in
+  let park op =
+    let before = Sched.now () in
+    op ();
+    steps := (Sched.now () - before) :: !steps;
+    if Park.now_us () <> float_of_int (Sched.now ()) then clock_ok := false
+  in
+  ignore
+    (Sched.run ~num_fibers:1 (fun _ ->
+         List.iter (fun n -> park (fun () -> Park.pause n)) [ 0; 63; 64; 10_000 ];
+         park (fun () -> Park.sleep 0.5)));
+  Alcotest.(check (list int)) "one step per pause and per sleep"
+    [ 1; 1; 1; 1; 1 ] !steps;
+  Alcotest.(check bool) "now_us is the step counter" true !clock_ok
+
+(* On an event loop a pausing or sleeping fiber lets its siblings run
+   before it returns, and the sleep lasts at least its duration. *)
+let test_park_in_aio () =
+  let order = ref [] and slept = ref 0. and wall = ref false in
+  let push x = order := x :: !order in
+  Aio.run (Aio.create ()) (fun () ->
+      Aio.spawn (fun () -> push "sibling");
+      Park.pause 0;
+      push "paused";
+      Aio.spawn (fun () -> push "sibling2");
+      let t0 = Unix.gettimeofday () in
+      Park.sleep 0.01;
+      slept := Unix.gettimeofday () -. t0;
+      push "slept";
+      wall := Float.abs (Park.now_us () -. (Unix.gettimeofday () *. 1e6)) < 1e6);
+  Alcotest.(check (list string)) "siblings run inside the parks"
+    [ "sibling"; "paused"; "sibling2"; "slept" ]
+    (List.rev !order);
+  Alcotest.(check bool) "sleep lasts its duration" true (!slept >= 0.01);
+  Alcotest.(check bool) "wall clock on the loop" true !wall
+
+(* The plain-Domain record: a wall clock, a pause that sleeps past a
+   burst of spins, and park ops that allocate nothing. *)
+let check_plain_park what =
+  Alcotest.(check bool) (what ^ ": wall clock") true
+    (Float.abs (Park.now_us () -. (Unix.gettimeofday () *. 1e6)) < 1e6);
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to 20 do
+    Park.pause 64
+  done;
+  Alcotest.(check bool) (what ^ ": pause sleeps past the burst") true
+    (Unix.gettimeofday () -. t0 >= 20. *. 5e-5);
+  Park.sleep 0.;
+  let w0 = Gc.minor_words () in
+  for n = 0 to 999 do
+    Park.pause (n land 31)
+  done;
+  Alcotest.(check bool) (what ^ ": pause allocates nothing") true
+    (Gc.minor_words () -. w0 < 100.)
+
+(* Each run restores the record it found, on return and on raise: the
+   plain one at top level, the loop's inside a fiber. *)
+let test_park_restored () =
+  check_plain_park "before any run";
+  ignore (Sched.run ~num_fibers:1 (fun _ -> Park.pause 0));
+  check_plain_park "after Sched.run";
+  (match
+     Sched.run
+       ~injections:[ Sched.Stall { tid = 0; at_step = 1; duration = None } ]
+       ~hazard:(fun _ -> failwith "hazard")
+       ~num_fibers:1
+       (fun _ -> Park.pause 0)
+   with
+  | _ -> Alcotest.fail "a raising hazard must unwind run"
+  | exception Failure _ -> ());
+  check_plain_park "after Sched.run raised";
+  Aio.run (Aio.create ()) (fun () -> Park.pause 0);
+  check_plain_park "after Aio.run";
+  (* Resuming a fiber twice raises out of the loop itself. *)
+  (match
+     Aio.run (Aio.create ()) (fun () ->
+         Aio.suspend (fun resume ->
+             resume ();
+             resume ()))
+   with
+  | () -> Alcotest.fail "a second resume must raise out of Aio.run"
+  | exception Effect.Continuation_already_resumed -> ());
+  check_plain_park "after Aio.run raised";
+  let order = ref [] in
+  Aio.run (Aio.create ()) (fun () ->
+      ignore (Sched.run ~num_fibers:1 (fun _ -> Park.pause 0));
+      Aio.spawn (fun () -> order := "sibling" :: !order);
+      Park.pause 0;
+      order := "paused" :: !order);
+  Alcotest.(check (list string)) "the loop's record is back after Sched.run"
+    [ "sibling"; "paused" ] (List.rev !order)
+
 let suites =
   [
     ( "sched",
@@ -375,6 +472,15 @@ let suites =
           test_second_run_rejected;
         Alcotest.test_case "nested run rejected" `Quick
           test_nested_run_rejected;
+      ] );
+    ( "park",
+      [
+        Alcotest.test_case "one step per park in a run" `Quick
+          test_park_in_sched;
+        Alcotest.test_case "parks let sibling fibers run" `Quick
+          test_park_in_aio;
+        Alcotest.test_case "runs restore the record they found" `Quick
+          test_park_restored;
       ] );
     ( "progress",
       [

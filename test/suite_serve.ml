@@ -12,7 +12,7 @@ module C = Serve.Commit
 module H = Serve.Health
 
 let small_engine ?(shards = 2) ?(num_threads = 4) ?(batch = true) ?(max_batch = 4)
-    ?(linger_steps = 0) ?(queue_cap = 16) ?(isolate = false) ?backing_dir () =
+    ?(linger_us = 0.) ?(queue_cap = 16) ?(isolate = false) ?backing_dir () =
   E.create
     {
       E.shards;
@@ -20,8 +20,7 @@ let small_engine ?(shards = 2) ?(num_threads = 4) ?(batch = true) ?(max_batch = 
       capacity_bytes = 1 lsl 16;
       batch;
       max_batch;
-      linger_us = 0.;
-      linger_steps;
+      linger_us;
       queue_cap;
       backing_dir;
       isolate;
@@ -283,7 +282,7 @@ let status_strings r =
    statuses, global ack order, and per-shard committed batch sizes must
    be a pure function of the schedule seed. *)
 let serve_fingerprint ~seed () =
-  let e = small_engine ~linger_steps:4 () in
+  let e = small_engine ~linger_us:4. () in
   let ack_seq = Stdlib.Atomic.make 0 in
   let per_fiber = 3 in
   let acks = Array.make (4 * per_fiber) (-1) in
@@ -335,7 +334,7 @@ let test_stalled_client_adversary () =
   let landed = ref false in
   List.iter
     (fun at ->
-      let e = small_engine ~shards:1 ~linger_steps:6 () in
+      let e = small_engine ~shards:1 ~linger_us:6. () in
       let body fid =
         let n = if fid = 0 then 1 else 3 in
         for i = 0 to n - 1 do
@@ -387,7 +386,7 @@ let test_stalled_client_adversary () =
 let test_midbatch_crash_atomicity () =
   List.iter
     (fun stop ->
-      let e = small_engine ~num_threads:3 ~max_batch:3 ~linger_steps:3 () in
+      let e = small_engine ~num_threads:3 ~max_batch:3 ~linger_us:3. () in
       let per_fiber = 4 in
       let acked = Array.make (3 * per_fiber) false in
       let key fid i = Printf.sprintf "f%d-%d" fid i in
@@ -455,7 +454,7 @@ let test_overload_backpressure () =
   let c = Obs.Metrics.counter "serve.overload_rejections" in
   let before = Obs.Metrics.counter_value c in
   let e =
-    small_engine ~shards:1 ~num_threads:6 ~max_batch:4 ~linger_steps:50
+    small_engine ~shards:1 ~num_threads:6 ~max_batch:4 ~linger_us:50.
       ~queue_cap:2 ()
   in
   let outcomes = Array.make 6 `Pending in
@@ -702,7 +701,7 @@ let test_mutant_no_rollforward () =
    guarantees it on every seed, and the No_read_validation mutant is
    caught observing a half-applied MPUT somewhere in the same sweep. *)
 let scan_partial_violations ~mutants ~seed =
-  let e = small_engine ~shards:2 ~num_threads:4 ~linger_steps:2 () in
+  let e = small_engine ~shards:2 ~num_threads:4 ~linger_us:2. () in
   E.set_mutants e mutants;
   let ka = key_on e 0 "pa" and kb = key_on e 1 "pb" in
   let violations = ref 0 in
@@ -761,7 +760,7 @@ let test_stalled_coordinator_helping () =
   let completed_by_others = ref 0 in
   List.iter
     (fun at ->
-      let e = small_engine ~shards:2 ~num_threads:4 ~linger_steps:4 () in
+      let e = small_engine ~shards:2 ~num_threads:4 ~linger_us:4. () in
       let ka = key_on e 0 "ha" and kb = key_on e 1 "hb" in
       let partial = ref false in
       let body fid =
@@ -829,7 +828,7 @@ let test_stalled_coordinator_helping () =
 let test_sched_span_tree () =
   Obs.Trace.enable ();
   Fun.protect ~finally:(fun () -> Obs.Trace.disable ()) @@ fun () ->
-  let e = small_engine ~shards:2 ~num_threads:2 ~linger_steps:2 () in
+  let e = small_engine ~shards:2 ~num_threads:2 ~linger_us:2. () in
   let ka = key_on e 0 "ta" and kb = key_on e 1 "tb" in
   let committed = ref false in
   let body _fid =
