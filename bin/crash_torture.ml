@@ -734,12 +734,7 @@ let serve_chaos_torture ~shards ~rounds ~seed ~nclients ~per_client
           (probe 0, Printf.sprintf "cv%d.%d.%d.%d" round_seed c i j))
     in
     let policy =
-      {
-        Serve.Client.resilient with
-        Serve.Client.call_timeout = 0.4;
-        max_retries = 8;
-        reconnect_attempts = 50;
-      }
+      { Serve.Client.call_timeout = 0.4; max_retries = 8 }
     in
     (* per-op outcome, filled by the client domains *)
     let outcomes =
@@ -1009,11 +1004,7 @@ let serve_quarantine_torture ~shards ~rounds ~seed ~nclients ~per_client
               (tok, kvs, on, ref `Failed)))
     in
     let policy =
-      {
-        Serve.Client.resilient with
-        Serve.Client.call_timeout = 0.4;
-        max_retries = 10;
-      }
+      { Serve.Client.call_timeout = 0.4; max_retries = 10 }
     in
     let cv k =
       match List.assoc_opt k (H.counters (E.health e)) with

@@ -399,8 +399,9 @@ let suspend register =
   if not (active ()) then invalid_arg "Aio.suspend: not inside a running loop";
   Effect.perform (Suspend_e register)
 
-(* Blocking fallback used outside any loop: the Protocol.Io discipline
-   (select restarted on EINTR and spurious wakeups). *)
+(* Blocking fallback used outside any loop, and so by every
+   Protocol.Io and Client wait there: select, restarted on EINTR and
+   spurious wakeups. *)
 let blocking_wait fd ~write deadline =
   let rec go () =
     let tmo = if deadline > 0. then deadline -. Unix.gettimeofday () else -1. in

@@ -1,61 +1,52 @@
-(* Resilient blocking client for the RedoDB wire protocol: one socket,
-   one outstanding request.  Concurrency comes from opening more
-   clients (one per load-generator thread), matching the server's
-   one-domain-per-connection model.
+(* Resilient client for the RedoDB wire protocol: one socket, one
+   outstanding request (or a window of them, [Pipeline]).  Concurrency
+   comes from opening more clients, one per domain or per Aio fiber.
+
+   Every wait goes through [Aio] and [Park]: the socket is non-blocking,
+   a connect, read or write that would block waits with
+   [Aio.wait_writable]/[Aio.wait_readable], and backoff sleeps are
+   [Park.sleep].  On an Aio fiber the loop keeps serving its other
+   fibers meanwhile; anywhere else the same calls block in [select] or
+   [Unix.sleepf].
 
    Resilience is policy-driven and off by default (default_policy keeps
-   the original strict single-attempt behaviour):
+   the original strict single-attempt behaviour).  One function, [next],
+   decides what happens after every answer or transport failure, for
+   serial calls and pipelined submissions alike:
 
    - every attempt is bounded by [call_timeout] (a read deadline armed
      on the connection; the stream is unrecoverable past a timeout so
-     the socket is closed and lazily reconnected);
-   - idempotent requests (GET/MGET/SCAN/PING/STATS/METRICS, and any
-     request answered with the retryable OVERLOADED/TIMEOUT shed
-     responses) retry transparently under exponential backoff + jitter;
+     the socket is closed and lazily reconnected with the [retries] and
+     [retry_delay] the client was connected with);
+   - shed answers (OVERLOADED, TIMEOUT, SHARD_UNAVAILABLE, UNAVAILABLE:
+     nothing durable happened) and lost idempotent requests are resent
+     after exponential backoff with jitter; UNAVAILABLE (the engine is
+     mid crash recovery, which always ends) spends no retry;
    - writes are exactly-once: a tokened PUT/DEL/MPUT whose attempt ends
-     ambiguously (timeout, dead/corrupt connection — the ack may be
-     lost AFTER the commit) is never blindly resent.  The client first
-     resolves the token with TXSTAT: COMMITTED means the earlier
+     ambiguously (timeout, dead/corrupt connection, INDOUBT — the
+     commit may have happened) is never blindly resent.  The client
+     first resolves the token with TXSTAT: COMMITTED means the earlier
      attempt won (done — its ack is recovered from the ledger), ABORTED
      means nothing durable happened (resend is safe), UNKNOWN means the
      attempt is still in flight server-side (poll again).  An untokened
-     write keeps the strict behaviour: ambiguous failures raise.
+     write keeps the strict behaviour: ambiguous failures raise;
+   - one count per request bounds resends and resolutions together;
+     past [max_retries] the last answer is final.
 
-   The client serializes its own requests, so it never queries a token
-   while also submitting it — the precondition for the server's
-   presumed-abort TXSTAT answer. *)
+   The client never queries a token while also submitting it — the
+   precondition for the server's presumed-abort TXSTAT answer. *)
 
-type policy = {
-  call_timeout : float;
-  max_retries : int;
-  base_delay : float;
-  max_delay : float;
-  jitter : float;
-  reconnect_attempts : int;
-  reconnect_delay : float;
-}
+type policy = { call_timeout : float; max_retries : int }
 
-let default_policy =
-  {
-    call_timeout = 0.;
-    max_retries = 0;
-    base_delay = 0.01;
-    max_delay = 0.5;
-    jitter = 0.5;
-    reconnect_attempts = 0;
-    reconnect_delay = 0.05;
-  }
+let default_policy = { call_timeout = 0.; max_retries = 0 }
+let resilient = { call_timeout = 1.; max_retries = 12 }
 
-let resilient =
-  {
-    call_timeout = 1.;
-    max_retries = 12;
-    base_delay = 0.005;
-    max_delay = 0.2;
-    jitter = 0.5;
-    reconnect_attempts = 100;
-    reconnect_delay = 0.02;
-  }
+(* Backoff before the k-th resend: [base_delay * 2^k] capped at
+   [max_delay], times a jitter factor drawn from [1 - jitter/2,
+   1 + jitter/2). *)
+let base_delay = 0.005
+let max_delay = 0.2
+let jitter = 0.5
 
 type tallies = { retries : int; timeouts : int; reconnects : int; resolved : int }
 
@@ -63,6 +54,8 @@ type t = {
   host : string;
   port : int;
   policy : policy;
+  retries : int;  (* connect attempts after the first, reconnects too *)
+  retry_delay : float;
   rng : Random.State.t;
   mutable fd : Unix.file_descr;
   mutable io : Protocol.Io.t;
@@ -86,21 +79,30 @@ type error =
 
 exception Protocol_error of string
 
+(* A non-blocking connect: the handshake is waited out with
+   [Aio.wait_writable], so a fiber's connect does not stall its loop. *)
 let open_fd ~host ~port ~retries ~retry_delay =
   let addr = Unix.ADDR_INET (Unix.inet_addr_of_string host, port) in
   let rec go attempt =
     let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-    match Unix.connect fd addr with
-    | () ->
-        Unix.setsockopt fd TCP_NODELAY true;
-        fd
+    match
+      Unix.set_nonblock fd;
+      (try Unix.connect fd addr
+       with Unix.Unix_error (EINPROGRESS, _, _) -> (
+         ignore (Aio.wait_writable fd);
+         match Unix.getsockopt_error fd with
+         | None -> ()
+         | Some err -> raise (Unix.Unix_error (err, "connect", ""))));
+      Unix.setsockopt fd TCP_NODELAY true
+    with
+    | () -> fd
     | exception Unix.Unix_error ((ECONNREFUSED | ENETUNREACH | ETIMEDOUT), _, _)
       when attempt < retries ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        Unix.sleepf retry_delay;
+        Aio.close fd;
+        Park.sleep retry_delay;
         go (attempt + 1)
     | exception e ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
+        Aio.close fd;
         raise e
   in
   go 0
@@ -122,6 +124,8 @@ let connect ?(retries = 0) ?(retry_delay = 0.05) ?(policy = default_policy)
     host;
     port;
     policy;
+    retries;
+    retry_delay;
     rng = Random.State.make [| tok_base; 0x5eed |];
     fd;
     io = Protocol.Io.of_fd fd;
@@ -137,30 +141,25 @@ let connect ?(retries = 0) ?(retry_delay = 0.05) ?(policy = default_policy)
 
 let kill t =
   if t.alive then begin
-    (try Unix.close t.fd with Unix.Unix_error _ -> ());
+    Aio.close t.fd;
     t.alive <- false
   end
 
 let close t = kill t
 
 let reconnect t =
-  let rec go attempt =
-    match open_fd ~host:t.host ~port:t.port ~retries:0 ~retry_delay:0. with
-    | fd ->
-        t.fd <- fd;
-        t.io <- Protocol.Io.of_fd fd;
-        t.alive <- true;
-        t.next_rid <- 1;
-        t.n_reconnects <- t.n_reconnects + 1
-    | exception e ->
-        if attempt >= t.policy.reconnect_attempts then
-          raise (Protocol_error ("reconnect failed: " ^ Printexc.to_string e))
-        else begin
-          Unix.sleepf t.policy.reconnect_delay;
-          go (attempt + 1)
-        end
-  in
-  go 0
+  match
+    open_fd ~host:t.host ~port:t.port ~retries:t.retries
+      ~retry_delay:t.retry_delay
+  with
+  | fd ->
+      t.fd <- fd;
+      t.io <- Protocol.Io.of_fd fd;
+      t.alive <- true;
+      t.next_rid <- 1;
+      t.n_reconnects <- t.n_reconnects + 1
+  | exception e ->
+      raise (Protocol_error ("reconnect failed: " ^ Printexc.to_string e))
 
 let ensure t = if not t.alive then reconnect t
 
@@ -182,6 +181,12 @@ let tallies t =
    is what the write path resolves through TXSTAT. *)
 type attempt_error = Timed_out | Conn_dead of string
 
+let deadline_in tmo = if tmo > 0. then Unix.gettimeofday () +. tmo else 0.
+
+let arm_deadline ?timeout t =
+  Protocol.Io.set_deadline t.io
+    (deadline_in (Option.value timeout ~default:t.policy.call_timeout))
+
 (* One framed round-trip.  Every request carries a fresh id; the
    response must echo it (0 is tolerated — a pre-RID server).  A
    non-zero mismatch means the stream slipped a frame: connection dead
@@ -196,9 +201,7 @@ let attempt ?timeout ?(ttl_us = 0) ?(tok = 0) t req =
   match Protocol.Io.write_frame t.io (Protocol.encode_req ~rid ~ttl_us ~tok req) with
   | exception e -> dead ("send failed: " ^ Printexc.to_string e)
   | () -> (
-      let tmo = match timeout with Some s -> s | None -> t.policy.call_timeout in
-      Protocol.Io.set_deadline t.io
-        (if tmo > 0. then Unix.gettimeofday () +. tmo else 0.);
+      arm_deadline ?timeout t;
       match Protocol.Io.read_frame t.io with
       | exception Protocol.Io.Read_timeout ->
           t.n_timeouts <- t.n_timeouts + 1;
@@ -216,11 +219,6 @@ let attempt ?timeout ?(ttl_us = 0) ?(tok = 0) t req =
                    rid)
           | Result.Ok (_, resp) -> Result.Ok resp))
 
-let backoff t k =
-  t.n_retries <- t.n_retries + 1;
-  let d = min t.policy.max_delay (t.policy.base_delay *. (2. ** float_of_int k)) in
-  let j = 1. -. (t.policy.jitter /. 2.) +. Random.State.float t.rng t.policy.jitter in
-  Unix.sleepf (d *. j)
 
 (* Raw single round-trip (no retries), kept for harnesses that drive
    the protocol directly.  Honors the policy call timeout. *)
@@ -233,85 +231,104 @@ let call t req =
 
 let last_rid t = t.next_rid - 1
 
-(* Transparent retry loop for IDEMPOTENT requests: re-running them is
-   harmless, so client-side timeouts, dead connections and the server's
-   retryable shed answers (OVERLOADED/TIMEOUT) all just retry under
-   backoff.  Exhaustion surfaces the server's TIMEOUT shape (mapped to
-   [`Timeout] by the typed wrappers) for timeouts, or raises for a
-   connection that will not come back. *)
-let idem ?(ttl_us = 0) t req =
-  let rec go k =
-    ensure t;
-    match attempt t ~ttl_us req with
-    | Result.Ok
-        (Protocol.Overloaded | Protocol.Timeout | Protocol.Shard_unavailable _)
-      when k < t.policy.max_retries ->
-        backoff t k;
-        go (k + 1)
-    | Result.Ok resp -> resp
-    | Error Timed_out when k < t.policy.max_retries ->
-        backoff t k;
-        go (k + 1)
-    | Error (Conn_dead _) when k < t.policy.max_retries ->
-        backoff t k;
-        go (k + 1)
-    | Error Timed_out -> Protocol.Timeout
-    | Error (Conn_dead reason) -> raise (Protocol_error reason)
+let idempotent = function
+  | Protocol.Get _ | Protocol.Mget _ | Protocol.Scan _ | Protocol.Ping
+  | Protocol.Stats | Protocol.Metrics | Protocol.Health | Protocol.Txstat _ ->
+      true
+  | Protocol.Put _ | Protocol.Del _ | Protocol.Mput _ | Protocol.Crash _
+  | Protocol.Freeze _ | Protocol.Rebuild _ | Protocol.Corrupt _ ->
+      false
+
+(* One request on its way through the policy.  [k] counts the resends
+   and resolutions spent, [waits] the backoffs drawn (the exponent of
+   the next one); while [resolving], the wire carries TXSTAT for [tok]
+   in place of the write. *)
+type job = {
+  req : Protocol.req;
+  ttl_us : int;
+  tok : int;
+  mutable k : int;
+  mutable waits : int;
+  mutable resolving : bool;
+}
+
+let job ?(ttl_us = 0) ?(tok = 0) req =
+  { req; ttl_us; tok; k = 0; waits = 0; resolving = false }
+
+(* The jittered backoff before [j]'s next resend; counted as a retry. *)
+let backoff t j =
+  t.n_retries <- t.n_retries + 1;
+  let d = Float.min max_delay (base_delay *. (2. ** float_of_int j.waits)) in
+  j.waits <- j.waits + 1;
+  d *. (1. -. (jitter /. 2.) +. Random.State.float t.rng jitter)
+
+(* The job's current wire request: (request, ttl_us, token). *)
+let wire j = if j.resolving then (Protocol.Txstat j.tok, 0, 0) else (j.req, j.ttl_us, j.tok)
+
+(* The retry policy, in one place.  After an attempt of [j] ended in
+   [r], the answer is final ([`Done]), the transport failure is final
+   ([`Fail]), or [j] goes again after waiting [d] seconds ([`Again d]),
+   moved by this function to its next phase:
+   - retry after backoff: OVERLOADED, TIMEOUT, SHARD_UNAVAILABLE and
+     UNAVAILABLE (nothing durable happened), a lost idempotent request,
+     and, while resolving, a TXSTAT that is UNKNOWN or lost.  UNAVAILABLE
+     spends no retry: the engine is mid crash recovery, which ends, and
+     a crash outage can outlast the whole budget's backoff;
+   - resolve through TXSTAT: a tokened write that timed out, lost its
+     connection or was answered INDOUBT; COMMITTED then recovers its
+     ack, ABORTED sends it again (after backoff, without spending a
+     retry);
+   - final: everything else, and any of the above past [max_retries]. *)
+let next t j (r : (Protocol.resp, attempt_error) result) =
+  let budget = j.k < t.policy.max_retries in
+  let retry () =
+    j.k <- j.k + 1;
+    `Again (backoff t j)
+  and resolve () =
+    j.k <- j.k + 1;
+    j.resolving <- true;
+    `Again 0.
   in
-  go 0
-
-(* Exactly-once write loop.  Retryable shed answers resend directly
-   (nothing durable happened).  An AMBIGUOUS failure — timeout or dead
-   connection, where the commit may have happened and only the ack was
-   lost — resolves the token first: COMMITTED recovers the lost ack
-   from the ledger, ABORTED proves a resend safe, UNKNOWN polls.  Only
-   tokened writes get this; an untokened ambiguous write raises.  One
-   retry count [k] bounds sends and resolutions together: an ABORTED
-   answer backs off and resends without resetting it. *)
-let rec send ~ttl_us ~tok t req k =
-  ensure t;
-  match attempt t ~ttl_us ~tok req with
-  | Result.Ok
-      (Protocol.Overloaded | Protocol.Timeout | Protocol.Shard_unavailable _)
-    when k < t.policy.max_retries ->
-      backoff t k;
-      send ~ttl_us ~tok t req (k + 1)
-  | Result.Ok resp -> resp
-  | Error why ->
-      if tok > 0 && k < t.policy.max_retries then
-        resolve ~ttl_us ~tok t req (k + 1)
-      else (
-        match why with
-        | Timed_out -> Protocol.Timeout
-        | Conn_dead reason -> raise (Protocol_error reason))
-
-(* Resolve-FIRST entry of the same loop, for a tokened write whose
-   attempt was already on the wire when the stream died. *)
-and resolve ~ttl_us ~tok t req k =
-  ensure t;
-  match attempt t (Protocol.Txstat tok) with
-  | Result.Ok (Protocol.Txstat_committed _ as resp) ->
+  match r with
+  | Result.Ok (Protocol.Txstat_committed _ as resp) when j.resolving ->
       t.n_resolved <- t.n_resolved + 1;
-      resp
-  | Result.Ok Protocol.Txstat_aborted ->
-      backoff t k;
-      send ~ttl_us ~tok t req k
-  | Result.Ok (Protocol.Txstat_unknown | Protocol.Overloaded | Protocol.Timeout)
+      `Done resp
+  | Result.Ok Protocol.Txstat_aborted when j.resolving ->
+      j.resolving <- false;
+      `Again (backoff t j)
+  | Result.Ok (Protocol.Unavail _) when t.policy.max_retries > 0 -> `Again (backoff t j)
+  | Result.Ok
+      (( Protocol.Overloaded | Protocol.Timeout | Protocol.Shard_unavailable _
+       | Protocol.Unavail _ ) as resp) ->
+      if budget then retry ()
+      else `Done (if j.resolving then Protocol.Txstat_unknown else resp)
+  | Result.Ok Protocol.Txstat_unknown when j.resolving ->
+      if budget then retry () else `Done Protocol.Txstat_unknown
+  | Result.Ok (Protocol.In_doubt _) when j.tok > 0 && budget -> resolve ()
+  | Result.Ok resp -> `Done resp
+  | Error _ when budget && (j.resolving || idempotent j.req) -> retry ()
+  | Error _ when budget && j.tok > 0 -> resolve ()
   | Error Timed_out ->
-      if k < t.policy.max_retries then begin
-        backoff t k;
-        resolve ~ttl_us ~tok t req (k + 1)
-      end
-      else Protocol.Txstat_unknown
-  | Result.Ok resp -> resp
+      `Done (if j.resolving then Protocol.Txstat_unknown else Protocol.Timeout)
   | Error (Conn_dead reason) ->
-      if k < t.policy.max_retries then begin
-        backoff t k;
-        resolve ~ttl_us ~tok t req (k + 1)
-      end
-      else raise (Protocol_error ("write resolution failed: " ^ reason))
+      `Fail (if j.resolving then "write resolution failed: " ^ reason else reason)
 
-let write_call ?(ttl_us = 0) ~tok t req = send ~ttl_us ~tok t req 0
+let pause d = if d > 0. then Park.sleep d
+
+(* A serial request under the policy. *)
+let exec ?ttl_us ?tok t req =
+  let j = job ?ttl_us ?tok req in
+  let rec go () =
+    ensure t;
+    let req, ttl_us, tok = wire j in
+    match next t j (attempt t ~ttl_us ~tok req) with
+    | `Done resp -> resp
+    | `Fail reason -> raise (Protocol_error reason)
+    | `Again d ->
+        pause d;
+        go ()
+  in
+  go ()
 
 (* Typed wrappers.  [`Overloaded] is the backpressure signal callers are
    expected to handle; [`Timeout] means the request was shed (or every
@@ -355,13 +372,13 @@ let failed what (resp : Protocol.resp) =
   | Err e -> Error (`Err e)
   | r -> unexpected what r
 
-let ping t = match idem t Protocol.Ping with Ok -> () | r -> unexpected "PING" r
+let ping t = match exec t Protocol.Ping with Ok -> () | r -> unexpected "PING" r
 
 (* PUT and DEL: [Txstat_committed] is an earlier attempt's recovered
    ack; [Txstat_unknown] is a token resolution that ran out of
    retries. *)
 let write_unit what ?ttl_us ~tok t req =
-  match write_call ?ttl_us ~tok t req with
+  match exec ?ttl_us ~tok t req with
   | Ok | Txstat_committed _ -> Result.Ok ()
   | Txstat_unknown -> Error (`InDoubt 0)
   | r -> failed what r
@@ -372,18 +389,18 @@ let put ?ttl_us ?(tok = 0) t ~key ~value =
 let del ?ttl_us ?(tok = 0) t key = write_unit "DEL" ?ttl_us ~tok t (Protocol.Del key)
 
 let get ?ttl_us t key =
-  match idem ?ttl_us t (Protocol.Get key) with
+  match exec ?ttl_us t (Protocol.Get key) with
   | Val v -> Result.Ok (Some v)
   | Nil -> Result.Ok None
   | r -> failed "GET" r
 
 let mget ?ttl_us t keys =
-  match idem ?ttl_us t (Protocol.Mget keys) with
+  match exec ?ttl_us t (Protocol.Mget keys) with
   | Vals vs -> Result.Ok vs
   | r -> failed "MGET" r
 
 let mput ?ttl_us ?(tok = 0) t kvs =
-  match write_call ?ttl_us ~tok t (Protocol.Mput kvs) with
+  match exec ?ttl_us ~tok t (Protocol.Mput kvs) with
   | Committed { txid; epoch } | Txstat_committed { txid; epoch; _ } ->
       Result.Ok (txid, epoch)
   | Txstat_unknown -> Error (`InDoubt 0)
@@ -391,12 +408,12 @@ let mput ?ttl_us ?(tok = 0) t kvs =
   | r -> failed "MPUT" r
 
 let scan ?ttl_us t ~prefix ~max =
-  match idem ?ttl_us t (Protocol.Scan { prefix; max }) with
+  match exec ?ttl_us t (Protocol.Scan { prefix; max }) with
   | Kvs kvs -> Result.Ok kvs
   | r -> failed "SCAN" r
 
 let txstat t tok =
-  match idem t (Protocol.Txstat tok) with
+  match exec t (Protocol.Txstat tok) with
   | Txstat_committed { txid; epoch; records } ->
       Result.Ok (`Committed (txid, epoch, records))
   | Txstat_aborted -> Result.Ok `Aborted
@@ -416,17 +433,17 @@ let probe_failed what (resp : Protocol.resp) =
   | r -> Error (Printf.sprintf "%s: unexpected %s response" what (shape r))
 
 let stats t =
-  match idem t Protocol.Stats with
+  match exec t Protocol.Stats with
   | Json s -> Obs.Json.parse s
   | r -> probe_failed "STATS" r
 
 let metrics t =
-  match idem t Protocol.Metrics with
+  match exec t Protocol.Metrics with
   | Text s -> Result.Ok s
   | r -> probe_failed "METRICS" r
 
 let health t =
-  match idem t Protocol.Health with
+  match exec t Protocol.Health with
   | Json s -> Obs.Json.parse s
   | r -> probe_failed "HEALTH" r
 
@@ -459,24 +476,22 @@ let corrupt t ~shard ~seed ~count =
    response — they may arrive out of order (the reactor front-end
    completes whichever engine call finishes first).
 
-   The exactly-once machinery is the same as the serial client's, it
-   just kicks in for a whole window at once: when the stream dies
-   (timeout, unmatched RID, dead socket) the client reconnects and
-   settles every unresolved submission serially — idempotent requests
-   re-run via [idem]; tokened writes resolve their token FIRST
-   ([resolve]: COMMITTED recovers the lost ack, ABORTED proves a
-   resend safe, UNKNOWN polls); an untokened write raises, exactly as
-   strict mode would.  Server shed answers (OVERLOADED/TIMEOUT) are
-   delivered raw: an open-loop driver decides its own retry policy. *)
+   Each submission is a [job] under the same [next] as a serial call.
+   A job that must go again (a shed answer, an INDOUBT tokened write
+   resolving its token) joins the [backlog] with the time its backoff
+   ends, under the same ticket; the pipeline keeps reading the rest of
+   the window meanwhile and resends each backlogged job, with a fresh
+   RID, once it is due.  When the stream dies (timeout, unmatched RID,
+   dead socket) every submission that was on the wire gets the failure:
+   idempotent requests go again, tokened writes resolve their token
+   FIRST, and an untokened write raises, exactly as strict mode would.
+   Backlogged jobs were never on the dead stream and are resent as they
+   stand; the connection is reopened at the first resend.  With
+   [default_policy] every answer is final, so shed answers are
+   delivered raw. *)
 module Pipeline = struct
   type ticket = int
-
-  type entry = {
-    preq : Protocol.req;
-    pttl_us : int;
-    ptok : int;
-    mutable result : Protocol.resp option;
-  }
+  type entry = { j : job; mutable result : Protocol.resp option }
 
   type p = {
     c : t;
@@ -484,9 +499,12 @@ module Pipeline = struct
     mutable next_ticket : int;
     entries : (int, entry) Hashtbl.t;  (* ticket -> entry (until awaited) *)
     by_rid : (int, int) Hashtbl.t;  (* live rid -> ticket, this connection *)
-    fifo : int Queue.t;  (* unresolved tickets, submission order *)
+    mutable backlog : (float * int * entry) list;  (* (due, ticket, job) to resend *)
     mutable inflight_ : int;
   }
+
+  (* The stream is gone; carries why, for every job it held. *)
+  exception Lost of attempt_error
 
   let create ?(window = 8) c =
     if window < 1 then invalid_arg "Pipeline.create: window";
@@ -496,7 +514,7 @@ module Pipeline = struct
       next_ticket = 0;
       entries = Hashtbl.create 64;
       by_rid = Hashtbl.create 64;
-      fifo = Queue.create ();
+      backlog = [];
       inflight_ = 0;
     }
 
@@ -504,90 +522,106 @@ module Pipeline = struct
   let inflight p = p.inflight_
   let client p = p.c
 
-  let is_idem = function
-    | Protocol.Get _ | Protocol.Mget _ | Protocol.Scan _ | Protocol.Ping
-    | Protocol.Stats | Protocol.Metrics | Protocol.Health | Protocol.Txstat _
-      ->
-        true
-    | Protocol.Put _ | Protocol.Del _ | Protocol.Mput _ | Protocol.Crash _
-    | Protocol.Freeze _ | Protocol.Rebuild _ | Protocol.Corrupt _ ->
-        false
+  (* Put [e]'s current wire request on the connection under a fresh RID,
+     reopening the connection first if it is down. *)
+  let transmit p tk e =
+    ensure p.c;
+    let req, ttl_us, tok = wire e.j in
+    let rid = p.c.next_rid in
+    p.c.next_rid <- rid + 1;
+    match Protocol.Io.write_frame p.c.io (Protocol.encode_req ~rid ~ttl_us ~tok req) with
+    | () -> Hashtbl.replace p.by_rid rid tk
+    | exception x -> raise (Lost (Conn_dead ("send failed: " ^ Printexc.to_string x)))
 
-  let redo p e =
-    if is_idem e.preq then idem ~ttl_us:e.pttl_us p.c e.preq
-    else if e.ptok > 0 then
-      resolve ~ttl_us:e.pttl_us ~tok:e.ptok p.c e.preq 0
-    else
-      raise
-        (Protocol_error
-           "pipelined write without a token lost its connection (outcome \
-            unknowable)")
+  (* [e]'s next move after [r]: settle it, or backlog it until its
+     backoff ends. *)
+  let step p tk e r =
+    match next p.c e.j r with
+    | `Done resp ->
+        e.result <- Some resp;
+        p.inflight_ <- p.inflight_ - 1
+    | `Fail reason -> raise (Protocol_error reason)
+    | `Again d -> p.backlog <- (Unix.gettimeofday () +. d, tk, e) :: p.backlog
 
-  (* The stream is gone: reconnect and settle every unresolved
-     submission serially through the retry/exactly-once machinery. *)
-  let recover p =
+  let due_first p = List.fold_left (fun m (due, _, _) -> Float.min m due) infinity p.backlog
+
+  (* The stream is gone: hand every submission that was on it, oldest
+     first, the failure that lost it. *)
+  let recover p why =
     kill p.c;
     Hashtbl.reset p.by_rid;
-    reconnect p.c;
-    let pend = Queue.fold (fun acc tk -> tk :: acc) [] p.fifo in
-    Queue.clear p.fifo;
-    List.iter
-      (fun tk ->
-        match Hashtbl.find_opt p.entries tk with
-        | Some e when e.result = None ->
-            e.result <- Some (redo p e);
-            p.inflight_ <- p.inflight_ - 1
-        | _ -> ())
-      (List.rev pend)
+    let waiting = List.map (fun (_, tk, _) -> tk) p.backlog in
+    Hashtbl.fold
+      (fun tk e acc -> if e.result = None && not (List.mem tk waiting) then (tk, e) :: acc else acc)
+      p.entries []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> List.iter (fun (tk, e) -> step p tk e (Error why))
 
-  (* Absorb one response frame (whatever RID it carries), or fail over
-     to [recover].  RID 0 cannot be correlated in pipelined mode, and
-     an unmatched RID means the stream slipped a frame: both settle
-     the window through recovery. *)
+  (* Resend every backlogged job that is due, oldest first.  A job
+     leaves the backlog once it is on the wire. *)
+  let resend_due p =
+    let now = Unix.gettimeofday () in
+    try
+      List.filter (fun (due, _, _) -> due <= now) p.backlog
+      |> List.sort (fun (_, a, _) (_, b, _) -> compare a b)
+      |> List.iter (fun ((_, tk, e) as b) ->
+             transmit p tk e;
+             p.backlog <- List.filter (fun x -> x != b) p.backlog)
+    with Lost why -> recover p why
+
+  (* Make progress on the window: resend what is due, else absorb one
+     response frame (whatever RID it carries), waiting no later than the
+     first backlogged job's due time.  With nothing on the wire it just
+     sleeps until that time.  RID 0 cannot be correlated in pipelined
+     mode, and an unmatched RID means the stream slipped a frame: both
+     fail the stream over to [recover]. *)
   let pump p =
-    ensure p.c;
-    let tmo = p.c.policy.call_timeout in
-    Protocol.Io.set_deadline p.c.io
-      (if tmo > 0. then Unix.gettimeofday () +. tmo else 0.);
-    match Protocol.Io.read_frame p.c.io with
-    | exception Protocol.Io.Read_timeout ->
-        p.c.n_timeouts <- p.c.n_timeouts + 1;
-        recover p
-    | exception _ -> recover p
-    | Error _ -> recover p
-    | Result.Ok None -> recover p
-    | Result.Ok (Some payload) -> (
-        match Protocol.decode_resp_rid payload with
-        | Error _ -> recover p
-        | Result.Ok (rid, resp) -> (
-            match Hashtbl.find_opt p.by_rid rid with
-            | Some tk ->
-                Hashtbl.remove p.by_rid rid;
-                (match Hashtbl.find_opt p.entries tk with
-                | Some e when e.result = None ->
-                    e.result <- Some resp;
-                    p.inflight_ <- p.inflight_ - 1
-                | _ -> ())
-            | None -> recover p))
+    let dead reason = recover p (Conn_dead reason) in
+    let wake = due_first p in
+    if wake <= Unix.gettimeofday () then resend_due p
+    else if Hashtbl.length p.by_rid = 0 && p.backlog <> [] then begin
+      pause (wake -. Unix.gettimeofday ());
+      resend_due p
+    end
+    else if not p.c.alive then dead "connection closed"
+    else begin
+      let limit = deadline_in p.c.policy.call_timeout in
+      Protocol.Io.set_deadline p.c.io
+        (if wake = infinity then limit else if limit = 0. then wake else Float.min limit wake);
+      match Protocol.Io.read_frame p.c.io with
+      | exception Protocol.Io.Read_timeout when limit = 0. || Unix.gettimeofday () < limit ->
+          resend_due p
+      | exception Protocol.Io.Read_timeout ->
+          p.c.n_timeouts <- p.c.n_timeouts + 1;
+          recover p Timed_out
+      | exception x -> dead ("receive failed: " ^ Printexc.to_string x)
+      | Error reason -> dead ("bad frame: " ^ reason)
+      | Result.Ok None -> dead "connection closed by server"
+      | Result.Ok (Some payload) -> (
+          match Protocol.decode_resp_rid payload with
+          | Error reason -> dead ("bad response: " ^ reason)
+          | Result.Ok (rid, resp) -> (
+              match Hashtbl.find_opt p.by_rid rid with
+              | Some tk -> (
+                  Hashtbl.remove p.by_rid rid;
+                  match Hashtbl.find_opt p.entries tk with
+                  | Some e when e.result = None -> step p tk e (Result.Ok resp)
+                  | _ -> ())
+              | None -> dead (Printf.sprintf "response RID %d matches no request" rid)))
+    end
 
-  let submit ?(ttl_us = 0) ?(tok = 0) p req =
+  let submit ?ttl_us ?tok p req =
     while p.inflight_ >= p.win do
       pump p
     done;
+    if (not p.c.alive) && Hashtbl.length p.by_rid > 0 then
+      recover p (Conn_dead "connection closed");
     let tk = p.next_ticket in
     p.next_ticket <- tk + 1;
-    let e = { preq = req; pttl_us = ttl_us; ptok = tok; result = None } in
+    let e = { j = job ?ttl_us ?tok req; result = None } in
     Hashtbl.replace p.entries tk e;
-    Queue.push tk p.fifo;
     p.inflight_ <- p.inflight_ + 1;
-    ensure p.c;
-    let rid = p.c.next_rid in
-    p.c.next_rid <- rid + 1;
-    (match
-       Protocol.Io.write_frame p.c.io (Protocol.encode_req ~rid ~ttl_us ~tok req)
-     with
-    | () -> Hashtbl.replace p.by_rid rid tk
-    | exception _ -> recover p);
+    (try transmit p tk e with Lost why -> recover p why);
     tk
 
   let rec await p tk =

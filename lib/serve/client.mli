@@ -1,35 +1,45 @@
-(** Resilient blocking client for the RedoDB wire protocol: one socket,
-    one outstanding request.  For concurrency, open one client per
-    thread.
+(** Resilient client for the RedoDB wire protocol: one socket, one
+    outstanding request ({!Pipeline} keeps a window of them).  For
+    concurrency, open one client per domain or per [Aio] fiber.
 
-    Resilience is policy-driven: each attempt is bounded by a read
-    deadline, idempotent requests retry transparently under exponential
-    backoff + jitter across reconnects, and tokened writes are
-    EXACTLY-ONCE — an ambiguous failure (timeout, dead connection; the
-    ack may be lost after the commit) is resolved through the server's
-    durable outcome ledger (TXSTAT) instead of blind resending.
-    {!default_policy} disables all of it, keeping the strict
+    Every wait goes through [Aio] and [Park]: the socket is
+    non-blocking; a connect, read or write that would block waits with
+    [Aio.wait_writable]/[Aio.wait_readable]; backoff, reconnect and
+    connect-retry sleeps are [Park.sleep].  On an [Aio] fiber the loop
+    keeps running its other fibers during every wait; elsewhere the
+    waits block in [select] and [Unix.sleepf] as a plain blocking
+    client would.
+
+    Resilience is policy-driven, and one classification applies to
+    serial calls and pipelined submissions alike.  Each attempt is
+    bounded by a read deadline.  Shed answers (OVERLOADED, TIMEOUT,
+    SHARD_UNAVAILABLE, UNAVAILABLE) and lost idempotent requests are
+    resent after exponential backoff with jitter (5 ms base, doubling,
+    200 ms cap, factor drawn from [0.75, 1.25)).  UNAVAILABLE (the
+    engine is mid crash recovery, which always ends) spends no retry, so
+    a resilient request rides out a crash of any length.  Tokened writes are
+    EXACTLY-ONCE: an ambiguous outcome (timeout, dead connection, or an
+    INDOUBT answer; the commit may have happened) is resolved through
+    the server's durable outcome ledger (TXSTAT) instead of blind
+    resending.  {!default_policy} disables all of it, keeping the strict
     single-attempt behaviour. *)
 
 type t
 
 type policy = {
   call_timeout : float;  (** per-attempt read deadline, seconds; 0. = wait forever *)
-  max_retries : int;  (** extra attempts after the first *)
-  base_delay : float;  (** backoff base, seconds; doubles per retry *)
-  max_delay : float;  (** backoff cap *)
-  jitter : float;  (** multiplicative jitter fraction in [0, 1] *)
-  reconnect_attempts : int;  (** reconnects tried per dead connection *)
-  reconnect_delay : float;  (** seconds between reconnect attempts *)
+  max_retries : int;
+      (** resends and TXSTAT resolutions one request may spend after its
+          first attempt *)
 }
 
-(** No timeout, no retries, no reconnects: the strict legacy contract
-    (any transport trouble raises {!Protocol_error}). *)
+(** No timeout, no retries: the strict legacy contract (every answer is
+    final; transport trouble raises {!Protocol_error}). *)
 val default_policy : policy
 
-(** 1 s attempts, 12 retries (5 ms base, 200 ms cap, 50% jitter), up to
-    100 reconnects 20 ms apart — survives the chaos sweep's fault rates
-    and a supervised server restart. *)
+(** 1 s attempts, 12 retries.  With {!connect}'s [~retries:100
+    ~retry_delay:0.02] or similar, it survives the chaos sweep's fault
+    rates, a mid-load CRASH and a supervised server restart. *)
 val resilient : policy
 
 (** Client-side effort counters: [retries] (backoff loops entered),
@@ -45,8 +55,10 @@ val tallies : t -> tallies
 exception Protocol_error of string
 
 (** [retries] extra attempts on connection refusal (the server may still
-    be binding), [retry_delay] seconds apart; [policy] governs all
-    later calls. *)
+    be binding, or restarting), [retry_delay] seconds apart — for the
+    first connect and for every reconnect after a dead connection;
+    [policy] governs all later calls.  The connect itself is
+    non-blocking and waits with [Aio.wait_writable]. *)
 val connect :
   ?retries:int ->
   ?retry_delay:float ->
@@ -91,7 +103,9 @@ val last_rid : t -> int
     with the same token once the server is back).  [`Err] is any other
     server-side refusal.
 
-    All wrappers retry per the policy.  [ttl_us] attaches a server-side
+    All wrappers retry per the policy, so under a policy with retries
+    [`Overloaded], [`Timeout], [`Unavailable] and [`Shard_down] mean the
+    retry budget ran out.  [ttl_us] attaches a server-side
     deadline: the request is shed with [`Timeout] rather than served
     stale.  [tok] (writes only) makes the write exactly-once. *)
 
@@ -173,14 +187,22 @@ val corrupt : t -> shard:int -> seed:int -> count:int -> (unit, string) result
 (** Pipelined mode: up to [window] requests in flight on one
     connection, responses matched back to submissions by the RID
     echoed on every response (they may complete out of order under the
-    reactor front-end).  When the stream dies — timeout, dead socket,
-    unmatched RID — the client reconnects and settles every unresolved
-    submission through the serial retry/exactly-once machinery:
-    idempotent requests re-run transparently; a tokened write resolves
-    its token FIRST (COMMITTED recovers the lost ack, ABORTED proves a
-    resend safe); an untokened write raises, as strict mode would.
-    Server shed answers (OVERLOADED/TIMEOUT) are delivered raw — an
-    open-loop driver owns its retry policy. *)
+    reactor front-end).  Every submission follows the same policy as a
+    serial call: a shed answer (OVERLOADED, TIMEOUT, SHARD_UNAVAILABLE,
+    UNAVAILABLE) is resent under the same ticket with a fresh RID once
+    its backoff ends; a tokened write answered INDOUBT resolves its
+    token with TXSTAT on the pipeline.  A submission waiting out its
+    backoff does not hold up the rest of the window: the pipeline keeps
+    reading responses and resends each waiting submission when it is
+    due.  When the stream dies — timeout, dead socket, unmatched RID —
+    every submission that was on it gets the failure: idempotent
+    requests go again; a tokened write resolves its token FIRST
+    (COMMITTED recovers the lost ack, ABORTED proves a resend safe); an
+    untokened write raises, as strict mode would.  Each goes again after
+    its own backoff, on a connection reopened at the first resend.
+    Under {!default_policy} every answer is final: shed answers are
+    delivered raw, and a lost stream fails what it held ([TIMEOUT] after
+    a timeout, {!Protocol_error} otherwise). *)
 module Pipeline : sig
   type p
 
@@ -199,7 +221,8 @@ module Pipeline : sig
   val client : p -> t
 
   (** Send one request without waiting.  Blocks only while the window
-      is full, pumping responses until a slot opens. *)
+      is full, pumping responses (and resending any submission whose
+      backoff has ended) until a slot opens. *)
   val submit : ?ttl_us:int -> ?tok:int -> p -> Protocol.req -> ticket
 
   (** Block until [ticket]'s response arrives (absorbing other

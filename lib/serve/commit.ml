@@ -149,14 +149,15 @@ let decode_decision s =
       let epoch = take_int cur in
       (txid, epoch, take_ints cur))
 
+let outcome_key ~tok ~txid = Printf.sprintf "%s%010d" (outcome_prefix tok) txid
+
 (* The ledger write of token [tok]: its outcome record, carrying the
    txid (0 = single-shard fast path) and the commit epoch. *)
 let outcome_op ~tok ~txid ~epoch =
   let b = Buffer.create 16 in
   add_int b txid;
   add_int b epoch;
-  ( Printf.sprintf "%s%010d" (outcome_prefix tok) txid,
-    Some (frame (Buffer.contents b)) )
+  (outcome_key ~tok ~txid, Some (frame (Buffer.contents b)))
 
 let decode_outcome s =
   decode s (fun cur ->

@@ -53,6 +53,9 @@ val user_of_internal : string -> string
     commit).  Two records under one token are a duplicated commit. *)
 val outcome_prefix : int -> string
 
+(** The key of [tok]'s outcome record for [txid]. *)
+val outcome_key : tok:int -> txid:int -> string
+
 (** The outcome record write for [tok]: txid (0 = single-shard fast
     path) and commit epoch. *)
 val outcome_op : tok:int -> txid:int -> epoch:int -> string * string option

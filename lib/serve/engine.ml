@@ -301,9 +301,9 @@ let write_group t ~tid (group : write list) =
   List.iteri
     (fun i w ->
       Obs.Metrics.incr t.c_reqs ~tid;
-      if Ledger.dedup t.ledger ~tid ~dbs:t.dbs w.tok = None then begin
+      let s = shard_of t w.key in
+      if Ledger.dedup_key t.ledger ~tid ~db:t.dbs.(s) w.tok = None then begin
         toks := w.tok :: !toks;
-        let s = shard_of t w.key in
         touch t s w.key;
         let ops = with_outcome t ~tok:w.tok [ (Commit.user_key w.key, w.value) ] in
         slices.(s) <-

@@ -85,6 +85,19 @@ let dedup l ~tid ~dbs tok =
         Obs.Metrics.incr l.c_dedup ~tid;
         Some { Commit.txid; epoch }
 
+(* The same answer for a single-key write (PUT, DEL), without the scan:
+   its only possible record is the txid-0 one that rode in its own
+   batch, on its key's shard [db]. *)
+let dedup_key l ~tid ~db tok =
+  if tok <= 0 || List.mem Commit.No_dedup !(l.mutants) then None
+  else
+    let key = Commit.outcome_key ~tok ~txid:0 in
+    match Option.bind (Kv.Redodb.get db ~tid key) Commit.decode_outcome with
+    | None -> None
+    | Some (txid, epoch) ->
+        Obs.Metrics.incr l.c_dedup ~tid;
+        Some { Commit.txid; epoch }
+
 (* Read the ledger first, and only then consult the volatile active set
    (presumed abort: see ledger.mli). *)
 let status l ~tid ~dbs tok =

@@ -29,6 +29,11 @@ val with_active : t -> tid:int -> int list -> (unit -> 'a) -> 'a
     ([serve.retry.dedup_hits]); always [None] under {!Commit.No_dedup}. *)
 val dedup : t -> tid:int -> dbs:Kv.Redodb.t array -> int -> Commit.ack option
 
+(** {!dedup} for a single-key write (PUT, DEL) on shard [db], the shard
+    of its key: one point read of its txid-0 outcome record instead of a
+    prefix scan of every shard. *)
+val dedup_key : t -> tid:int -> db:Kv.Redodb.t -> int -> Commit.ack option
+
 (** The TXSTAT answer for [tok] ([serve.txstat.queries]).  [Tx_aborted]
     is presumed abort — sound provided the client never queries a token
     while also submitting it. *)

@@ -543,62 +543,66 @@ module Io = struct
     fd : Unix.file_descr;
     dec : Decoder.t;
     mutable deadline : float;  (* absolute wall time; 0. = block forever *)
+    mutable more : bool;  (* the last read filled the buffer: bytes may remain *)
   }
 
-  let of_fd fd = { fd; dec = Decoder.create (); deadline = 0. }
+  let of_fd fd = { fd; dec = Decoder.create (); deadline = 0.; more = false }
   let set_deadline t d = t.deadline <- d
   let decoder t = t.dec
 
-  (* Poll until [fd] is readable or the deadline passes.  select is
-     restarted on EINTR and on spurious wakeups, re-deriving the
-     remaining budget from the absolute deadline each time. *)
-  let rec wait_readable t =
-    let remaining = t.deadline -. Unix.gettimeofday () in
-    if remaining <= 0. then raise Read_timeout;
-    match Unix.select [ t.fd ] [] [] remaining with
-    | [], _, _ -> wait_readable t
-    | _ -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait_readable t
+  let await_readable t =
+    match Aio.wait_readable ~deadline:t.deadline t.fd with
+    | `Ready -> ()
+    | `Timed_out -> raise Read_timeout
 
   (* Blocking wrapper over the incremental decoder.  One frame;
-     [Ok None] is a clean EOF at a frame boundary.  A signal landing
-     during a blocking read (EINTR) or a spurious wakeup on a
-     nonblocking fd (EAGAIN) must not kill the frame: the decoder
-     state is untouched, so just retry. *)
+     [Ok None] is a clean EOF at a frame boundary.  Waits go through
+     [Aio]: a fiber parks on its loop, anything else blocks in select.
+     An armed deadline waits before reading, so a blocking fd honours
+     it too; otherwise the wait follows EAGAIN.  A read that filled the
+     buffer may have left bytes behind that no new edge will announce,
+     so the next read goes first.  EINTR and spurious wakeups leave the
+     decoder untouched and just read again. *)
   let read_frame t =
+    let rec fill ~wait =
+      if wait then await_readable t;
+      let room = Decoder.room t.dec in
+      match Unix.read t.fd (Decoder.buffer t.dec) (Decoder.write_off t.dec) room with
+      | n ->
+          t.more <- n = room;
+          n
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill ~wait:false
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          t.more <- false;
+          fill ~wait:true
+    in
     let rec go () =
       match Decoder.next t.dec with
       | `Frame p -> Result.Ok (Some p)
       | `Error reason -> Error reason
       | `Need_more -> (
-          if t.deadline > 0. then wait_readable t;
-          match
-            Unix.read t.fd (Decoder.buffer t.dec) (Decoder.write_off t.dec)
-              (Decoder.room t.dec)
-          with
+          match fill ~wait:(t.deadline > 0. && not t.more) with
           | 0 -> (
               match Decoder.eof_reason t.dec with
               | None -> Result.Ok None
               | Some reason -> Error reason)
           | n ->
               Decoder.filled t.dec n;
-              go ()
-          | exception
-              Unix.Unix_error
-                ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
               go ())
     in
     go ()
 
+  (* One [Unix.write] per frame unless the socket is full: EAGAIN parks
+     until the fd is writable. *)
   let write_all fd s =
     let b = Bytes.unsafe_of_string s in
     let rec go off len =
       if len > 0 then
         match Unix.write fd b off len with
         | n -> go (off + n) (len - n)
-        | exception
-            Unix.Unix_error
-              ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off len
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+            ignore (Aio.wait_writable fd);
             go off len
     in
     go 0 (String.length s)

@@ -110,8 +110,10 @@ val decode_resp_rid : string -> (int * resp, string) result
 (** Framed IO over a [Unix.file_descr].  The core is the incremental
     {!Io.Decoder}; the blocking [read_frame] below is a thin wrapper
     over it.  One [Io.t] per connection (reads); writes are stateless.
-    Reads and writes retry [EINTR]/[EAGAIN] — a signal landing during a
-    partial read or write never desyncs the stream. *)
+    Reads and writes retry [EINTR], and wait out [EAGAIN] through
+    [Aio.wait_readable]/[Aio.wait_writable]: on an [Aio] fiber the wait
+    parks the fiber and its loop keeps running; anywhere else it blocks
+    in [select].  A signal or a full socket never desyncs the stream. *)
 module Io : sig
   (** Raised out of {!read_frame} when the read deadline passes with the
       wanted bytes still missing.  The stream position is unspecified
@@ -169,12 +171,18 @@ module Io : sig
   val decoder : t -> Decoder.t
 
   (** [set_deadline t d] arms an absolute wall-clock read deadline
-      ([Unix.gettimeofday] scale) enforced with [select] before every
-      blocking read; [0.] (the initial state) blocks forever. *)
+      ([Unix.gettimeofday] scale): {!read_frame} waits for readability
+      with it before reading, except right after a read that filled
+      its buffer, and raises {!Read_timeout} when it passes.  [0.] (the
+      initial state) waits forever.  On a blocking fd the deadline
+      bounds each wait for bytes that have not arrived; a fd read from
+      an [Aio] fiber must be non-blocking. *)
   val set_deadline : t -> float -> unit
 
   (** [Ok None] is a clean EOF at a frame boundary. *)
   val read_frame : t -> (string option, string) result
 
+  (** One [Unix.write] when the socket has room; on [EAGAIN] it waits
+      until the fd is writable (never spins), then writes the rest. *)
   val write_frame : t -> string -> unit
 end

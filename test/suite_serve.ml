@@ -894,7 +894,8 @@ let test_sched_span_tree () =
 (* ---- loopback TCP smoke (reactor + client over a real socket) ---- *)
 
 let reactor_config ?(reactors = 2) ?(workers = 2) ?(max_conns = 16)
-    ?(max_inflight = 8) ?(linger_us = 0.) ?chaos () =
+    ?(max_inflight = 8) ?(linger_us = 0.) ?(queue_cap = E.default_config.queue_cap)
+    ?chaos () =
   {
     Serve.Reactor.host = "127.0.0.1";
     port = 0;
@@ -910,6 +911,7 @@ let reactor_config ?(reactors = 2) ?(workers = 2) ?(max_conns = 16)
         capacity_bytes = 1 lsl 16;
         max_batch = 8;
         linger_us;
+        queue_cap;
       };
     chaos;
     scrub_pause_us = None;
@@ -1172,6 +1174,12 @@ let test_exactly_once_txstat () =
   | Ok (Serve.Ledger.Tx_committed { records; _ }) ->
       Alcotest.(check int) "single-shard retry leaves one record" 1 records
   | _ -> Alcotest.fail "tok 7 must resolve committed");
+  (* ... and a retry after a later write is answered from the ledger,
+     not run again over that write. *)
+  ok "later write" (E.put e ~tid:0 ~key:"k1" ~value:"v2");
+  ok "late retry tok 7" (E.put ~tok:7 e ~tid:0 ~key:"k1" ~value:"v1");
+  Alcotest.(check (option string)) "a deduplicated retry writes nothing" (Some "v2")
+    (ok "get k1" (E.get e ~tid:0 "k1"));
   (* Cross-shard tokened MPUT: keys pinned to distinct shards so the
      commit really is two-phase; the retry is answered from the ledger
      with the original ack. *)
@@ -1309,18 +1317,11 @@ let test_client_call_timeout () =
             (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
             !held)
         (fun () ->
-          let policy =
-            {
-              Serve.Client.resilient with
-              call_timeout = 0.15;
-              max_retries = 1;
-              base_delay = 0.005;
-              max_delay = 0.01;
-              reconnect_attempts = 2;
-              reconnect_delay = 0.01;
-            }
+          let policy = { Serve.Client.call_timeout = 0.15; max_retries = 1 } in
+          let c =
+            Serve.Client.connect ~retries:2 ~retry_delay:0.01 ~policy
+              ~host:"127.0.0.1" ~port ()
           in
-          let c = Serve.Client.connect ~policy ~host:"127.0.0.1" ~port () in
           Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
           let t0 = Unix.gettimeofday () in
           (match Serve.Client.get c "k" with
@@ -1451,18 +1452,10 @@ let test_resilient_client_under_chaos () =
       Printf.printf "chaos client skipped: loopback sockets unavailable\n"
   | srv ->
       Fun.protect ~finally:(fun () -> Serve.Reactor.stop srv) @@ fun () ->
-      let policy =
-        {
-          Serve.Client.resilient with
-          call_timeout = 0.2;
-          max_retries = 10;
-          reconnect_attempts = 30;
-          reconnect_delay = 0.005;
-        }
-      in
+      let policy = { Serve.Client.call_timeout = 0.2; max_retries = 10 } in
       let c =
-        Serve.Client.connect ~retries:50 ~policy ~host:"127.0.0.1"
-          ~port:(Serve.Reactor.port srv) ()
+        Serve.Client.connect ~retries:50 ~retry_delay:0.005 ~policy
+          ~host:"127.0.0.1" ~port:(Serve.Reactor.port srv) ()
       in
       Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
       for i = 0 to 11 do
@@ -2079,6 +2072,321 @@ let test_aio_loop () =
   Alcotest.(check string) "streamed byte-for-byte across fibers" msg
     (Buffer.contents received)
 
+(* ---- the client on Aio fibers, and its one retry policy ---- *)
+
+(* A raw responder, one domain per each of [conns] accepted
+   connections, answering every request [answer] maps to a response
+   (it may sleep first) and ignoring the rest. *)
+let responder ~conns answer =
+  let srv_fd = Unix.socket PF_INET SOCK_STREAM 0 in
+  let port =
+    try
+      Unix.setsockopt srv_fd SO_REUSEADDR true;
+      Unix.bind srv_fd (ADDR_INET (Unix.inet_addr_loopback, 0));
+      Unix.listen srv_fd 4;
+      match Unix.getsockname srv_fd with ADDR_INET (_, p) -> p | ADDR_UNIX _ -> assert false
+    with e ->
+      Unix.close srv_fd;
+      raise e
+  in
+  let serve fd =
+    let io = P.Io.of_fd fd in
+    let rec loop () =
+      match P.Io.read_frame io with
+      | Ok (Some payload) ->
+          (match P.decode_req_env payload with
+          | Ok (env, req) ->
+              Option.iter
+                (fun resp -> P.Io.write_frame io (P.encode_resp ~rid:env.P.rid resp))
+                (answer req)
+          | Error _ -> ());
+          loop ()
+      | _ | (exception _) -> ()
+    in
+    loop ();
+    Unix.close fd
+  in
+  let acceptor =
+    Domain.spawn (fun () ->
+        let servers =
+          List.init conns (fun _ ->
+              let fd, _ = Unix.accept srv_fd in
+              Domain.spawn (fun () -> serve fd))
+        in
+        List.iter Domain.join servers;
+        Unix.close srv_fd)
+  in
+  (port, acceptor)
+
+(* Answers each GET [delay] seconds after reading it. *)
+let slow_responder ~delay ~conns =
+  responder ~conns (function
+    | P.Get k ->
+        Unix.sleepf delay;
+        Some (P.Val ("v:" ^ k))
+    | _ -> None)
+
+(* Answers each PUT [shed] the first [n] times it sees its key, then OK. *)
+let shedding_responder ~shed ~n =
+  let seen = Hashtbl.create 16 and m = Mutex.create () in
+  responder ~conns:1 (function
+    | P.Put (k, _) ->
+        let k_seen = Mutex.protect m (fun () ->
+            let c = Option.value (Hashtbl.find_opt seen k) ~default:0 in
+            Hashtbl.replace seen k (c + 1);
+            c)
+        in
+        Some (if k_seen < n then shed else P.Ok)
+    | _ -> None)
+
+(* A serial call and a depth-4 pipeline wait on a slow server from two
+   fibers of one loop; a sibling's 5 ms timer keeps firing meanwhile. *)
+let test_client_on_fiber () =
+  match slow_responder ~delay:0.1 ~conns:2 with
+  | exception e when loopback_unavailable e ->
+      Printf.printf "client on a fiber skipped: loopback sockets unavailable\n"
+  | port, responder ->
+      let busy = ref 2 and ticks = ref 0 and worst = ref 0. in
+      let serial = ref None and piped = ref [] in
+      Aio.run (Aio.create ()) (fun () ->
+          Aio.spawn (fun () ->
+              let c = Serve.Client.connect ~host:"127.0.0.1" ~port () in
+              serial := Some (Serve.Client.get c "s");
+              Serve.Client.close c;
+              decr busy);
+          Aio.spawn (fun () ->
+              let c = Serve.Client.connect ~host:"127.0.0.1" ~port () in
+              let p = Serve.Client.Pipeline.create ~window:4 c in
+              let tks =
+                List.init 4 (fun i ->
+                    Serve.Client.Pipeline.submit p (P.Get (Printf.sprintf "p%d" i)))
+              in
+              piped := List.map (Serve.Client.Pipeline.await p) tks;
+              Serve.Client.close c;
+              decr busy);
+          let last = ref (Unix.gettimeofday ()) in
+          while !busy > 0 do
+            Aio.sleep 0.005;
+            let now = Unix.gettimeofday () in
+            worst := Float.max !worst (now -. !last);
+            last := now;
+            incr ticks
+          done);
+      Domain.join responder;
+      Alcotest.(check bool) "serial answer" true (!serial = Some (Ok (Some "v:s")));
+      Alcotest.(check bool) "pipelined answers, by RID" true
+        (!piped = List.init 4 (fun i -> P.Val (Printf.sprintf "v:p%d" i)));
+      Alcotest.(check bool) "the timer kept firing" true (!ticks >= 20);
+      if !worst >= 0.05 then
+        Alcotest.failf "a client wait stalled the loop for %.0f ms" (!worst *. 1000.)
+
+(* Four connections, fibers of one loop, keep 16 PUTs in flight each
+   against shard queues of one slot whose leaders linger 2 ms: writes
+   from the other reactor find the queue full.  [policy] decides what
+   those OVERLOADED answers become. *)
+let overload_pipeline policy =
+  let srv = Serve.Reactor.start (reactor_config ~queue_cap:1 ~linger_us:2000. ()) in
+  Fun.protect ~finally:(fun () -> Serve.Reactor.stop srv) @@ fun () ->
+  let answers = ref [] and retries = ref 0 in
+  Aio.run (Aio.create ()) (fun () ->
+      for conn = 0 to 3 do
+        Aio.spawn (fun () ->
+            let c =
+              Serve.Client.connect ~retries:50 ~policy ~host:"127.0.0.1"
+                ~port:(Serve.Reactor.port srv) ()
+            in
+            let p = Serve.Client.Pipeline.create ~window:16 c in
+            let tks =
+              List.init 32 (fun i ->
+                  Serve.Client.Pipeline.submit p (P.Put (Printf.sprintf "o%d.%02d" conn i, "v")))
+            in
+            let mine = List.map (Serve.Client.Pipeline.await p) tks in
+            answers := mine @ !answers;
+            retries := !retries + (Serve.Client.tallies c).Serve.Client.retries;
+            Serve.Client.close c)
+      done);
+  (!answers, !retries)
+
+let test_pipeline_retries_overload () =
+  match overload_pipeline Serve.Client.resilient with
+  | exception e when loopback_unavailable e ->
+      Printf.printf "overload retry skipped: loopback sockets unavailable\n"
+  | answers, retries ->
+      List.iter (fun a -> if a <> P.Ok then Alcotest.failf "put: %s" (P.encode_resp a)) answers;
+      Alcotest.(check int) "every put answered" 128 (List.length answers);
+      Alcotest.(check bool) "the OVERLOADED answers were retried" true (retries > 0)
+
+(* The contract bench/e2e's preload relies on: without retries the
+   pipeline hands the shed answers back as they came. *)
+let test_pipeline_default_raw () =
+  match overload_pipeline Serve.Client.default_policy with
+  | exception e when loopback_unavailable e ->
+      Printf.printf "raw overload skipped: loopback sockets unavailable\n"
+  | answers, retries ->
+      let shed = List.length (List.filter (fun a -> a = P.Overloaded) answers) in
+      Alcotest.(check bool) "OVERLOADED delivered raw" true (shed > 0);
+      Alcotest.(check int) "acks or OVERLOADED, nothing else" 128
+        (shed + List.length (List.filter (fun a -> a = P.Ok) answers));
+      Alcotest.(check int) "no retries" 0 retries
+
+(* Serial resilient writes across a CRASH whose recovery pays a slow
+   device: the writes that meet the outage are answered UNAVAILABLE,
+   retried, and ack once the engine is back. *)
+let test_resilient_write_rides_out_crash () =
+  match Serve.Reactor.start (reactor_config ()) with
+  | exception e when loopback_unavailable e ->
+      Printf.printf "crash retry skipped: loopback sockets unavailable\n"
+  | srv ->
+      Fun.protect ~finally:(fun () -> Serve.Reactor.stop srv) @@ fun () ->
+      let port = Serve.Reactor.port srv in
+      let e = Serve.Reactor.engine srv in
+      E.set_flush_cost e 2000;
+      let c =
+        Serve.Client.connect ~retries:50 ~policy:Serve.Client.resilient
+          ~host:"127.0.0.1" ~port ()
+      in
+      Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+      let admin = Serve.Client.connect ~host:"127.0.0.1" ~port () in
+      let crashed = Atomic.make false in
+      let crasher =
+        Domain.spawn (fun () ->
+            Fun.protect ~finally:(fun () -> Atomic.set crashed true) @@ fun () ->
+            Unix.sleepf 0.02;
+            Serve.Client.crash admin ~seed:7 ~evict_prob:0. ~torn_prob:0. ~bitflips:0)
+      in
+      let acked = ref [] in
+      while not (Atomic.get crashed) do
+        let key = Printf.sprintf "w%05d" (List.length !acked) in
+        match Serve.Client.put ~tok:(Serve.Client.fresh_tok c) c ~key ~value:key with
+        | Ok () -> acked := key :: !acked
+        | Error _ -> Alcotest.failf "resilient put %s did not ack" key
+      done;
+      (match Domain.join crasher with
+      | Ok _ -> ()
+      | Error d -> Alcotest.failf "CRASH did not recover: %s" d);
+      Serve.Client.close admin;
+      Alcotest.(check bool) "a write met the outage and was retried" true
+        ((Serve.Client.tallies c).Serve.Client.retries > 0);
+      List.iter
+        (fun k ->
+          match E.get e ~tid:0 k with
+          | Ok (Some v) when v = k -> ()
+          | _ -> Alcotest.failf "acked write %s lost across the CRASH" k)
+        !acked
+
+(* An UNAVAILABLE answer (an engine mid crash recovery) spends no
+   retry: one retry of budget rides out six of them. *)
+let test_unavailable_spends_no_retry () =
+  match shedding_responder ~shed:(P.Unavail "crashing") ~n:6 with
+  | exception e when loopback_unavailable e ->
+      Printf.printf "free outage retries skipped: loopback sockets unavailable\n"
+  | port, responder ->
+      let c =
+        Serve.Client.connect
+          ~policy:{ Serve.Client.call_timeout = 1.; max_retries = 1 }
+          ~host:"127.0.0.1" ~port ()
+      in
+      let r = Serve.Client.put c ~key:"k" ~value:"v" in
+      let retries = (Serve.Client.tallies c).Serve.Client.retries in
+      Serve.Client.close c;
+      Domain.join responder;
+      Alcotest.(check bool) "the put acks" true (r = Ok ());
+      Alcotest.(check int) "one backoff per UNAVAILABLE" 6 retries
+
+(* Eight pipelined PUTs, each shed four times (backoffs of about 5, 10,
+   20 and 40 ms): the window waits them out side by side, not one
+   submission after another (about 600 ms). *)
+let test_pipeline_backoffs_overlap () =
+  match shedding_responder ~shed:P.Overloaded ~n:4 with
+  | exception e when loopback_unavailable e ->
+      Printf.printf "overlapping backoffs skipped: loopback sockets unavailable\n"
+  | port, responder ->
+      let c =
+        Serve.Client.connect ~policy:Serve.Client.resilient ~host:"127.0.0.1" ~port ()
+      in
+      let p = Serve.Client.Pipeline.create ~window:8 c in
+      let t0 = Unix.gettimeofday () in
+      let tks =
+        List.init 8 (fun i -> Serve.Client.Pipeline.submit p (P.Put (Printf.sprintf "b%d" i, "v")))
+      in
+      let answers = List.map (Serve.Client.Pipeline.await p) tks in
+      let took = Unix.gettimeofday () -. t0 in
+      let retries = (Serve.Client.tallies c).Serve.Client.retries in
+      Serve.Client.close c;
+      Domain.join responder;
+      Alcotest.(check bool) "every put acks" true (List.for_all (( = ) P.Ok) answers);
+      Alcotest.(check int) "four backoffs per put" 32 retries;
+      if took >= 0.3 then
+        Alcotest.failf "the window's backoffs ran one after another: %.0f ms" (took *. 1000.)
+
+(* A frame larger than the socket buffer, written while the peer reads
+   nothing for 200 ms: the writer parks instead of spinning, and the
+   frame arrives whole. *)
+let test_write_frame_parks () =
+  let payload = String.init (1 lsl 20) (fun i -> Char.chr (97 + (i mod 26))) in
+  let start () =
+    let a, b = Unix.socketpair PF_UNIX SOCK_STREAM 0 in
+    Unix.set_nonblock a;
+    let reader =
+      Domain.spawn (fun () ->
+          Unix.sleepf 0.2;
+          let r = P.Io.read_frame (P.Io.of_fd b) in
+          Unix.close b;
+          r)
+    in
+    (a, reader)
+  in
+  let arrived reader =
+    Alcotest.(check bool) "the frame arrives intact" true
+      (Domain.join reader = Ok (Some payload))
+  in
+  (* outside a loop: blocked in select, not burning the CPU *)
+  let a, reader = start () in
+  let cpu () =
+    let t = Unix.times () in
+    t.tms_utime +. t.tms_stime
+  in
+  let c0 = cpu () in
+  P.Io.write_frame (P.Io.of_fd a) payload;
+  let spent = cpu () -. c0 in
+  Unix.close a;
+  arrived reader;
+  if spent >= 0.05 then Alcotest.failf "writer burned %.0f ms of CPU" (spent *. 1000.);
+  (* on a loop: parked, and a sibling fiber runs meanwhile *)
+  let a, reader = start () in
+  let writing = ref true and ticks = ref 0 in
+  Aio.run (Aio.create ()) (fun () ->
+      Aio.spawn (fun () ->
+          while !writing do
+            Aio.sleep 0.005;
+            incr ticks
+          done);
+      P.Io.write_frame (P.Io.of_fd a) payload;
+      writing := false);
+  Aio.close a;
+  arrived reader;
+  Alcotest.(check bool) "a sibling fiber ran while the writer waited" true (!ticks >= 5)
+
+(* A deadline read on a fiber of a frame already sitting in the socket,
+   larger than the reader's buffer: the read that fills the buffer
+   leaves bytes no new edge will announce, so the next read must not
+   wait for one. *)
+let test_read_frame_past_full_buffer () =
+  let payload = String.make 65536 'x' in
+  let a, b = Unix.socketpair PF_UNIX SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close a; Aio.close b) @@ fun () ->
+  P.Io.write_frame (P.Io.of_fd a) payload;
+  Unix.set_nonblock b;
+  let got = ref (Error "not read") in
+  let t0 = Unix.gettimeofday () in
+  Aio.run (Aio.create ()) (fun () ->
+      let io = P.Io.of_fd b in
+      P.Io.set_deadline io (Unix.gettimeofday () +. 2.);
+      got := try P.Io.read_frame io with P.Io.Read_timeout -> Error "read timed out");
+  Alcotest.(check bool) "the whole frame" true (!got = Ok (Some payload));
+  Alcotest.(check bool) "without waiting out the deadline" true
+    (Unix.gettimeofday () -. t0 < 1.)
+
 (* The reactor serves the serial and the pipelined client over one
    connection, exposes connection occupancy in STATS, and drains
    gracefully with every acked write durable. *)
@@ -2245,18 +2553,10 @@ let test_reactor_pipelined_chaos () =
       Printf.printf "reactor chaos skipped: loopback sockets unavailable\n"
   | srv ->
       Fun.protect ~finally:(fun () -> Serve.Reactor.stop srv) @@ fun () ->
-      let policy =
-        {
-          Serve.Client.resilient with
-          call_timeout = 0.2;
-          max_retries = 10;
-          reconnect_attempts = 30;
-          reconnect_delay = 0.005;
-        }
-      in
+      let policy = { Serve.Client.call_timeout = 0.2; max_retries = 10 } in
       let c =
-        Serve.Client.connect ~retries:50 ~policy ~host:"127.0.0.1"
-          ~port:(Serve.Reactor.port srv) ()
+        Serve.Client.connect ~retries:50 ~retry_delay:0.005 ~policy
+          ~host:"127.0.0.1" ~port:(Serve.Reactor.port srv) ()
       in
       Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
       let n = 24 in
@@ -2509,6 +2809,25 @@ let suites =
           test_reactor_batch_formation;
         Alcotest.test_case "grouped writes keep per-key order" `Quick
           test_reactor_write_order;
+      ] );
+    ( "serve-client",
+      [
+        Alcotest.test_case "a client on an Aio fiber does not stall its loop"
+          `Quick test_client_on_fiber;
+        Alcotest.test_case "resilient pipeline turns OVERLOADED into acks"
+          `Quick test_pipeline_retries_overload;
+        Alcotest.test_case "default policy delivers OVERLOADED raw" `Quick
+          test_pipeline_default_raw;
+        Alcotest.test_case "resilient write rides out a CRASH" `Quick
+          test_resilient_write_rides_out_crash;
+        Alcotest.test_case "UNAVAILABLE spends no retry" `Quick
+          test_unavailable_spends_no_retry;
+        Alcotest.test_case "a pipeline's backoffs overlap" `Quick
+          test_pipeline_backoffs_overlap;
+        Alcotest.test_case "write_frame parks on a full socket" `Quick
+          test_write_frame_parks;
+        Alcotest.test_case "a fiber's deadline read takes a frame past its buffer"
+          `Quick test_read_frame_past_full_buffer;
       ] );
     ( "serve-resilience",
       [
