@@ -66,6 +66,7 @@ module Make (M : MODE) = struct
   }
 
   and t = {
+    cc : Curcomb.t;
     pm : Pmem.t;
     num_threads : int;
     words : int;
@@ -86,38 +87,6 @@ module Make (M : MODE) = struct
 
   and tx = { p : t; c : combined; ro : bool; tid : int }
 
-  let header_addr = 0
-
-  (* Durable-metadata hardening (media-fault model).  The [curComb] header
-     is stored sealed ({!Pmem.Checksum.seal}): the word embeds a validity
-     tag, persists atomically, and CAS semantics are preserved because
-     sealing is deterministic.  Each replica [i] (up to the 62 that fit on
-     the header line) additionally keeps a sealed {e record} at word [1 + i]
-     — its (head ticket, replica index), written right before the flush
-     fence that proves the replica consistent — so that recovery can fall
-     back to the newest validated replica if the header itself is bit-flip
-     corrupt.  Records are invalidated (best effort, unfenced) when a
-     replica is acquired for mutation; the residual window — record evicted
-     early, replica lines not yet fenced, header also corrupt — needs two
-     independent faults and is documented in README's fault-model table. *)
-
-  let max_records = 62
-  let record_addr i = 1 + i
-
-  let unrecoverable detail =
-    Obs.recovery_unrecoverable ();
-    raise (Ptm_intf.Unrecoverable { ptm = M.name; detail })
-
-  let seal_hdr st = Pmem.Checksum.seal (Int64.to_int (Seqtid.to_int64 st))
-
-  (* Outside recovery the header always unseals (recovery rewrites it before
-     handing the instance back), so failure here means the volatile image
-     was corrupted under us — surface it rather than decode garbage. *)
-  let hdr_exn w =
-    match Pmem.Checksum.unseal w with
-    | Some p -> Seqtid.of_int64 (Int64.of_int p)
-    | None -> unrecoverable (Printf.sprintf "curComb header corrupt (%Lx)" w)
-
   let dummy_payload =
     {
       f = (fun _ -> 0L);
@@ -127,17 +96,11 @@ module Make (M : MODE) = struct
     }
 
   let create ~num_threads ~words () =
-    if words <= Palloc.heap_base then invalid_arg (M.name ^ ".create: words");
-    (* Line-align the replica stride: a mid-line replica boundary would
-       let one torn write-back corrupt two replicas at once. *)
-    let words =
-      (words + Pmem.words_per_line - 1) / Pmem.words_per_line * Pmem.words_per_line
-    in
     let nrep = 2 * num_threads in
-    let base i = 64 + (i * words) in
-    let pm =
-      Pmem.create ~max_threads:num_threads ~words:(64 + (nrep * words)) ()
+    let cc =
+      Curcomb.create ~ptm:M.name ~max_threads:num_threads ~nrep ~words ()
     in
+    let words = Curcomb.stride cc in
     let queue = Sync_prims.Turn_queue.create ~num_threads dummy_payload in
     let sentinel = Sync_prims.Turn_queue.sentinel queue in
     let combs =
@@ -149,12 +112,13 @@ module Make (M : MODE) = struct
             valid = i = 0;
             dirty = Line_set.create ~lines:(words / Pmem.words_per_line);
             full_flush = false;
-            base = base i;
+            base = Curcomb.base cc i;
           })
     in
     let t =
       {
-        pm;
+        cc;
+        pm = Curcomb.pmem cc;
         num_threads;
         words;
         nrep;
@@ -166,21 +130,7 @@ module Make (M : MODE) = struct
         inflight = Array.make num_threads None;
       }
     in
-    (* Format replica 0 and persist it together with the header. *)
-    let mem =
-      {
-        Palloc.get = (fun a -> Pmem.get_word pm (base 0 + a));
-        set = (fun a v -> Pmem.set_word pm ~tid:0 (base 0 + a) v);
-      }
-    in
-    Palloc.format mem ~words;
-    Pmem.pwb_range pm ~tid:0 (base 0) (base 0 + words - 1);
-    Pmem.set_word pm ~tid:0 header_addr
-      (seal_hdr (Seqtid.pack ~seq:0 ~tid:0 ~idx:0));
-    Pmem.set_word pm ~tid:0 (record_addr 0)
-      (seal_hdr (Seqtid.pack ~seq:0 ~tid:0 ~idx:0));
-    Pmem.pwb_range pm ~tid:0 header_addr (record_addr 0);
-    Pmem.psync pm ~tid:0;
+    Curcomb.format cc;
     t
 
   let pmem t = t.pm
@@ -214,17 +164,12 @@ module Make (M : MODE) = struct
         let ht = Atomic.get t.combs.(ci).head_ticket in
         if ht < tk then bump () (* transition in flight; retry *)
         else begin
-          let cur = Pmem.get_word t.pm header_addr in
-          let cur_tk = Seqtid.seq (hdr_exn cur) in
-          if cur_tk < ht then
-            ignore
-              (Pmem.cas_word t.pm ~tid header_addr ~expected:cur
-                 ~desired:(seal_hdr (Seqtid.pack ~seq:ht ~tid:0 ~idx:ci)));
-          let now_tk = Seqtid.seq (hdr_exn (Pmem.get_word t.pm header_addr)) in
+          let now_tk =
+            Curcomb.advance t.cc ~tid (Seqtid.pack ~seq:ht ~tid:0 ~idx:ci)
+          in
           if now_tk < tk then bump ()
           else begin
-            Pmem.pwb t.pm ~tid header_addr;
-            Pmem.psync t.pm ~tid;
+            Curcomb.persist_header t.cc ~tid;
             (* Raise the volatile high-water mark. *)
             let rec raise_mark () =
               let p = Atomic.get t.persisted in
@@ -308,13 +253,8 @@ module Make (M : MODE) = struct
         Line_set.clear c.dirty;
         (* Refresh this replica's fallback record under the same fence that
            proves the replica consistent: no extra fence. *)
-        let i = (c.base - 64) / t.words in
-        if i < max_records then begin
-          Pmem.set_word t.pm ~tid (record_addr i)
-            (seal_hdr
-               (Seqtid.pack ~seq:(Atomic.get c.head_ticket) ~tid:0 ~idx:i));
-          Pmem.pwb t.pm ~tid (record_addr i)
-        end;
+        Curcomb.write_record t.cc ~tid (Curcomb.index t.cc c.base)
+          ~seq:(Atomic.get c.head_ticket);
         Pmem.pfence t.pm ~tid)
 
   (* After winning a transition, opportunistically invalidate replicas whose
@@ -345,19 +285,17 @@ module Make (M : MODE) = struct
       else if Atomic.compare_and_set t.cur_comb cur ci then begin
         (* Persist header: durable CAS with our (ticket, idx). *)
         let rec pm_cas () =
-          let old = Pmem.get_word t.pm header_addr in
-          if Seqtid.seq (hdr_exn old) >= Atomic.get c.head_ticket then ()
+          let old = Curcomb.header_word t.cc in
+          if Seqtid.seq (Curcomb.decode t.cc old) >= Atomic.get c.head_ticket
+          then ()
           else if
             not
-              (Pmem.cas_word t.pm ~tid header_addr ~expected:old
-                 ~desired:
-                   (seal_hdr
-                      (Seqtid.pack ~seq:(Atomic.get c.head_ticket) ~tid:0 ~idx:ci)))
+              (Curcomb.cas_header t.cc ~tid ~expected:old
+                 (Seqtid.pack ~seq:(Atomic.get c.head_ticket) ~tid:0 ~idx:ci))
           then pm_cas ()
         in
         pm_cas ();
-        Pmem.pwb t.pm ~tid header_addr;
-        Pmem.psync t.pm ~tid;
+        Curcomb.persist_header t.cc ~tid;
         let rec raise_mark () =
           let p = Atomic.get t.persisted in
           let ht = Atomic.get c.head_ticket in
@@ -418,10 +356,7 @@ module Make (M : MODE) = struct
         let c = t.combs.(ci) in
         (* Best-effort: retire this replica's fallback record before the
            replica can become inconsistent under us (copy or apply). *)
-        if ci < max_records then begin
-          Pmem.set_word t.pm ~tid (record_addr ci) 0L;
-          Pmem.pwb t.pm ~tid (record_addr ci)
-        end;
+        Curcomb.retire_record t.cc ~tid ci;
         try
           (* Validity: lagging or invalidated replicas are refreshed by
              copying from curComb. *)
@@ -537,67 +472,12 @@ module Make (M : MODE) = struct
     in
     attempt max_read_tries
 
-  (* Null recovery: the durable header designates the consistent replica;
-     rebuild the volatile skeleton around it.  If the header's seal is
-     broken (bit flip), fall back to the newest replica whose sealed record
-     validates; raise {!Ptm_intf.Unrecoverable} when no unambiguous
-     candidate exists. *)
+  (* Null recovery: the durable header (or, failing it, the newest replica
+     record) designates the consistent replica; rebuild the volatile
+     skeleton around it. *)
   let recover t =
     Obs.Trace.span Obs.Trace.Recovery ~tid:0 @@ fun () ->
-    let ci =
-      match Pmem.Checksum.unseal (Pmem.get_word t.pm header_addr) with
-      | Some p ->
-          let ci = Seqtid.idx (Seqtid.of_int64 (Int64.of_int p)) in
-          if ci < 0 || ci >= t.nrep then
-            unrecoverable
-              (Printf.sprintf "curComb header names replica %d of %d" ci
-                 t.nrep);
-          ci
-      | None ->
-          (* Newest validated record wins; a tie between distinct replicas
-             is ambiguous (one of them may have lost a race and reverted),
-             so refuse rather than risk silent corruption. *)
-          let best = ref None in
-          let suspect = ref false in
-          for i = 0 to min t.nrep max_records - 1 do
-            let w = Pmem.get_word t.pm (record_addr i) in
-            match Pmem.Checksum.unseal w with
-            | Some p ->
-                let st = Seqtid.of_int64 (Int64.of_int p) in
-                if Seqtid.idx st = i then begin
-                  let seq = Seqtid.seq st in
-                  match !best with
-                  | None -> best := Some (seq, i, false)
-                  | Some (bseq, _, _) ->
-                      if seq > bseq then best := Some (seq, i, false)
-                      else if seq = bseq then
-                        best :=
-                          Some (bseq, i, true) (* ambiguous tie *)
-                end
-                else suspect := true (* never written with a foreign idx *)
-            | None ->
-                (* Records are only ever written sealed or zeroed
-                   (invalidation), so a nonzero word that fails to unseal is
-                   itself corrupt — and may hide the true newest replica, so
-                   falling back to an older one would silently roll back
-                   committed transactions. *)
-                if not (Int64.equal w 0L) then suspect := true
-          done;
-          if !suspect then
-            unrecoverable
-              "curComb header and a replica record are both corrupt; \
-               surviving records may be stale";
-          (match !best with
-          | None ->
-              unrecoverable
-                "curComb header corrupt and no replica record validates"
-          | Some (_, _, true) ->
-              unrecoverable
-                "curComb header corrupt and newest replica records tie"
-          | Some (_, i, false) ->
-              Obs.recovery_fell_back ();
-              i)
-    in
+    let ci = Curcomb.recover_replica t.cc in
     t.queue <- Sync_prims.Turn_queue.create ~num_threads:t.num_threads dummy_payload;
     Array.fill t.inflight 0 t.num_threads None;
     let sentinel = Sync_prims.Turn_queue.sentinel t.queue in
@@ -615,39 +495,17 @@ module Make (M : MODE) = struct
     Array.iter (fun c -> Sync_prims.Rwlock.reset c.rwlock) t.combs;
     Atomic.set t.cur_comb ci;
     Atomic.set t.persisted 0;
-    (* Tickets restart at 0 in the new epoch: rewrite the durable header
-       accordingly, or its stale (huge) ticket would win every
-       monotonicity check and keep designating a pre-crash replica.  The
-       replica records restart with it: only [ci] is consistent now. *)
-    let old = Pmem.get_word t.pm header_addr in
-    ignore
-      (Pmem.cas_word t.pm ~tid:0 header_addr ~expected:old
-         ~desired:(seal_hdr (Seqtid.pack ~seq:0 ~tid:0 ~idx:ci)));
-    for i = 0 to min t.nrep max_records - 1 do
-      Pmem.set_word t.pm ~tid:0 (record_addr i)
-        (if i = ci then seal_hdr (Seqtid.pack ~seq:0 ~tid:0 ~idx:i) else 0L)
-    done;
-    Pmem.pwb_range t.pm ~tid:0 header_addr (record_addr (min t.nrep max_records - 1));
-    Pmem.psync t.pm ~tid:0
+    Curcomb.reset_epoch t.cc (Seqtid.pack ~seq:0 ~tid:0 ~idx:ci)
 
-  (* Durable metadata: the sealed curComb header and the replica records
-     sharing its cache line. *)
-  let meta_ranges t = [ (header_addr, record_addr (min t.nrep max_records - 1)) ]
+  let meta_ranges t = Curcomb.meta_ranges t.cc
 
-  let crash_with_faults t ~seed ~evict_prob ~torn_prob ~bitflips =
-    Pmem.crash_with_faults t.pm ~seed ~evict_prob ~torn_prob;
-    if bitflips > 0 then
-      Pmem.corrupt_words_in t.pm ~seed:(seed + 0x0bf1) ~count:bitflips
-        ~ranges:(meta_ranges t);
-    recover t
+  include Ptm_intf.Crash (struct
+    type nonrec t = t
 
-  let crash_and_recover t =
-    Pmem.crash t.pm;
-    recover t
-
-  let crash_with_evictions t ~seed ~prob =
-    Pmem.crash_with_evictions t.pm ~seed ~prob;
-    recover t
+    let pmem = pmem
+    let recover = recover
+    let meta_ranges = meta_ranges
+  end)
 
   let nvm_usage_words t =
     let ci = Atomic.get t.cur_comb in

@@ -19,6 +19,7 @@ let add t line =
     Bytes.unsafe_set t.marks line '\001'
   end
 
+let mem t line = Bytes.get t.marks line <> '\000'
 let length t = t.count
 
 let iter f t =

@@ -4,8 +4,9 @@
     A byte mark per line gives deduplication without hashing, and an
     array of the marked lines gives iteration in insertion order.  [add]
     is O(1); [iter] and [clear] cost O(lines marked), never O(lines).
-    Not thread-safe: a replica's set is only touched by the holder of
-    its exclusive lock. *)
+    Not thread-safe: each set is only touched by the thread that holds
+    its owner's exclusive lock (a replica's, or a PTM's writer lock or
+    combiner register). *)
 
 type t
 
@@ -15,6 +16,9 @@ val create : lines:int -> t
 (** Mark [line]; a no-op if it is already marked.
     @raise Invalid_argument if [line] is outside [0 .. lines-1]. *)
 val add : t -> int -> unit
+
+(** Whether [line] is marked. *)
+val mem : t -> int -> bool
 
 (** Number of distinct lines marked. *)
 val length : t -> int

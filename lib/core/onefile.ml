@@ -64,6 +64,7 @@ and t = {
   combining : int Atomic.t; (* 0 = free, else combiner tid + 1 *)
   announce : request option Atomic.t array;
   parity : int array; (* which of the two log slots each tid writes next *)
+  dirty : Line_set.t; (* val/seq lines, from [val_base], the round applied to *)
   bd : Breakdown.t;
 }
 
@@ -109,6 +110,7 @@ let create ~num_threads ~words () =
       combining = Atomic.make 0;
       announce = Array.init num_threads (fun _ -> Atomic.make None);
       parity = Array.make num_threads 0;
+      dirty = Line_set.create ~lines:(2 * words / Pmem.words_per_line);
       bd = Breakdown.create ~num_threads;
     }
   in
@@ -182,6 +184,7 @@ let combine t ~tid =
       Obs.Trace.span Obs.Trace.Combine ~tid ~arg:(List.length reqs)
       @@ fun () ->
       let reqs = List.rev reqs in
+      Line_set.clear t.dirty;
       List.iter (fun (i, _) -> if i <> tid then Obs.helped ~tid) reqs;
       let tx = { p = t; ctid = tid; wset = Wset.create ~aggregate:true; read_snapshot = -1 } in
       let results =
@@ -224,13 +227,13 @@ let combine t ~tid =
               Pmem.set_word t.pm ~tid (t.seq_base + addr) (Int64.of_int seq);
               Pmem.set_word t.pm ~tid (t.val_base + addr) v));
       Breakdown.timed t.bd ~tid Flush (fun () ->
-          let lines = Hashtbl.create 16 in
           Wset.iter_redo tx.wset (fun addr _ ->
-              Hashtbl.replace lines ((t.val_base + addr) / Pmem.words_per_line) ();
-              Hashtbl.replace lines ((t.seq_base + addr) / Pmem.words_per_line) ());
-          Hashtbl.iter
-            (fun line () -> Pmem.pwb t.pm ~tid (line * Pmem.words_per_line))
-            lines;
+              Line_set.add t.dirty (addr / Pmem.words_per_line);
+              Line_set.add t.dirty ((t.words + addr) / Pmem.words_per_line));
+          Line_set.iter
+            (fun line ->
+              Pmem.pwb t.pm ~tid (t.val_base + (line * Pmem.words_per_line)))
+            t.dirty;
           Pmem.psync t.pm ~tid);
       Atomic.set t.applied_seq seq;
       List.iter2
@@ -378,14 +381,6 @@ let recover t =
   Atomic.set t.combining 0;
   Array.iter (fun slot -> Atomic.set slot None) t.announce
 
-let crash_and_recover t =
-  Pmem.crash t.pm;
-  recover t
-
-let crash_with_evictions t ~seed ~prob =
-  Pmem.crash_with_evictions t.pm ~seed ~prob;
-  recover t
-
 (* Durable metadata: the commit header plus every log slot with a valid
    durable header (its header word and the entries it names).  Slots whose
    header does not unseal are skipped by recovery, so flips there would be
@@ -406,12 +401,13 @@ let meta_ranges t =
   done;
   !acc
 
-let crash_with_faults t ~seed ~evict_prob ~torn_prob ~bitflips =
-  Pmem.crash_with_faults t.pm ~seed ~evict_prob ~torn_prob;
-  if bitflips > 0 then
-    Pmem.corrupt_words_in t.pm ~seed:(seed + 0x0bf1) ~count:bitflips
-      ~ranges:(meta_ranges t);
-  recover t
+include Ptm_intf.Crash (struct
+  type nonrec t = t
+
+  let pmem = pmem
+  let recover = recover
+  let meta_ranges = meta_ranges
+end)
 
 let nvm_usage_words t =
   let mem = { Palloc.get = (fun a -> Pmem.get_word t.pm (t.val_base + a)); set = (fun _ _ -> ()) } in

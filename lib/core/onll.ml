@@ -349,14 +349,6 @@ let recover t =
   if !cut then Obs.recovery_truncated_log ();
   ignore (catch_up t ~tid:0 !n)
 
-let crash_and_recover t =
-  Pmem.crash t.pm;
-  recover t
-
-let crash_with_evictions t ~seed ~prob =
-  Pmem.crash_with_evictions t.pm ~seed ~prob;
-  recover t
-
 (* Durable metadata: the superblock word and the tags/bodies of the valid
    durable log prefix (at least one entry slot, so a flip lands somewhere
    detectable even when the log is empty).  Call after a crash, on the
@@ -388,9 +380,10 @@ let meta_ranges t =
   in
   [ (sb_addr, sb_addr); (t.log_base, t.log_base + (n * entry_words) - 1) ]
 
-let crash_with_faults t ~seed ~evict_prob ~torn_prob ~bitflips =
-  Pmem.crash_with_faults t.pm ~seed ~evict_prob ~torn_prob;
-  if bitflips > 0 then
-    Pmem.corrupt_words_in t.pm ~seed:(seed + 0x0bf1) ~count:bitflips
-      ~ranges:(meta_ranges t);
-  recover t
+include Ptm_intf.Crash (struct
+  type nonrec t = t
+
+  let pmem = pmem
+  let recover = recover
+  let meta_ranges = meta_ranges
+end)

@@ -47,15 +47,11 @@ module Make (C : CONFIG) = struct
     log_cap : int; (* max undo entries *)
     region_base : int;
     lock : Sched.Mutex.t;
+    touched : Line_set.t; (* logical lines undo-logged by the current tx *)
     bd : Breakdown.t;
   }
 
-  type tx = {
-    p : t;
-    tid : int;
-    touched : (int, unit) Hashtbl.t; (* logical line -> () *)
-    mutable fences_this_tx : int;
-  }
+  type tx = { p : t; tid : int }
 
   let log_count_addr _t = log_base
   let log_entry_addr _t i = log_base + 1 + (i * entry_words)
@@ -106,6 +102,9 @@ module Make (C : CONFIG) = struct
         log_cap;
         region_base;
         lock = Sched.Mutex.create ();
+        touched =
+          Line_set.create
+            ~lines:((words + Pmem.words_per_line - 1) / Pmem.words_per_line);
         bd = Breakdown.create ~num_threads;
       }
     in
@@ -149,15 +148,14 @@ module Make (C : CONFIG) = struct
     Pmem.pfence t.pm ~tid:tx.tid;
     Pmem.set_word t.pm ~tid:tx.tid (log_count_addr t) (encode_count (count + 1));
     Pmem.pwb t.pm ~tid:tx.tid (log_count_addr t);
-    Pmem.pfence t.pm ~tid:tx.tid;
-    tx.fences_this_tx <- tx.fences_this_tx + 2
+    Pmem.pfence t.pm ~tid:tx.tid
 
   let set tx a v =
     check_logical tx.p a;
     let line = a / Pmem.words_per_line in
-    if not (Hashtbl.mem tx.touched line) then begin
+    if not (Line_set.mem tx.p.touched line) then begin
       log_line tx line;
-      Hashtbl.add tx.touched line ()
+      Line_set.add tx.p.touched line
     end;
     Pmem.set_word tx.p.pm ~tid:tx.tid (tx.p.region_base + a) v
 
@@ -169,11 +167,11 @@ module Make (C : CONFIG) = struct
     let t = tx.p in
     (* Flush all modified lines, then truncate the log: 2 more fences. *)
     Breakdown.timed t.bd ~tid:tx.tid Flush (fun () ->
-        Hashtbl.iter
-          (fun line () ->
+        Line_set.iter
+          (fun line ->
             Pmem.pwb t.pm ~tid:tx.tid
               (t.region_base + (line * Pmem.words_per_line)))
-          tx.touched;
+          t.touched;
         Pmem.pfence t.pm ~tid:tx.tid;
         Pmem.set_word t.pm ~tid:tx.tid (log_count_addr t) (encode_count 0);
         Pmem.pwb t.pm ~tid:tx.tid (log_count_addr t);
@@ -182,7 +180,10 @@ module Make (C : CONFIG) = struct
   let update t ~tid f =
     Sched.Mutex.lock t.lock ~tid;
     let t0 = Unix.gettimeofday () in
-    let tx = { p = t; tid; touched = Hashtbl.create 32; fences_this_tx = 0 } in
+    (* A line marked by a transaction that unwound (abort or injected
+       crash) must not let this one skip its undo-log entry. *)
+    Line_set.clear t.touched;
+    let tx = { p = t; tid } in
     let finish () =
       Breakdown.add_total t.bd ~tid (Unix.gettimeofday () -. t0);
       Sched.Mutex.unlock t.lock ~tid
@@ -219,7 +220,8 @@ module Make (C : CONFIG) = struct
 
   let read_only t ~tid f =
     Sched.Mutex.lock t.lock ~tid;
-    let tx = { p = t; tid; touched = Hashtbl.create 1; fences_this_tx = 0 } in
+    Line_set.clear t.touched;
+    let tx = { p = t; tid } in
     Fun.protect
       ~finally:(fun () -> Sched.Mutex.unlock t.lock ~tid)
       (fun () -> f tx)
@@ -263,14 +265,6 @@ module Make (C : CONFIG) = struct
       Pmem.psync t.pm ~tid:0
     end
 
-  let crash_and_recover t =
-    Pmem.crash t.pm;
-    recover t
-
-  let crash_with_evictions t ~seed ~prob =
-    Pmem.crash_with_evictions t.pm ~seed ~prob;
-    recover t
-
   (* Durable metadata: the count word, plus the entries the durable count
      names (computed from the durable image, so call post-crash). *)
   let meta_ranges t =
@@ -287,12 +281,13 @@ module Make (C : CONFIG) = struct
        [ (log_entry_addr t 0, log_entry_addr t 0 + (count * entry_words) - 1) ]
      else [])
 
-  let crash_with_faults t ~seed ~evict_prob ~torn_prob ~bitflips =
-    Pmem.crash_with_faults t.pm ~seed ~evict_prob ~torn_prob;
-    if bitflips > 0 then
-      Pmem.corrupt_words_in t.pm ~seed:(seed + 0x0bf1) ~count:bitflips
-        ~ranges:(meta_ranges t);
-    recover t
+  include Ptm_intf.Crash (struct
+    type nonrec t = t
+
+    let pmem = pmem
+    let recover = recover
+    let meta_ranges = meta_ranges
+  end)
 
   let nvm_usage_words t =
     let mem = mem_of_raw t in

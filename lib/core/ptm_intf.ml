@@ -141,3 +141,31 @@ let update_unit (type t tx) (module P : S with type t = t and type tx = tx)
 
 (** A PTM packaged with an instance, for heterogeneous benchmark tables. *)
 type boxed = Boxed : (module S) -> boxed
+
+(** The three crash entry points of {!S}, written once from a PTM's
+    [pmem], [recover] and [meta_ranges]: each PTM [include]s them. *)
+module Crash (P : sig
+  type t
+
+  val pmem : t -> Pmem.t
+  val recover : t -> unit
+  val meta_ranges : t -> (int * int) list
+end) =
+struct
+  let crash_and_recover t =
+    Pmem.crash (P.pmem t);
+    P.recover t
+
+  let crash_with_evictions t ~seed ~prob =
+    Pmem.crash_with_evictions (P.pmem t) ~seed ~prob;
+    P.recover t
+
+  (* The flips draw from their own stream, [seed + 0x0bf1], so adding
+     them leaves the crash's evictions and tears unchanged. *)
+  let crash_with_faults t ~seed ~evict_prob ~torn_prob ~bitflips =
+    Pmem.crash_with_faults (P.pmem t) ~seed ~evict_prob ~torn_prob;
+    if bitflips > 0 then
+      Pmem.corrupt_words_in (P.pmem t) ~seed:(seed + 0x0bf1) ~count:bitflips
+        ~ranges:(P.meta_ranges t);
+    P.recover t
+end

@@ -92,6 +92,7 @@ module Make (C : CONFIG) = struct
   }
 
   type t = {
+    cc : Curcomb.t;
     pm : Pmem.t;
     num_threads : int;
     words : int;
@@ -116,41 +117,12 @@ module Make (C : CONFIG) = struct
     ro : bool;
   }
 
-  let header_addr = 0
-
-  (* Durable-metadata hardening (media-fault model), same scheme as CX: the
-     [curComb] header is stored sealed ({!Pmem.Checksum.seal}) — the word
-     embeds a validity tag and persists atomically — and each replica [i]
-     (up to the 62 that fit on the header line) keeps a sealed fallback
-     record at word [1 + i] carrying its (head ticket, replica index),
-     refreshed under the pre-publication fence, so recovery can fall back
-     to the newest validated replica when the header itself is bit-flip
-     corrupt.  Records are retired (best effort, unfenced) when a replica
-     is acquired for mutation and again after a lost transition race. *)
-
-  let max_records = 62
-  let record_addr i = 1 + i
-
-  let unrecoverable detail =
-    Obs.recovery_unrecoverable ();
-    raise (Ptm_intf.Unrecoverable { ptm = C.name; detail })
-
-  let seal_hdr st = Pmem.Checksum.seal (Int64.to_int (Seqtid.to_int64 st))
-
-  (* Outside recovery the header always unseals (recovery rewrites it before
-     handing the instance back), so failure here means the volatile image
-     was corrupted under us — surface it rather than decode garbage. *)
-  let hdr_exn w =
-    match Pmem.Checksum.unseal w with
-    | Some p -> Seqtid.of_int64 (Int64.of_int p)
-    | None -> unrecoverable (Printf.sprintf "curComb header corrupt (%Lx)" w)
-
   (* Volatile skeleton over an existing region: the [t] record, state
      matrix, ring and seq-0 sentinel — no durable writes, so it serves
      both [create] (which formats next) and [reopen] (which recovers). *)
-  let build ~num_threads ~words pm =
+  let build ~num_threads cc =
     let nrep = num_threads + 1 in
-    let base i = 64 + (i * words) in
+    let words = Curcomb.stride cc in
     let mk_state () =
       {
         ticket = Atomic.make (-1);
@@ -161,7 +133,8 @@ module Make (C : CONFIG) = struct
     in
     let t =
       {
-        pm;
+        cc;
+        pm = Curcomb.pmem cc;
         num_threads;
         words;
         nrep;
@@ -173,7 +146,7 @@ module Make (C : CONFIG) = struct
                 valid = i = 0;
                 extra_dirty = Line_set.create ~lines:(words / Pmem.words_per_line);
                 full_flush = false;
-                base = base i;
+                base = Curcomb.base cc i;
               });
         st_matrix =
           (* one extra row: a dedicated owner for the seq-0 sentinel state,
@@ -196,35 +169,14 @@ module Make (C : CONFIG) = struct
     Atomic.set t.ring.(0) sentinel;
     t
 
-  let create_impl ?backing ~num_threads ~words () =
-    if words <= Palloc.heap_base then invalid_arg (C.name ^ ".create: words");
-    (* Replica strides must be cache-line aligned: a replica boundary in
-       the middle of a line would let one torn write-back corrupt two
-       replicas at once, defeating the redundancy recovery relies on. *)
-    let words =
-      (words + Pmem.words_per_line - 1) / Pmem.words_per_line * Pmem.words_per_line
+  (* A fresh region whose replica 0 is an empty heap, or [image]. *)
+  let create_impl ?backing ?image ~num_threads ~words () =
+    let cc =
+      Curcomb.create ?backing ~ptm:C.name ~max_threads:num_threads
+        ~nrep:(num_threads + 1) ~words ()
     in
-    let nrep = num_threads + 1 in
-    let pm =
-      Pmem.create ?backing ~max_threads:num_threads
-        ~words:(64 + (nrep * words)) ()
-    in
-    let t = build ~num_threads ~words pm in
-    let base0 = t.combs.(0).base in
-    let mem =
-      {
-        Palloc.get = (fun a -> Pmem.get_word pm (base0 + a));
-        set = (fun a v -> Pmem.set_word pm ~tid:0 (base0 + a) v);
-      }
-    in
-    Palloc.format mem ~words;
-    Pmem.pwb_range pm ~tid:0 base0 (base0 + words - 1);
-    Pmem.set_word pm ~tid:0 header_addr
-      (seal_hdr (Seqtid.pack ~seq:0 ~tid:0 ~idx:0));
-    Pmem.set_word pm ~tid:0 (record_addr 0)
-      (seal_hdr (Seqtid.pack ~seq:0 ~tid:0 ~idx:0));
-    Pmem.pwb_range pm ~tid:0 header_addr (record_addr 0);
-    Pmem.psync pm ~tid:0;
+    let t = build ~num_threads cc in
+    Curcomb.format ?image cc;
     t
 
   let create ~num_threads ~words () = create_impl ~num_threads ~words ()
@@ -266,23 +218,16 @@ module Make (C : CONFIG) = struct
   let alloc tx n = Palloc.alloc (mem_of_tx tx) n
   let dealloc tx a = Palloc.dealloc (mem_of_tx tx) a
 
-  (* Durable-header maintenance, same monotone PM-CAS discipline as CX. *)
   let ensure_persisted t ~tid seq =
     if Atomic.get t.persisted < seq then begin
       let rec bump () =
         let cur = Atomic.get t.cur_comb in
         if Seqtid.seq cur < seq then bump ()
         else begin
-          let old = Pmem.get_word t.pm header_addr in
-          if Seqtid.seq (hdr_exn old) < Seqtid.seq cur then
-            ignore
-              (Pmem.cas_word t.pm ~tid header_addr ~expected:old
-                 ~desired:(seal_hdr cur));
-          let now = Seqtid.seq (hdr_exn (Pmem.get_word t.pm header_addr)) in
+          let now = Curcomb.advance t.cc ~tid cur in
           if now < seq then bump ()
           else begin
-            Pmem.pwb t.pm ~tid header_addr;
-            Pmem.psync t.pm ~tid;
+            Curcomb.persist_header t.cc ~tid;
             let rec raise_mark () =
               let p = Atomic.get t.persisted in
               if p < now && not (Atomic.compare_and_set t.persisted p now) then
@@ -445,12 +390,8 @@ module Make (C : CONFIG) = struct
            proves the replica consistent: no extra fence.  [tkt] is the
            ticket the replica is about to carry ([c.head] is only advanced
            after this flush). *)
-        let i = (c.base - 64) / t.words in
-        if i < max_records then begin
-          Pmem.set_word t.pm ~tid (record_addr i)
-            (seal_hdr (Seqtid.pack ~seq:(Seqtid.seq tkt) ~tid:0 ~idx:i));
-          Pmem.pwb t.pm ~tid (record_addr i)
-        end;
+        Curcomb.write_record t.cc ~tid (Curcomb.index t.cc c.base)
+          ~seq:(Seqtid.seq tkt);
         if not C.omit_prepub_fence then Pmem.pfence t.pm ~tid)
 
   (* Revert the simulated mutations after a lost transition race. *)
@@ -531,10 +472,8 @@ module Make (C : CONFIG) = struct
                 (* Best-effort: retire the fallback record before the
                    replica can become inconsistent under us. *)
                 match !locked with
-                | Some ci when ci < max_records ->
-                    Pmem.set_word t.pm ~tid (record_addr ci) 0L;
-                    Pmem.pwb t.pm ~tid (record_addr ci)
-                | Some _ | None -> ()));
+                | Some ci -> Curcomb.retire_record t.cc ~tid ci
+                | None -> ()));
             match !locked with
             | None -> iter := 2 (* helped: fall through to completion *)
             | Some ci ->
@@ -604,10 +543,7 @@ module Make (C : CONFIG) = struct
                        c.valid <- false);
                     (* The record written under the pre-publication fence
                        overstates this reverted replica: retire it. *)
-                    if ci < max_records then begin
-                      Pmem.set_word t.pm ~tid (record_addr ci) 0L;
-                      Pmem.pwb t.pm ~tid (record_addr ci)
-                    end;
+                    Curcomb.retire_record t.cc ~tid ci;
                     Wset.reset new_st.log;
                     if not c.valid then begin
                       Sync_prims.Rwlock.downgrade_unlock c.rwlock ~tid;
@@ -704,65 +640,11 @@ module Make (C : CONFIG) = struct
   and update t ~tid f = update_impl t ~tid f
 
   (* Null recovery: reload the consistent replica designated by the durable
-     header and rebuild the volatile consensus skeleton.  If the header's
-     seal is broken (bit flip), fall back to the newest replica whose sealed
-     record validates; raise {!Ptm_intf.Unrecoverable} when no unambiguous
-     candidate exists. *)
+     header (or, failing it, the newest replica record) and rebuild the
+     volatile consensus skeleton. *)
   let recover t =
     Obs.Trace.span Obs.Trace.Recovery ~tid:0 @@ fun () ->
-    let ci =
-      match Pmem.Checksum.unseal (Pmem.get_word t.pm header_addr) with
-      | Some p ->
-          let ci = Seqtid.idx (Seqtid.of_int64 (Int64.of_int p)) in
-          if ci < 0 || ci >= t.nrep then
-            unrecoverable
-              (Printf.sprintf "curComb header names replica %d of %d" ci
-                 t.nrep);
-          ci
-      | None ->
-          (* Newest validated record wins; a tie between distinct replicas
-             is ambiguous (one of them may have lost a race and reverted),
-             so refuse rather than risk silent corruption. *)
-          let best = ref None in
-          let suspect = ref false in
-          for i = 0 to min t.nrep max_records - 1 do
-            let w = Pmem.get_word t.pm (record_addr i) in
-            match Pmem.Checksum.unseal w with
-            | Some p ->
-                let st = Seqtid.of_int64 (Int64.of_int p) in
-                if Seqtid.idx st = i then begin
-                  let seq = Seqtid.seq st in
-                  match !best with
-                  | None -> best := Some (seq, i, false)
-                  | Some (bseq, _, _) ->
-                      if seq > bseq then best := Some (seq, i, false)
-                      else if seq = bseq then
-                        best := Some (bseq, i, true) (* ambiguous tie *)
-                end
-                else suspect := true (* never written with a foreign idx *)
-            | None ->
-                (* Records are only ever written sealed or zeroed
-                   (invalidation), so a nonzero word that fails to unseal is
-                   itself corrupt — and may hide the true newest replica, so
-                   falling back to an older one would silently roll back
-                   committed transactions. *)
-                if not (Int64.equal w 0L) then suspect := true
-          done;
-          if !suspect then
-            unrecoverable
-              "curComb header and a replica record are both corrupt; \
-               surviving records may be stale";
-          (match !best with
-          | None ->
-              unrecoverable
-                "curComb header corrupt and no replica record validates"
-          | Some (_, _, true) ->
-              unrecoverable
-                "curComb header corrupt and newest replica records tie"
-          | Some (_, i, false) ->
-              Obs.recovery_fell_back ();
-              i)
-    in
+    let ci = Curcomb.recover_replica t.cc in
     Array.iteri
       (fun i c ->
         (* Lock state is volatile: reset owner word and reader count. *)
@@ -791,19 +673,7 @@ module Make (C : CONFIG) = struct
     (* The recovered epoch restarts at seq 0 on the recovered replica. *)
     Atomic.set t.cur_comb (Seqtid.pack ~seq:0 ~tid:t.num_threads ~idx:ci);
     Atomic.set t.persisted 0;
-    (* Reset the durable header to the new epoch's seq numbering; the
-       replica records restart with it — only [ci] is consistent now. *)
-    let old = Pmem.get_word t.pm header_addr in
-    ignore
-      (Pmem.cas_word t.pm ~tid:0 header_addr ~expected:old
-         ~desired:(seal_hdr (Seqtid.pack ~seq:0 ~tid:t.num_threads ~idx:ci)));
-    for i = 0 to min t.nrep max_records - 1 do
-      Pmem.set_word t.pm ~tid:0 (record_addr i)
-        (if i = ci then seal_hdr (Seqtid.pack ~seq:0 ~tid:0 ~idx:i) else 0L)
-    done;
-    Pmem.pwb_range t.pm ~tid:0 header_addr
-      (record_addr (min t.nrep max_records - 1));
-    Pmem.psync t.pm ~tid:0
+    Curcomb.reset_epoch t.cc (Seqtid.pack ~seq:0 ~tid:t.num_threads ~idx:ci)
 
   (* Map an existing region file and recover it: the file's size fixes
      the geometry ([64 + (num_threads + 1) * words] total words), and
@@ -811,41 +681,23 @@ module Make (C : CONFIG) = struct
      durable image alone — the same code that runs after a simulated
      power failure runs here after a real process death. *)
   let reopen ~num_threads ~backing () =
-    let pm = Pmem.reopen ~max_threads:num_threads ~backing () in
-    let nrep = num_threads + 1 in
-    let total = Pmem.size_words pm in
-    if total <= 64 || (total - 64) mod nrep <> 0 then
-      invalid_arg
-        (Printf.sprintf
-           "%s.reopen: %s holds %d words, not 64 + %d replica strides"
-           C.name backing total nrep);
-    let words = (total - 64) / nrep in
-    if words mod Pmem.words_per_line <> 0 || words <= Palloc.heap_base then
-      invalid_arg
-        (Printf.sprintf "%s.reopen: %s replica stride %d words is invalid"
-           C.name backing words);
-    let t = build ~num_threads ~words pm in
+    let cc =
+      Curcomb.reopen ~ptm:C.name ~max_threads:num_threads ~nrep:(num_threads + 1)
+        ~backing ()
+    in
+    let t = build ~num_threads cc in
     recover t;
     t
 
-  let crash_and_recover t =
-    Pmem.crash t.pm;
-    recover t
+  let meta_ranges t = Curcomb.meta_ranges t.cc
 
-  let crash_with_evictions t ~seed ~prob =
-    Pmem.crash_with_evictions t.pm ~seed ~prob;
-    recover t
+  include Ptm_intf.Crash (struct
+    type nonrec t = t
 
-  (* Durable metadata: the sealed curComb header and the replica records
-     sharing its cache line. *)
-  let meta_ranges t = [ (header_addr, record_addr (min t.nrep max_records - 1)) ]
-
-  let crash_with_faults t ~seed ~evict_prob ~torn_prob ~bitflips =
-    Pmem.crash_with_faults t.pm ~seed ~evict_prob ~torn_prob;
-    if bitflips > 0 then
-      Pmem.corrupt_words_in t.pm ~seed:(seed + 0x0bf1) ~count:bitflips
-        ~ranges:(meta_ranges t);
-    recover t
+    let pmem = pmem
+    let recover = recover
+    let meta_ranges = meta_ranges
+  end)
 
   (* ---- Relocatable snapshots and online metadata verification --------
 
@@ -869,86 +721,23 @@ module Make (C : CONFIG) = struct
            0L));
     img
 
-  (* [create_impl] with the Palloc format replaced by blitting a
-     previously exported image into replica 0: the image already holds a
-     formatted heap, and sealing the header/record at seq 0 idx 0 makes
-     that replica the designated consistent one. *)
+  (* The image already holds a formatted heap; it becomes replica 0,
+     the one the seq-0 header names. *)
   let create_from_image ?backing ~num_threads ~image () =
     let words = Array.length image in
     if words <= Palloc.heap_base then
       invalid_arg (C.name ^ ".create_from_image: image too small");
     if words mod Pmem.words_per_line <> 0 then
       invalid_arg (C.name ^ ".create_from_image: image not line-aligned");
-    let nrep = num_threads + 1 in
-    let pm =
-      Pmem.create ?backing ~max_threads:num_threads
-        ~words:(64 + (nrep * words)) ()
-    in
-    let t = build ~num_threads ~words pm in
-    let base0 = t.combs.(0).base in
-    for a = 0 to words - 1 do
-      Pmem.set_word pm ~tid:0 (base0 + a) image.(a)
-    done;
-    Pmem.pwb_range pm ~tid:0 base0 (base0 + words - 1);
-    Pmem.set_word pm ~tid:0 header_addr
-      (seal_hdr (Seqtid.pack ~seq:0 ~tid:0 ~idx:0));
-    Pmem.set_word pm ~tid:0 (record_addr 0)
-      (seal_hdr (Seqtid.pack ~seq:0 ~tid:0 ~idx:0));
-    Pmem.pwb_range pm ~tid:0 header_addr (record_addr 0);
-    Pmem.psync pm ~tid:0;
-    t
+    create_impl ?backing ~image ~num_threads ~words ()
 
   (* Online scrub check over the DURABLE image ({!Pmem.durable_word}),
-     never the volatile one a live read sees: the header must unseal to
-     an in-range replica, and every nonzero replica record must unseal
-     with its own index.  Live operation only ever persists sealed
-     values (or zeroes, for retired records) into these words, so any
-     violation is silent media rot — caught here before the next crash
-     would reload the volatile image from the rotten durable one. *)
-  let verify_meta t =
-    match Pmem.Checksum.unseal (Pmem.durable_word t.pm header_addr) with
-    | None ->
-        Error
-          (Printf.sprintf "durable curComb header fails its seal (%Lx)"
-             (Pmem.durable_word t.pm header_addr))
-    | Some p ->
-        let ci = Seqtid.idx (Seqtid.of_int64 (Int64.of_int p)) in
-        if ci < 0 || ci >= t.nrep then
-          Error
-            (Printf.sprintf "durable curComb header names replica %d of %d"
-               ci t.nrep)
-        else begin
-          let bad = ref None in
-          for i = 0 to min t.nrep max_records - 1 do
-            if !bad = None then begin
-              let w = Pmem.durable_word t.pm (record_addr i) in
-              if not (Int64.equal w 0L) then
-                match Pmem.Checksum.unseal w with
-                | Some p
-                  when Seqtid.idx (Seqtid.of_int64 (Int64.of_int p)) = i ->
-                    ()
-                | Some _ ->
-                    bad :=
-                      Some
-                        (Printf.sprintf
-                           "durable replica record %d carries a foreign index"
-                           i)
-                | None ->
-                    bad :=
-                      Some
-                        (Printf.sprintf
-                           "durable replica record %d fails its seal (%Lx)" i w)
-            end
-          done;
-          match !bad with None -> Result.Ok () | Some d -> Error d
-        end
+     never the volatile one a live read sees. *)
+  let verify_meta t = Curcomb.verify t.cc
 
-  (* Silent-corruption injection for the scrub/quarantine harnesses:
-     durable-only bit flips inside the validated metadata words, leaving
-     the volatile image intact (see {!Pmem.corrupt_durable_words_in}). *)
+  (* Silent-corruption injection for the scrub/quarantine harnesses. *)
   let corrupt_durable_meta t ~seed ~count =
-    Pmem.corrupt_durable_words_in t.pm ~seed ~count
-      ~ranges:[ (header_addr, record_addr (min t.nrep max_records - 1)) ]
+    Curcomb.corrupt_durable t.cc ~seed ~count
 
   let nvm_usage_words t =
     let cur = Atomic.get t.cur_comb in

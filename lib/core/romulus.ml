@@ -37,6 +37,7 @@ type t = {
   (* left-right: which replica read-only transactions currently use *)
   read_view : int Atomic.t; (* 0 = main, 1 = back *)
   ingress : int Atomic.t array; (* per-view read indicators *)
+  dirty : Line_set.t; (* main's lines stored to by the current update *)
   bd : Breakdown.t;
 }
 
@@ -68,6 +69,7 @@ let create ~num_threads ~words () =
       writer = Sched.Mutex.create ();
       read_view = Atomic.make 0;
       ingress = [| Atomic.make 0; Atomic.make 0 |];
+      dirty = Line_set.create ~lines:(words / Pmem.words_per_line);
       bd = Breakdown.create ~num_threads;
     }
   in
@@ -135,6 +137,7 @@ let abort_update t ~tid =
 let update t ~tid f =
   Sched.Mutex.lock t.writer ~tid;
   let t0 = Unix.gettimeofday () in
+  Line_set.clear t.dirty;
   let log = Wset.create ~aggregate:true in
   let tx = { p = t; base = t.main_base; log = Some log; tid } in
   match
@@ -148,12 +151,12 @@ let update t ~tid f =
     let result = Breakdown.timed t.bd ~tid Lambda (fun () -> f tx) in
     (* [2] flush the modified lines of main *)
     Breakdown.timed t.bd ~tid Flush (fun () ->
-        let lines = Hashtbl.create 16 in
         Wset.iter_redo log (fun a _ ->
-            Hashtbl.replace lines ((t.main_base + a) / Pmem.words_per_line) ());
-        Hashtbl.iter
-          (fun line () -> Pmem.pwb t.pm ~tid (line * Pmem.words_per_line))
-          lines;
+            Line_set.add t.dirty (a / Pmem.words_per_line));
+        Line_set.iter
+          (fun line ->
+            Pmem.pwb t.pm ~tid (t.main_base + (line * Pmem.words_per_line)))
+          t.dirty;
         Pmem.pfence t.pm ~tid);
     (* [3] commit: main is now the consistent replica *)
     Pmem.set_word t.pm ~tid state_addr st_copying;
@@ -247,22 +250,15 @@ let recover t =
   Atomic.set t.ingress.(0) 0;
   Atomic.set t.ingress.(1) 0
 
-let crash_and_recover t =
-  Pmem.crash t.pm;
-  recover t
-
-let crash_with_evictions t ~seed ~prob =
-  Pmem.crash_with_evictions t.pm ~seed ~prob;
-  recover t
-
 let meta_ranges _t = [ (state_addr, state_addr) ]
 
-let crash_with_faults t ~seed ~evict_prob ~torn_prob ~bitflips =
-  Pmem.crash_with_faults t.pm ~seed ~evict_prob ~torn_prob;
-  if bitflips > 0 then
-    Pmem.corrupt_words_in t.pm ~seed:(seed + 0x0bf1) ~count:bitflips
-      ~ranges:(meta_ranges t);
-  recover t
+include Ptm_intf.Crash (struct
+  type nonrec t = t
+
+  let pmem = pmem
+  let recover = recover
+  let meta_ranges = meta_ranges
+end)
 
 let nvm_usage_words t =
   let mem =

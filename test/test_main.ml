@@ -35,6 +35,8 @@ module Rec_cxpuc = Suite_recovery.Make (Ptm.Cx_ptm.Puc)
 module Rec_onefile = Suite_recovery.Make (Ptm.Onefile)
 module Rec_pmdk = Suite_recovery.Make (Ptm.Pmdk_sim)
 module Rec_romulus = Suite_recovery.Make (Ptm.Romulus)
+module Fallback_cxptm = Suite_recovery.Fallback (Ptm.Cx_ptm.Ptm)
+module Fallback_redoopt = Suite_recovery.Fallback (Ptm.Redo_ptm.Opt)
 module Multi_redoopt = Suite_multi.Make (Ptm.Redo_ptm.Opt)
 module Multi_cxptm = Suite_multi.Make (Ptm.Cx_ptm.Ptm)
 module Multi_onefile = Suite_multi.Make (Ptm.Onefile)
@@ -94,6 +96,8 @@ let () =
          Rec_onefile.suites;
          Rec_pmdk.suites;
          Rec_romulus.suites;
+         Fallback_cxptm.suites;
+         Fallback_redoopt.suites;
          Multi_redoopt.suites;
          Multi_cxptm.suites;
          Multi_onefile.suites;
