@@ -30,14 +30,13 @@
    scrubber to quarantine, rebuild and readmit that shard before the
    verify phase; an optional scraper fetches METRICS mid-load.
 
-   A final verify phase MGETs every key back and checks the serving
-   contract: every acknowledged write is present with the exact value
-   written (acked => durable); any surviving unacknowledged write
-   carries the value that was attempted (never mangled); and every MPUT
-   group, acked or not, is present all-or-nothing across shards (no
-   prefix commits), and in full when acked.  TXSTAT of every acked
-   tokened write must find exactly one outcome record (two are a
-   duplicated commit).
+   A final verify phase runs [Serve.Write_audit] over the wire on every
+   PUT and MPUT with what its client was told: every key read back is
+   exact, every MPUT group is all-or-nothing, every ack is durable, and
+   every MPUT token (acked or not) resolves through TXSTAT to a commit
+   with exactly one outcome record or to an abort that left nothing
+   behind.  The report's verdict is true only when every violation
+   class is zero.
 
    Exit status is non-zero if verification, an SLO, the mid-load scrape
    or the self-healing round-trip fails, or if a --crash-at or
@@ -288,7 +287,9 @@ let () =
   let admin = connect () in
   C.ping admin;
 
-  let acked = Array.init nconns (fun _ -> Array.make per_conn false) in
+  (* what each op's client was told; an op never settled (its
+     connection died) stays ambiguous *)
+  let outcomes = Array.init nconns (fun _ -> Array.make per_conn Serve.Write_audit.Ambiguous) in
   let toks = Array.init nconns (fun _ -> Array.make per_conn 0) in
   let done_ops = Atomic.make 0 in
   let gave_up = Atomic.make 0 in
@@ -424,8 +425,12 @@ let () =
          let resp = C.Pipeline.await p tk in
          let lat = Unix.gettimeofday () -. t0 in
          let ok lats =
-           acked.(c).(i) <- true;
+           outcomes.(c).(i) <- Acked;
            lats.(c) := lat :: !(lats.(c))
+         in
+         let give_up outcome =
+           outcomes.(c).(i) <- outcome;
+           Atomic.incr gave_up
          in
          (match (kind, resp) with
          | `Put, (P.Ok | P.Txstat_committed _) -> ok lat_put
@@ -433,7 +438,11 @@ let () =
              bump_epoch epoch;
              ok lat_mput
          | `Scan, P.Kvs _ -> ok lat_scan
-         | _ -> Atomic.incr gave_up);
+         (* a timeout (the client's or the server's), an in-doubt commit
+            or an unresolved token may have landed *)
+         | _, (P.Timeout | P.In_doubt _ | P.Txstat_unknown) -> give_up Ambiguous
+         (* any other final answer is a refusal: nothing durable *)
+         | _ -> give_up Failed);
          Atomic.incr done_ops
        in
        let drain () =
@@ -535,85 +544,24 @@ let () =
          else "NOT healed before the deadline"));
 
   (* ---- verify ---- *)
-  let n_acked = Array.fold_left (Array.fold_left (fun n a -> if a then n + 1 else n)) 0 acked in
-  let acked_missing = ref 0 and mangled = ref 0 and unacked_present = ref 0 in
-  let mput_partial = ref 0 in
-  let mget ks =
-    match C.mget admin ks with
-    | Ok vs -> vs
-    | Error _ -> failwith "verify MGET failed"
+  let n_acked =
+    Array.fold_left
+      (Array.fold_left (fun n o -> if o = Serve.Write_audit.Acked then n + 1 else n))
+      0 outcomes
   in
-  for c = 0 to nconns - 1 do
-    (* point writes, 64 keys per MGET *)
-    let rec check_puts = function
-      | [] -> ()
-      | idxs ->
-          let now = List.filteri (fun n _ -> n < 64) idxs in
-          List.iter2
-            (fun i v ->
-              match (v, acked.(c).(i)) with
-              | Some v, was_acked ->
-                  if v <> value c i then begin
-                    incr mangled;
-                    Printf.eprintf "MANGLED %s\n%!" (key c i)
-                  end
-                  else if not was_acked then incr unacked_present
-              | None, true ->
-                  incr acked_missing;
-                  Printf.eprintf "ACKED BUT MISSING %s\n%!" (key c i)
-              | None, false -> ())
-            now
-            (mget (List.map (key c) now));
-          check_puts (List.filteri (fun n _ -> n >= 64) idxs)
-    in
-    check_puts (List.filter (fun i -> op_kind i = `Put) (List.init per_conn Fun.id));
-    (* cross-shard MPUT groups: exact all-or-nothing, acked => all *)
-    for i = 0 to per_conn - 1 do
-      if op_kind i = `Mput then begin
-        let ks = List.init !mput_size (mkey c i) in
-        let vs = mget ks in
-        let n_there = List.length (List.filter Option.is_some vs) in
-        List.iter2
-          (fun k v ->
-            match v with
-            | Some v when v <> value c i ->
-                incr mangled;
-                Printf.eprintf "MANGLED %s\n%!" k
-            | _ -> ())
-          ks vs;
-        if acked.(c).(i) then begin
-          if n_there <> !mput_size then begin
-            incr acked_missing;
-            Printf.eprintf "ACKED MPUT PARTIAL/MISSING c%d:%d (%d/%d)\n%!" c i n_there
-              !mput_size
-          end
-        end
-        else if n_there <> 0 && n_there <> !mput_size then begin
-          incr mput_partial;
-          Printf.eprintf "MPUT PREFIX COMMIT c%d:%d (%d/%d)\n%!" c i n_there !mput_size
-        end
-      end
-    done
-  done;
-  (* the ledger of every acked tokened write: one outcome record *)
-  let ledger_bad = ref 0 in
-  Array.iteri
-    (fun c row ->
-      Array.iteri
-        (fun i tok ->
-          if tok > 0 && acked.(c).(i) then
-            match C.txstat admin tok with
-            | Ok (`Committed (_, _, 1)) -> ()
-            | r ->
-                incr ledger_bad;
-                Printf.eprintf "LEDGER c%d:%d token %d: %s\n%!" c i tok
-                  (match r with
-                  | Ok (`Committed (_, _, n)) -> Printf.sprintf "%d outcome records" n
-                  | Ok `Aborted -> "aborted"
-                  | Ok `Unknown -> "unknown"
-                  | Error _ -> "TXSTAT failed"))
-        row)
-    toks;
+  let writes =
+    List.concat_map
+      (fun (c, i) ->
+        let write kvs = [ { Serve.Write_audit.tok = toks.(c).(i); kvs; outcome = outcomes.(c).(i) } ] in
+        match op_kind i with
+        | `Put -> write [ (key c i, value c i) ]
+        | `Mput -> write (List.init !mput_size (fun j -> (mkey c i j, value c i)))
+        | `Scan -> [])
+      (List.concat (List.init nconns (fun c -> List.init per_conn (fun i -> (c, i)))))
+  in
+  let audit = Serve.Write_audit.check (Serve.Write_audit.wire_reader admin) writes in
+  List.iter prerr_endline audit.messages;
+  let vcount = Serve.Write_audit.count audit in
 
   let want_stats = !fetch_stats || !slos <> [] || !stats_file <> "" in
   let stats =
@@ -671,11 +619,14 @@ let () =
     nconns depth per_conn drivers n_acked elapsed throughput (Atomic.get gave_up) retries
     timeouts reconnects resolved
     (if Float.is_nan !crash_ms then "" else Printf.sprintf ", crash outage %.1fms" !crash_ms);
-  Printf.printf
-    "verify: acked_missing=%d mangled=%d unacked_present=%d mput_partial=%d ledger_bad=%d\n%!"
-    !acked_missing !mangled !unacked_present !mput_partial !ledger_bad;
+  Printf.printf "verify: %s applied_unacked=%d\n%!"
+    (String.concat " "
+       (List.map
+          (fun (cls, n) -> Printf.sprintf "%s=%d" (Serve.Write_audit.class_name cls) n)
+          audit.counts))
+    audit.applied_unacked;
 
-  let verdict = !acked_missing = 0 && !mangled = 0 && !ledger_bad = 0 in
+  let verdict = Serve.Write_audit.total audit = 0 in
   let outage = (not (Float.is_nan !crash_at)) || Option.is_some !corrupt_spec in
   if !json_file <> "" then begin
     let open Obs.Json in
@@ -729,14 +680,16 @@ let () =
               ] );
           ( "verify",
             Obj
-              [
-                ("acked_missing", Int !acked_missing);
-                ("mangled", Int !mangled);
-                ("unacked_present", Int !unacked_present);
-                ("mput_partial", Int !mput_partial);
-                ("ledger_bad", Int !ledger_bad);
-                ("checked", Int total);
-              ] );
+              (List.map
+                 (fun (cls, n) -> (Serve.Write_audit.class_name cls, Int n))
+                 audit.counts
+              @ [
+                  (* sums under the names existing report readers know *)
+                  ("mput_partial", Int (vcount Half_applied));
+                  ("ledger_bad", Int (vcount Duplicated_commit + vcount Unknown_after_quiesce));
+                  ("applied_unacked", Int audit.applied_unacked);
+                  ("checked", Int total);
+                ]) );
           ("verdict", Bool verdict);
           ("server_windows", windows);
           ( "server_batching",
@@ -755,7 +708,7 @@ let () =
     close_out oc
   end;
 
-  if (not verdict) || !mput_partial > 0 || Atomic.get client_errors > 0 then begin
+  if (not verdict) || Atomic.get client_errors > 0 then begin
     prerr_endline "bench_serve: VERIFICATION FAILED";
     exit 1
   end;

@@ -428,6 +428,14 @@ let serve_torture ~shards ~rounds ~seed ~evict_prob ~torn_prob ~bitflips =
    with Exit -> ());
   !failures
 
+(* The first key [tag.n] (n = 0, 1, ...) that routes to [shard]. *)
+let key_on e ~shard tag =
+  let rec probe n =
+    let k = Printf.sprintf "%s.%d" tag n in
+    if Serve.Engine.shard_of e k = shard then k else probe (n + 1)
+  in
+  probe 0
+
 (* ---- cross-shard MPUT torture (--serve-mput) ----
 
    Each round runs on a FRESH engine, so a printed repro line replays
@@ -436,8 +444,9 @@ let serve_torture ~shards ~rounds ~seed ~evict_prob ~torn_prob ~bitflips =
    power-fail at a 2PC phase boundary drawn from the round's RNG (or
    pinned by --crash-phase), the whole machine crashes through the
    media-fault path, and the recovered image is audited — churn keys
-   exact, the MPUT all-or-nothing across shards (all keys exact if it
-   was acknowledged), the merged scan free of half-applied slices and
+   exact, the MPUT through the exactly-once audit ([Serve.Write_audit]:
+   all-or-nothing across shards, all keys exact if it was
+   acknowledged), the merged scan free of half-applied slices and
    commit metadata, and a fresh cross-shard MPUT still committing.
    Guard-dropping mutants (--mutant) must make this sweep fail; CI runs
    them to prove the sweep can see each violation class.
@@ -518,20 +527,16 @@ let serve_mput_torture ~shards ~rounds ~seed ~evict_prob ~torn_prob ~bitflips
     (* one key per shard, probed so the MPUT spans every shard *)
     let mput_kvs =
       List.init shards (fun s ->
-          let rec probe n =
-            let k = Printf.sprintf "x%d.%d.%d" round_seed s n in
-            if E.shard_of e k = s then k else probe (n + 1)
-          in
-          (probe 0, Printf.sprintf "mv%d.%d" round_seed s))
+          ( key_on e ~shard:s (Printf.sprintf "x%d.%d" round_seed s),
+            Printf.sprintf "mv%d.%d" round_seed s ))
     in
     C.set_crash_after (E.commit e) phase;
     let outcome =
       match
         E.multi_put e ~tid:0 (List.map (fun (k, v) -> (k, Some v)) mput_kvs)
       with
-      | Ok _ -> `Acked
-      | Error _ -> `Unacked
-      | exception C.Injected_crash _ -> `Unacked
+      | Ok _ -> Serve.Write_audit.Acked
+      | Error _ | (exception C.Injected_crash _) -> Ambiguous
     in
     let crashed =
       E.crash_hard_with_faults e ~seed:round_seed ~evict_prob ~torn_prob ~bitflips
@@ -550,38 +555,23 @@ let serve_mput_torture ~shards ~rounds ~seed ~evict_prob ~torn_prob ~bitflips
               v
         | Error err -> failf fail "get %s rejected (%s)" k (E.pp_error err))
       model;
-    (* the MPUT: atomic across shards, exact if acknowledged *)
-    let got =
-      List.map
-        (fun (k, v) ->
-          match E.get e ~tid:0 k with
-          | Ok r -> (k, v, r)
-          | Error err ->
-              failf fail "get %s rejected (%s)" k (E.pp_error err);
-              (k, v, None))
+    (* the MPUT (untokened): atomic across shards, exact if acknowledged *)
+    let module W = Serve.Write_audit in
+    List.iter fail
+      (W.check (W.engine_reader e) [ { W.tok = 0; kvs = mput_kvs; outcome } ]).messages;
+    (* merged image: user keys only, no half slice, no metadata leak —
+       the churn model plus the MPUT exactly when the point reads found
+       all of it *)
+    let whole =
+      List.for_all
+        (fun (k, _) -> match E.get e ~tid:0 k with Ok (Some _) -> true | _ -> false)
         mput_kvs
     in
-    List.iter
-      (fun (k, v, r) ->
-        match r with
-        | Some v' when v' <> v ->
-            failf fail "MPUT key %s mangled: got %s want %s" k v' v
-        | _ -> ())
-      got;
-    let present = List.length (List.filter (fun (_, _, r) -> r <> None) got) in
-    let applied = present = shards in
-    if outcome = `Acked && not applied then
-      failf fail "acked MPUT lost or partial after crash (%d/%d keys)" present shards
-    else if (not applied) && present > 0 then
-      failf fail "MPUT prefix commit: %d/%d keys durable" present shards;
-    (* merged image: user keys only, no half slice, no metadata leak *)
     let expect =
-      if applied then List.fold_left (fun m (k, v) -> SM.add k v m) model mput_kvs
-      else model
+      if whole then List.fold_left (fun m (k, v) -> SM.add k v m) model mput_kvs else model
     in
     (match E.scan e ~tid:0 ~prefix:"" ~max:(SM.cardinal expect + 8) with
-    | Ok kvs ->
-        if kvs <> SM.bindings expect then failf fail "merged scan diverged after crash"
+    | Ok kvs -> if kvs <> SM.bindings expect then failf fail "merged scan diverged after crash"
     | Error err -> failf fail "scan rejected (%s)" (E.pp_error err));
     let decided, applied_n = C.stats (E.commit e) in
     if decided <> applied_n then
@@ -632,6 +622,34 @@ let serve_mput_torture ~shards ~rounds ~seed ~evict_prob ~torn_prob ~bitflips
   done;
   !failures
 
+(* The report of a chaos or quarantine sweep (--chaos-json,
+   --health-json): the run's parameters, its violation count and
+   verdict, and one row per round. *)
+let write_sweep_report ~file ~schema ~shards ~rounds ~seed ~nclients ~per_client ~mutants
+    ~violations rows =
+  if file <> "" then begin
+    let open Obs.Json in
+    let doc =
+      Obj
+        [
+          ("schema", String schema);
+          ("shards", Int shards);
+          ("rounds", Int rounds);
+          ("seed", Int seed);
+          ("clients", Int nclients);
+          ("ops_per_client", Int per_client);
+          ("mutants", List (List.map (fun m -> String (Serve.Commit.pp_mutant m)) mutants));
+          ("violations", Int violations);
+          ("verdict", Bool (violations = 0));
+          ("rows", List rows);
+        ]
+    in
+    let oc = open_out file in
+    to_channel oc doc;
+    output_char oc '\n';
+    close_out oc
+  end
+
 (* ---- end-to-end chaos sweep (--serve-chaos) ----
 
    Each round starts a FRESH engine + reactor with a seeded network
@@ -642,16 +660,10 @@ let serve_mput_torture ~shards ~rounds ~seed ~evict_prob ~torn_prob ~bitflips
    contract allows after an [`InDoubt] give-up — so the durable outcome
    ledger's dedup is exercised on every round, not only when the chaos
    dice land on a dropped ack.  After the load quiesces the harness
-   audits straight through the in-process engine handle:
-
-     - every acked token is TXSTAT-committed with EXACTLY ONE outcome
-       record (two records = a duplicated commit; the
-       no-dedup-on-retry mutant must fail here), and every key of its
-       group carries the exact value written;
-     - every unacked/in-doubt token is either committed (keys exact)
-       or aborted (keys absent) — never half-applied, never unknown
-       after quiesce;
-     - every group is all-or-nothing across shards.
+   runs the exactly-once audit ([Serve.Write_audit]) on every write
+   straight through the in-process engine handle; a second outcome
+   record under one token is a duplicated commit, which the
+   no-dedup-on-retry mutant must produce.
 
    The plan is derived deterministically from the round seed (or
    pinned by --chaos-plan, as printed in repro lines), so the fault
@@ -722,23 +734,22 @@ let serve_chaos_torture ~shards ~rounds ~seed ~nclients ~per_client
         fmt
     in
     (* group keys span shards by construction: member j routes to shard
-       [j mod shards], so every group with >= 2 members is cross-shard
-       and its retries take the 2PC outcome-ledger path *)
+       [j mod shards], so with >= 2 shards every group is cross-shard
+       and its retries take the 2PC outcome-ledger path; j is in the
+       tag, so members sharing a shard still get distinct keys *)
     let group c i =
       let gsize = if shards = 1 then 2 else min 3 shards in
       List.init gsize (fun j ->
-          let rec probe n =
-            let k = Printf.sprintf "x%d.%d.%d.%d" round_seed c i n in
-            if E.shard_of e k = j mod shards then k else probe (n + 1)
-          in
-          (probe 0, Printf.sprintf "cv%d.%d.%d.%d" round_seed c i j))
+          ( key_on e ~shard:(j mod shards) (Printf.sprintf "x%d.%d.%d.%d" round_seed c i j),
+            Printf.sprintf "cv%d.%d.%d.%d" round_seed c i j ))
     in
+    let tok c i = ((c + 1) * 100_000) + i + 1 in
     let policy =
       { Serve.Client.call_timeout = 0.4; max_retries = 8 }
     in
     (* per-op outcome, filled by the client domains *)
     let outcomes =
-      Array.init nclients (fun _ -> Array.make per_client `Failed)
+      Array.init nclients (fun _ -> Array.make per_client Serve.Write_audit.Failed)
     in
     let run_client c =
       match
@@ -750,17 +761,17 @@ let serve_chaos_torture ~shards ~rounds ~seed ~nclients ~per_client
           Fun.protect ~finally:(fun () -> Serve.Client.close cl)
           @@ fun () ->
           for i = 0 to per_client - 1 do
-            let tok = ((c + 1) * 100_000) + i + 1 in
+            let tok = tok c i in
             let kvs = group c i in
             (match Serve.Client.mput ~tok cl kvs with
-            | Ok _ -> outcomes.(c).(i) <- `Acked
-            | Error (`InDoubt _) -> outcomes.(c).(i) <- `Ambiguous
+            | Ok _ -> outcomes.(c).(i) <- Acked
+            | Error (`InDoubt _) -> outcomes.(c).(i) <- Ambiguous
             | Error _ -> ()
             | exception _ -> ());
             (* ambiguous-retry probe: a client that gave up [`InDoubt]
                may legally re-submit with the same token; exactly-once
                means the ledger must answer the duplicate from memory *)
-            (if outcomes.(c).(i) = `Acked && i mod 3 = 0 then
+            (if outcomes.(c).(i) = Acked && i mod 3 = 0 then
                match Serve.Client.mput ~tok cl kvs with
                | Ok _ | Error _ -> ()
                | exception _ -> ());
@@ -780,73 +791,19 @@ let serve_chaos_torture ~shards ~rounds ~seed ~nclients ~per_client
     in
     List.iter Domain.join doms;
     (* quiesced: audit straight through the engine *)
-    let acked = ref 0 and ambiguous = ref 0 and unacked = ref 0 in
-    for c = 0 to nclients - 1 do
-      for i = 0 to per_client - 1 do
-        let tok = ((c + 1) * 100_000) + i + 1 in
-        let kvs = group c i in
-        let n = List.length kvs in
-        let present =
-          List.filter_map
-            (fun (k, v) ->
-              match E.get e ~tid:0 k with
-              | Ok (Some v') ->
-                  if v' <> v then fail "key %s mangled: got %s want %s" k v' v;
-                  Some k
-              | Ok None -> None
-              | Error err ->
-                  fail "audit get %s rejected (%s)" k (E.pp_error err);
-                  None)
-            kvs
-        in
-        let n_present = List.length present in
-        if n_present <> 0 && n_present <> n then
-          fail "group c%d/%d half-applied: %d/%d keys durable" c i n_present n;
-        let st =
-          match E.txstat e ~tid:0 tok with
-          | Ok st -> st
-          | Error err ->
-              fail "TXSTAT %d rejected (%s)" tok (E.pp_error err);
-              Serve.Ledger.Tx_unknown
-        in
-        match (outcomes.(c).(i), st) with
-        | `Acked, Serve.Ledger.Tx_committed { records; _ } ->
-            incr acked;
-            if records <> 1 then
-              fail "token %d: duplicated commit (%d outcome records)" tok
-                records;
-            if n_present <> n then
-              fail "ACKED group c%d/%d lost: %d/%d keys durable" c i n_present
-                n
-        | `Acked, (Serve.Ledger.Tx_aborted | Serve.Ledger.Tx_unknown) ->
-            incr acked;
-            fail "ACKED token %d not committed in the ledger" tok
-        | (`Ambiguous | `Failed), Serve.Ledger.Tx_committed { records; _ } ->
-            (if outcomes.(c).(i) = `Ambiguous then incr ambiguous
-             else incr unacked);
-            if records <> 1 then
-              fail "token %d: duplicated commit (%d outcome records)" tok
-                records;
-            if n_present <> n then
-              fail "committed group c%d/%d half-durable: %d/%d keys" c i
-                n_present n
-        | (`Ambiguous | `Failed), Serve.Ledger.Tx_aborted ->
-            (if outcomes.(c).(i) = `Ambiguous then incr ambiguous
-             else incr unacked);
-            if n_present <> 0 then
-              fail "aborted group c%d/%d left %d/%d keys behind" c i n_present
-                n
-        | (`Ambiguous | `Failed), Serve.Ledger.Tx_unknown ->
-            (if outcomes.(c).(i) = `Ambiguous then incr ambiguous
-             else incr unacked);
-            fail "token %d neither committed nor aborted after quiesce" tok
-      done
-    done;
+    let audit =
+      Serve.Write_audit.check (Serve.Write_audit.engine_reader e)
+        (List.concat
+           (List.init nclients (fun c ->
+                List.init per_client (fun i ->
+                    { Serve.Write_audit.tok = tok c i; kvs = group c i; outcome = outcomes.(c).(i) }))))
+    in
+    List.iter (fail "%s") audit.messages;
     R.stop srv;
     let faults = Ch.tallies src in
     Printf.printf
       "  round %2d: plan [%s] -> %d acked, %d ambiguous, %d unacked; faults %s\n%!"
-      round (Ch.pp_plan plan) !acked !ambiguous !unacked
+      round (Ch.pp_plan plan) audit.acked audit.ambiguous audit.failed
       (String.concat ", "
          (List.map (fun (n, k) -> Printf.sprintf "%s=%d" n k) faults));
     let open Obs.Json in
@@ -857,37 +814,17 @@ let serve_chaos_torture ~shards ~rounds ~seed ~nclients ~per_client
           ("seed", Int round_seed);
           ("plan", String (Ch.pp_plan plan));
           ("repro", String (repro round_seed plan));
-          ("acked", Int !acked);
-          ("ambiguous", Int !ambiguous);
-          ("unacked", Int !unacked);
+          ("acked", Int audit.acked);
+          ("ambiguous", Int audit.ambiguous);
+          ("unacked", Int audit.failed);
           ( "faults",
             Obj (List.map (fun (n, k) -> (n, Int k)) faults) );
           ("total_faults", Int (Ch.total_faults src));
         ]
       :: !rows
   done;
-  (if json_file <> "" then
-     let open Obs.Json in
-     let doc =
-       Obj
-         [
-           ("schema", String "redodb.chaos.v1");
-           ("shards", Int shards);
-           ("rounds", Int rounds);
-           ("seed", Int seed);
-           ("clients", Int nclients);
-           ("ops_per_client", Int per_client);
-           ( "mutants",
-             List (List.map (fun m -> String (C.pp_mutant m)) mutants) );
-           ("violations", Int !failures);
-           ("verdict", Bool (!failures = 0));
-           ("rows", List (List.rev !rows));
-         ]
-     in
-     let oc = open_out json_file in
-     to_channel oc doc;
-     output_char oc '\n';
-     close_out oc);
+  write_sweep_report ~file:json_file ~schema:"redodb.chaos.v1" ~shards ~rounds ~seed
+    ~nclients ~per_client ~mutants ~violations:!failures (List.rev !rows);
   !failures
 
 (* ---- per-shard quarantine sweep (--serve-quarantine) ----
@@ -910,10 +847,9 @@ let serve_chaos_torture ~shards ~rounds ~seed ~nclients ~per_client
 
    Audits (each violation prints a replayable repro line):
      - zero acked-write loss across quarantine -> rebuild ->
-       readmission -> freeze -> rebuild: every acked token is
-       TXSTAT-committed with exactly one outcome record and every key
-       carries the exact value written;
-     - all-or-nothing: no cross-shard group is ever half-durable;
+       readmission -> freeze -> rebuild: the exactly-once audit
+       ([Serve.Write_audit]) on every op, plus every write the hammer
+       saw acked during the rebuild;
      - fault isolation: no op that avoided the victim shard was ever
        refused with SHARD_UNAVAILABLE, and some such op was in flight
        across the victim's quarantine -> rebuild -> readmission;
@@ -974,13 +910,6 @@ let serve_quarantine_torture ~shards ~rounds ~seed ~nclients ~per_client
             round (repro round_seed))
         fmt
     in
-    let key_for ~shard tag =
-      let rec probe n =
-        let k = Printf.sprintf "%s.%d" tag n in
-        if E.shard_of e k = shard then k else probe (n + 1)
-      in
-      probe 0
-    in
     (* the op matrix is fixed upfront: each op knows its shard set, so
        the isolation audit can tell victim traffic from healthy traffic *)
     let ops =
@@ -991,13 +920,13 @@ let serve_quarantine_torture ~shards ~rounds ~seed ~nclients ~per_client
               let kvs, on =
                 if i mod 2 = 0 then
                   let s = (c + i) mod shards in
-                  ( [ (key_for ~shard:s (tag 0), Printf.sprintf "v%d.0" tok) ],
+                  ( [ (key_on e ~shard:s (tag 0), Printf.sprintf "v%d.0" tok) ],
                     [ s ] )
                 else
                   let s1 = i mod shards and s2 = (i + 1) mod shards in
                   ( [
-                      (key_for ~shard:s1 (tag 1), Printf.sprintf "v%d.1" tok);
-                      (key_for ~shard:s2 (tag 2), Printf.sprintf "v%d.2" tok);
+                      (key_on e ~shard:s1 (tag 1), Printf.sprintf "v%d.1" tok);
+                      (key_on e ~shard:s2 (tag 2), Printf.sprintf "v%d.2" tok);
                     ],
                     List.sort_uniq compare [ s1; s2 ] )
               in
@@ -1060,12 +989,12 @@ let serve_quarantine_torture ~shards ~rounds ~seed ~nclients ~per_client
         match List.filter (fun s -> s <> s1) healthy with
         | s2 :: _ when n mod 2 = 1 ->
             ( [
-                (key_for ~shard:s1 (tag 1), Printf.sprintf "v%d.1" tok);
-                (key_for ~shard:s2 (tag 2), Printf.sprintf "v%d.2" tok);
+                (key_on e ~shard:s1 (tag 1), Printf.sprintf "v%d.1" tok);
+                (key_on e ~shard:s2 (tag 2), Printf.sprintf "v%d.2" tok);
               ],
               List.sort_uniq compare [ s1; s2 ] )
         | _ ->
-            ( [ (key_for ~shard:s1 (tag 0), Printf.sprintf "v%d.0" tok) ],
+            ( [ (key_on e ~shard:s1 (tag 0), Printf.sprintf "v%d.0" tok) ],
               [ s1 ] )
       in
       (tok, kvs, on, ref `Failed)
@@ -1129,7 +1058,7 @@ let serve_quarantine_torture ~shards ~rounds ~seed ~nclients ~per_client
           while (not (Atomic.get window_closed)) && !n < 500 do
             let tok = ((nclients + 1) * 1_000_000) + !n + 1 in
             let k =
-              key_for ~shard:victim (Printf.sprintf "p%d.%d" round_seed !n)
+              key_on e ~shard:victim (Printf.sprintf "p%d.%d" round_seed !n)
             in
             let op =
               (tok, [ (k, Printf.sprintf "v%d.0" tok) ], [ victim ], ref `Failed)
@@ -1207,7 +1136,7 @@ let serve_quarantine_torture ~shards ~rounds ~seed ~nclients ~per_client
             if st1 = "rebuilding" && st2 = "rebuilding" && adm then
               admitted_rebuilding := true;
             let k =
-              key_for ~shard:victim (Printf.sprintf "rb%d.%d" round_seed !n)
+              key_on e ~shard:victim (Printf.sprintf "rb%d.%d" round_seed !n)
             in
             (match E.put e ~tid:0 ~key:k ~value:(string_of_int !n) with
             | Ok () -> hammer_acked := (k, string_of_int !n) :: !hammer_acked
@@ -1256,71 +1185,32 @@ let serve_quarantine_torture ~shards ~rounds ~seed ~nclients ~per_client
               k)
       !hammer_acked;
     (* quiesced: audit every op straight through the engine *)
-    let acked = ref 0 and refused_victim = ref 0 in
+    let all_ops =
+      List.concat (Array.to_list (Array.map Array.to_list ops))
+      @ List.concat (Array.to_list extra)
+    in
+    let audit =
+      Serve.Write_audit.check (Serve.Write_audit.engine_reader e)
+        (List.map
+           (fun (tok, kvs, _, st) ->
+             let outcome =
+               match !st with
+               | `Acked -> Serve.Write_audit.Acked
+               | `Ambiguous -> Ambiguous
+               | `Refused | `Failed -> Failed
+             in
+             { Serve.Write_audit.tok; kvs; outcome })
+           all_ops)
+    in
+    List.iter (fail "%s") audit.messages;
+    (* isolation: only a victim-touching op may answer SHARD_UNAVAILABLE *)
+    let refused_victim = ref 0 in
     List.iter
-      (fun (tok, kvs, on, st) ->
-        let n = List.length kvs in
-        let n_present =
-          List.length
-            (List.filter
-               (fun (k, v) ->
-                 match E.get e ~tid:0 k with
-                 | Ok (Some v') ->
-                     if v' <> v then
-                       fail "key %s mangled: got %s want %s" k v' v;
-                     true
-                 | Ok None -> false
-                 | Error err ->
-                     fail "audit get %s rejected (%s)" k (E.pp_error err);
-                     false)
-               kvs)
-        in
-        if n_present <> 0 && n_present <> n then
-          fail "group tok %d half-applied: %d/%d keys durable" tok
-            n_present n;
-        (match !st with
-        | `Refused ->
-            if List.mem victim on then incr refused_victim
-            else
-              fail
-                "op tok %d touching only healthy shards answered \
-                 SHARD_UNAVAILABLE"
-                tok
-        | `Acked -> incr acked
-        | `Ambiguous | `Failed -> ());
-        let stat =
-          match E.txstat e ~tid:0 tok with
-          | Ok s -> Some s
-          | Error err ->
-              fail "TXSTAT %d rejected (%s)" tok (E.pp_error err);
-              None
-        in
-        match (!st, stat) with
-        | `Acked, Some (Serve.Ledger.Tx_committed { records; _ }) ->
-            if records <> 1 then
-              fail "token %d: duplicated commit (%d outcome records)" tok
-                records;
-            if n_present <> n then
-              fail "ACKED group tok %d lost: %d/%d keys durable" tok
-                n_present n
-        | `Acked, (Some (Serve.Ledger.Tx_aborted | Serve.Ledger.Tx_unknown) | None) ->
-            fail "ACKED token %d not committed in the ledger" tok
-        | _, Some (Serve.Ledger.Tx_committed { records; _ }) ->
-            if records <> 1 then
-              fail "token %d: duplicated commit (%d outcome records)" tok
-                records;
-            if n_present <> n then
-              fail "committed group tok %d half-durable: %d/%d keys" tok
-                n_present n
-        | _, Some Serve.Ledger.Tx_aborted ->
-            if n_present <> 0 then
-              fail "aborted group tok %d left %d/%d keys behind" tok
-                n_present n
-        | _, Some Serve.Ledger.Tx_unknown ->
-            fail "token %d neither committed nor aborted after quiesce" tok
-        | _, None -> ())
-      (List.concat (Array.to_list (Array.map Array.to_list ops))
-      @ List.concat (Array.to_list extra));
+      (fun (tok, _, on, st) ->
+        if !st = `Refused then
+          if List.mem victim on then incr refused_victim
+          else fail "op tok %d touching only healthy shards answered SHARD_UNAVAILABLE" tok)
+      all_ops;
     (* final mutant-blind verification: surviving silent rot fails *)
     for s = 0 to shards - 1 do
       (match E.verify_shard e s with
@@ -1342,7 +1232,7 @@ let serve_quarantine_torture ~shards ~rounds ~seed ~nclients ~per_client
        ops across the quarantine, %d rebuild-window acks; %s; scrub passes \
        %d, anomalies %d\n\
        %!"
-      round victim !acked !refused_victim (Atomic.get window_ops)
+      round victim audit.acked !refused_victim (Atomic.get window_ops)
       (List.length !hammer_acked)
       (String.concat ", "
          (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) hc))
@@ -1355,7 +1245,7 @@ let serve_quarantine_torture ~shards ~rounds ~seed ~nclients ~per_client
           ("seed", Int round_seed);
           ("victim", Int victim);
           ("repro", String (repro round_seed));
-          ("acked", Int !acked);
+          ("acked", Int audit.acked);
           ("victim_refusals", Int !refused_victim);
           ("window_ops", Int (Atomic.get window_ops));
           ("rebuild_window_acks", Int (List.length !hammer_acked));
@@ -1365,28 +1255,8 @@ let serve_quarantine_torture ~shards ~rounds ~seed ~nclients ~per_client
         ]
       :: !rows
   done;
-  (if json_file <> "" then
-     let open Obs.Json in
-     let doc =
-       Obj
-         [
-           ("schema", String "redodb.quarantine.v1");
-           ("shards", Int shards);
-           ("rounds", Int rounds);
-           ("seed", Int seed);
-           ("clients", Int nclients);
-           ("ops_per_client", Int per_client);
-           ( "mutants",
-             List (List.map (fun m -> String (C.pp_mutant m)) mutants) );
-           ("violations", Int !failures);
-           ("verdict", Bool (!failures = 0));
-           ("rows", List (List.rev !rows));
-         ]
-     in
-     let oc = open_out json_file in
-     to_channel oc doc;
-     output_char oc '\n';
-     close_out oc);
+  write_sweep_report ~file:json_file ~schema:"redodb.quarantine.v1" ~shards ~rounds
+    ~seed ~nclients ~per_client ~mutants ~violations:!failures (List.rev !rows);
   !failures
 
 let parse_kill s =

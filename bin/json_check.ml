@@ -35,8 +35,9 @@
    violation count, one row per round, every repro line replayable with
    --serve-quarantine).  --pipelined validates the open-loop pipelined
    bench report (schema redodb.pipelined.v1: connection count and
-   inflight depth, per-class windowed percentiles from the server, the
-   zero-loss audit with a consistent verdict, and — when a mid-load
+   inflight depth, per-class windowed percentiles from the server, a
+   count for every Serve.Write_audit violation class with a verdict
+   true exactly when all are zero, and — when a mid-load
    crash was requested — proof it actually fired and recovered).
    Exits non-zero on the first malformed file. *)
 
@@ -371,15 +372,19 @@ let check_pipelined file doc =
     | Some (Obs.Json.Int n) -> n
     | _ -> fail "%s: verify lacks integer %S" file k
   in
-  let acked_missing = vint "acked_missing" in
-  let mangled = vint "mangled" in
-  ignore (vint "unacked_present");
   ignore (vint "checked");
+  let bad =
+    List.filter_map
+      (fun cls ->
+        let k = Serve.Write_audit.class_name cls in
+        match vint k with 0 -> None | n -> Some (Printf.sprintf "%s=%d" k n))
+      Serve.Write_audit.classes
+  in
   (match mem "verdict" with
   | Obs.Json.Bool b ->
-      if b <> (acked_missing = 0 && mangled = 0) then
-        fail "%s: verdict %b contradicts acked_missing=%d mangled=%d" file b
-          acked_missing mangled
+      if b <> (bad = []) then
+        fail "%s: verdict %b contradicts the audit (%s)" file b
+          (if bad = [] then "no violations" else String.concat " " bad)
   | _ -> fail "%s: \"verdict\" is not a bool" file);
   (* per-class windowed percentiles from the server *)
   (match mem "server_windows" with

@@ -11,10 +11,11 @@
    Supervisor mode (--supervise N): run the real server as a CHILD
    process over --pmem-dir, drive tokened cross-shard MPUT load at it
    from client domains, kill -9 the child N times under that load and
-   restart it each time, then audit over TCP that (a) every acked
-   write survived with exactly one outcome record — zero acked-write
-   loss, no duplicated commits, no partial MPUTs — and (b) a final
-   SIGTERM drains the child to exit 0.  Exits non-zero on any
+   restart it each time, then check (a) every write, acked, ambiguous
+   or definitely failed, with the exactly-once audit over TCP
+   ([Serve.Write_audit]: zero acked-write loss, no duplicated commits,
+   no partial MPUTs, every token resolved) and (b) that a final SIGTERM
+   drains the child to exit 0.  Exits non-zero on any
    violation, so the ack-before-commit and no-dedup-on-retry mutants
    (forwarded to the child with --mutant) must make it fail. *)
 
@@ -22,12 +23,6 @@ let pf = Printf.printf
 let epf = Printf.eprintf
 
 (* ---- supervised kill-restart harness ---- *)
-
-type sup_stats = {
-  mutable acked : int;
-  mutable unresolved : int;  (* writes still UNKNOWN after client retries *)
-  mutable definite_fail : int;  (* overloaded / unavailable / timeout *)
-}
 
 let supervise ~rounds ~host ~port ~dir ~child_args ~clients ~kill_interval
     ~stats_file ~prom_file ~mutants =
@@ -58,11 +53,10 @@ let supervise ~rounds ~host ~port ~dir ~child_args ~clients ~kill_interval
   wait_ready ();
   pf "supervise: child %d serving on %s:%d (dir %s)\n%!" !pid host port dir;
   let stop = Atomic.make false in
-  let stats = Array.init clients (fun _ -> { acked = 0; unresolved = 0; definite_fail = 0 }) in
-  (* (tok, group) log per client: the audit's ground truth.  Keys are
-     unique per write, so presence checks are unambiguous. *)
-  let acked_log = Array.make clients [] in
-  let unresolved_log = Array.make clients [] in
+  (* Every write per client, with what the client was told: the audit's
+     ground truth.  Keys are unique per write, so presence checks are
+     unambiguous. *)
+  let log = Array.make clients [] in
   let tallies = Array.make clients None in
   let doms =
     List.init clients (fun d ->
@@ -75,24 +69,21 @@ let supervise ~rounds ~host ~port ~dir ~child_args ~clients ~kill_interval
             while not (Atomic.get stop) do
               incr seq;
               let tok = ((d + 1) * 10_000_000) + !seq in
-              let group =
+              let kvs =
                 List.init 3 (fun j ->
                     ( Printf.sprintf "sup/%d/%d/%d" d !seq j,
                       Printf.sprintf "v%d.%d" tok j ))
               in
-              match Serve.Client.mput ~tok cl group with
-              | Result.Ok _ ->
-                  stats.(d).acked <- stats.(d).acked + 1;
-                  acked_log.(d) <- (tok, group) :: acked_log.(d)
-              | Error (`InDoubt _) ->
-                  stats.(d).unresolved <- stats.(d).unresolved + 1;
-                  unresolved_log.(d) <- (tok, group) :: unresolved_log.(d)
-              | Error _ -> stats.(d).definite_fail <- stats.(d).definite_fail + 1
-              | exception Serve.Client.Protocol_error _ ->
-                  (* connection beyond repair mid-restart: this write is
-                     unresolved; reconnect happens on the next loop *)
-                  stats.(d).unresolved <- stats.(d).unresolved + 1;
-                  unresolved_log.(d) <- (tok, group) :: unresolved_log.(d)
+              let outcome =
+                match Serve.Client.mput ~tok cl kvs with
+                | Result.Ok _ -> Serve.Write_audit.Acked
+                | Error (`InDoubt _) -> Ambiguous
+                | Error _ -> Failed
+                (* connection beyond repair mid-restart: this write is
+                   unresolved; reconnect happens on the next loop *)
+                | exception Serve.Client.Protocol_error _ -> Ambiguous
+              in
+              log.(d) <- { Serve.Write_audit.tok; kvs; outcome } :: log.(d)
             done;
             tallies.(d) <- Some (Serve.Client.tallies cl);
             Serve.Client.close cl))
@@ -113,84 +104,52 @@ let supervise ~rounds ~host ~port ~dir ~child_args ~clients ~kill_interval
   Atomic.set stop true;
   List.iter Domain.join doms;
   (* ---- audit, over TCP against the last restarted child ---- *)
-  let violations = ref [] in
-  let violate fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
   let auditor =
     Serve.Client.connect ~retries:100 ~retry_delay:0.05
       ~policy:Serve.Client.resilient ~host ~port ()
   in
-  let check_present tok group =
-    match Serve.Client.mget auditor (List.map fst group) with
-    | Result.Ok vs ->
-        List.iter2
-          (fun (k, want) got ->
-            if got <> Some want then
-              violate "tok %d: key %s = %s, want %s" tok k
-                (match got with Some v -> v | None -> "<absent>")
-                want)
-          group vs
-    | Error _ -> violate "tok %d: audit MGET failed" tok
+  let audit =
+    Serve.Write_audit.check
+      (Serve.Write_audit.wire_reader auditor)
+      (List.concat_map List.rev (Array.to_list log))
   in
-  let check_absent tok group =
-    match Serve.Client.mget auditor (List.map fst group) with
-    | Result.Ok vs ->
-        List.iter2
-          (fun (k, _) got ->
-            if got <> None then
-              violate "tok %d: aborted write left key %s behind" tok k)
-          group vs
-    | Error _ -> violate "tok %d: audit MGET failed" tok
-  in
-  let resolved_commits = ref 0 in
-  let audit_one ~acked (tok, group) =
-    match Serve.Client.txstat auditor tok with
-    | Result.Ok (`Committed (_, _, records)) ->
-        incr resolved_commits;
-        if records <> 1 then
-          violate "tok %d: %d outcome records (duplicated commit)" tok records;
-        check_present tok group
-    | Result.Ok `Aborted ->
-        if acked then violate "tok %d: ACKED write lost (TXSTAT aborted)" tok
-        else check_absent tok group
-    | Result.Ok `Unknown -> violate "tok %d: still UNKNOWN at audit" tok
-    | Error _ -> violate "tok %d: audit TXSTAT failed" tok
-  in
-  Array.iter (List.iter (audit_one ~acked:true)) acked_log;
-  Array.iter (List.iter (audit_one ~acked:false)) unresolved_log;
   let prom =
     match Serve.Client.metrics auditor with Result.Ok s -> s | Error _ -> ""
   in
   Serve.Client.close auditor;
   (* graceful drain of the last child: SIGTERM must exit 0 *)
   Unix.kill !pid Sys.sigterm;
-  (match Unix.waitpid [] !pid with
-  | _, Unix.WEXITED 0 -> ()
-  | _, Unix.WEXITED n -> violate "child exited %d after SIGTERM (want 0)" n
-  | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) ->
-      violate "child did not exit cleanly after SIGTERM");
-  let total f = Array.fold_left (fun acc s -> acc + f s) 0 stats in
+  let violations =
+    audit.messages
+    @
+    match Unix.waitpid [] !pid with
+    | _, Unix.WEXITED 0 -> []
+    | _, Unix.WEXITED n -> [ Printf.sprintf "child exited %d after SIGTERM (want 0)" n ]
+    | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) ->
+        [ "child did not exit cleanly after SIGTERM" ]
+  in
   let tally f =
     Array.fold_left
       (fun acc o -> match o with Some (t : Serve.Client.tallies) -> acc + f t | None -> acc)
       0 tallies
   in
-  let n_acked = total (fun s -> s.acked) in
-  let n_unres = total (fun s -> s.unresolved) in
-  let n_fail = total (fun s -> s.definite_fail) in
-  let verdict = !violations = [] in
+  (* writes the audit found committed: the acked ones, and the unacked
+     ones their token resolved as committed *)
+  let resolved_commits = audit.acked + audit.applied_unacked in
+  let verdict = violations = [] in
   pf
     "supervise: %d kills, %d acked, %d unresolved, %d definite-fail; \
      client retries %d, timeouts %d, reconnects %d, txstat-resolved acks %d\n\
      supervise: audit %s (%d violations)\n\
      %!"
-    !kills n_acked n_unres n_fail
+    !kills audit.acked audit.ambiguous audit.failed
     (tally (fun t -> t.retries))
     (tally (fun t -> t.timeouts))
     (tally (fun t -> t.reconnects))
     (tally (fun t -> t.resolved))
     (if verdict then "PASS" else "FAIL")
-    (List.length !violations);
-  List.iter (fun v -> epf "  violation: %s\n%!" v) !violations;
+    (List.length violations);
+  List.iter (fun v -> epf "  violation: %s\n%!" v) violations;
   if stats_file <> "" then begin
     let j =
       Obs.Json.Obj
@@ -203,16 +162,16 @@ let supervise ~rounds ~host ~port ~dir ~child_args ~clients ~kill_interval
             Obs.Json.List
               (List.map (fun m -> Obs.Json.String (Serve.Commit.pp_mutant m)) mutants)
           );
-          ("acked", Obs.Json.Int n_acked);
-          ("unresolved", Obs.Json.Int n_unres);
-          ("definite_fail", Obs.Json.Int n_fail);
-          ("resolved_commits", Obs.Json.Int !resolved_commits);
+          ("acked", Obs.Json.Int audit.acked);
+          ("unresolved", Obs.Json.Int audit.ambiguous);
+          ("definite_fail", Obs.Json.Int audit.failed);
+          ("resolved_commits", Obs.Json.Int resolved_commits);
           ("client_retries", Obs.Json.Int (tally (fun t -> t.retries)));
           ("client_timeouts", Obs.Json.Int (tally (fun t -> t.timeouts)));
           ("client_reconnects", Obs.Json.Int (tally (fun t -> t.reconnects)));
           ("txstat_resolved_acks", Obs.Json.Int (tally (fun t -> t.resolved)));
           ( "violations",
-            Obs.Json.List (List.map (fun v -> Obs.Json.String v) !violations) );
+            Obs.Json.List (List.map (fun v -> Obs.Json.String v) violations) );
           ("verdict", Obs.Json.String (if verdict then "pass" else "fail"));
         ]
     in

@@ -415,9 +415,9 @@ let scan ?ttl_us t ~prefix ~max =
 let txstat t tok =
   match exec t (Protocol.Txstat tok) with
   | Txstat_committed { txid; epoch; records } ->
-      Result.Ok (`Committed (txid, epoch, records))
-  | Txstat_aborted -> Result.Ok `Aborted
-  | Txstat_unknown -> Result.Ok `Unknown
+      Result.Ok (Ledger.Tx_committed { txid; epoch; records })
+  | Txstat_aborted -> Result.Ok Ledger.Tx_aborted
+  | Txstat_unknown -> Result.Ok Ledger.Tx_unknown
   | r -> failed "TXSTAT" r
 
 (* Probes (STATS, METRICS, HEALTH) never raise on a well-formed reply of

@@ -136,13 +136,11 @@ val mput :
 val scan :
   ?ttl_us:int -> t -> prefix:string -> max:int -> ((string * string) list, error) result
 
-(** Resolve a write token from the durable ledger: [`Committed (txid,
-    epoch, records)] ([records] > 1 proves a duplicated commit),
-    [`Aborted] (resend safe), or [`Unknown] (in flight; poll). *)
-val txstat :
-  t ->
-  int ->
-  ([ `Committed of int * int * int | `Aborted | `Unknown ], error) result
+(** Resolve a write token from the durable ledger, as
+    {!Engine.txstat} does in process: [Tx_committed] ([records] > 1
+    proves a duplicated commit), [Tx_aborted] (resend safe) or
+    [Tx_unknown] (in flight; poll). *)
+val txstat : t -> int -> (Ledger.tx_status, error) result
 
 (** Parsed STATS document.  Never raises on a well-formed reply: an
     off-shape answer (e.g. [OVERLOADED] under load) is an [Error]. *)

@@ -2601,12 +2601,12 @@ let test_reactor_pipelined_chaos () =
         | Ok (Some v) when v = string_of_int i -> ()
         | _ -> Alcotest.fail ("acked write missing after chaos: " ^ key i));
         match Serve.Client.txstat c toks.(i) with
-        | Ok (`Committed (_, _, records)) ->
+        | Ok (Serve.Ledger.Tx_committed { records; _ }) ->
             if records <> 1 then
               Alcotest.fail
                 (Printf.sprintf "tok %d: %d outcome records (duplicated \
                                  commit)" toks.(i) records)
-        | Ok (`Aborted | `Unknown) ->
+        | Ok (Serve.Ledger.Tx_aborted | Serve.Ledger.Tx_unknown) ->
             Alcotest.fail "acked token not committed at audit"
         | Error _ -> Alcotest.fail "audit TXSTAT failed"
       done;

@@ -116,4 +116,5 @@ let () =
          Db_rocks.suites;
          Suite_db.cursor_suites;
          Suite_serve.suites;
+         Suite_audit.suites;
        ])
