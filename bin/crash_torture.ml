@@ -1,4 +1,5 @@
-(* crash_torture: randomized durability fuzzer for every PTM (and ONLL).
+(* crash_torture: randomized durability fuzzer for all nine constructions
+   (the eight PTMs and ONLL).
 
    Usage:
      dune exec bin/crash_torture.exe -- [--ptm NAME] [--rounds N] [--seed S]
@@ -23,11 +24,17 @@
                                         [--chaos-ops K] [--mutant M]...
                                         [--health-json FILE]
 
+   Both crash modes drive every construction through one
+   Ptm.Crash_explorer.TARGET, so there is one driver per mode and no
+   per-construction branch.
+
    Default (quiescent) mode: each round runs a batch of random set
-   operations (tracked in a volatile model), then crashes the simulated
-   machine — letting each dirty, unflushed cache line survive with
-   probability P, as real caches may — recovers, and verifies that the
-   recovered structure exactly matches the model.
+   operations (tracked in a volatile model, every return value checked),
+   some concurrent churn from --threads domains, then crashes the
+   simulated machine — letting each dirty, unflushed cache line survive
+   with probability P, as real caches may — recovers, and verifies that
+   the recovered structure exactly matches the model.  A PTM's set is a
+   Pds.Hash_set, ONLL's the crash explorer's list.
 
    --mid-op mode crashes *inside* transactions instead: it counts the
    persistence steps (stores, pwbs, fences, ...) of a deterministic
@@ -40,12 +47,15 @@
 
    Media faults (both modes): --torn-prob P makes each at-crash eviction
    persist only a partial cache line (a random word prefix or subset), and
-   --bitflips N flips N random bits in the PTM's durable metadata after
-   the crash.  Torn write-backs must always leave a recoverable,
+   --bitflips N flips N random bits in the construction's durable metadata
+   after the crash.  Torn write-backs must always leave a recoverable,
    durable-linearizable image; under bit flips a recovery that refuses the
    image with Ptm.Ptm_intf.Unrecoverable counts as a detection, not a
-   failure — only silent divergence does.  All fault coins are
-   deterministic in --seed, so every printed repro line replays exactly.
+   failure — only silent divergence does.  ONLL's recovery truncates its
+   log at the first entry that fails its seal, so under bit flips its
+   image may also match any earlier completed prefix (the model then
+   resynchronizes to it).  All fault coins are deterministic in --seed, so
+   every printed repro line replays exactly.
 
    --sched mode runs the deterministic cooperative scheduler with the
    progress oracle instead: PTM workers become fibers interleaved one
@@ -58,234 +68,209 @@
    --kill / --crash-step the exact scenario from a printed repro line is
    replayed.  --crash-step composes the schedule with the fault stack:
    whole-machine stop at that step, (media-faulted) crash, recovery,
-   durable-counter check.
+   durable-counter check.  ONLL has no dynamic transactions and is not
+   scheduled.
 
    Any divergence is a durable-linearizability bug and the tool exits
    non-zero with a reproduction line.  This is the long-running
    counterpart of the quick crash tests in the test suite. *)
 
-(* ONLL is not a Ptm_intf.S (registered operations, no dynamic
-   transactions), so the target table distinguishes it. *)
-type target = Std of Ptm.Ptm_intf.boxed | Onll_target
-
-let ptms : (string * target) list =
-  [
-    ("PMDK", Std (Ptm.Ptm_intf.Boxed (module Ptm.Pmdk_sim)));
-    ("OneFile", Std (Ptm.Ptm_intf.Boxed (module Ptm.Onefile)));
-    ("RomulusLR", Std (Ptm.Ptm_intf.Boxed (module Ptm.Romulus)));
-    ("CX-PUC", Std (Ptm.Ptm_intf.Boxed (module Ptm.Cx_ptm.Puc)));
-    ("CX-PTM", Std (Ptm.Ptm_intf.Boxed (module Ptm.Cx_ptm.Ptm)));
-    ("Redo", Std (Ptm.Ptm_intf.Boxed (module Ptm.Redo_ptm.Base)));
-    ("RedoTimed", Std (Ptm.Ptm_intf.Boxed (module Ptm.Redo_ptm.Timed)));
-    ("RedoOpt", Std (Ptm.Ptm_intf.Boxed (module Ptm.Redo_ptm.Opt)));
-    ("ONLL", Onll_target);
-  ]
-
+module CE = Ptm.Crash_explorer
 module I64Set = Set.Make (Int64)
 
-let torture_one (module P : Ptm.Ptm_intf.S) ~rounds ~seed ~evict_prob
-    ~torn_prob ~bitflips ~threads =
-  let module H = Pds.Hash_set.Make (P) in
-  let p = P.create ~num_threads:threads ~words:(1 lsl 16) () in
-  H.init p ~tid:0 ~slot:1;
-  let model = ref I64Set.empty in
+(* The quiescent target: a crash-explorer target with its own region size
+   and keyspace. *)
+module type QUIESCENT = sig
+  include CE.TARGET
+
+  val words : int
+  val keyspace : int
+end
+
+module Hash_target (P : Ptm.Ptm_intf.S) : QUIESCENT = struct
+  module H = Pds.Hash_set.Make (P)
+
+  let name = P.name
+
+  type t = P.t
+
+  let words = 1 lsl 16
+  let keyspace = 500
+
+  let create ~num_threads ~words =
+    let p = P.create ~num_threads ~words () in
+    H.init p ~tid:0 ~slot:1;
+    p
+
+  let pmem = P.pmem
+
+  let apply p ~tid = function
+    | CE.Add k -> H.add p ~tid ~slot:1 k
+    | CE.Remove k -> H.remove p ~tid ~slot:1 k
+
+  let contents p ~tid =
+    ( List.sort Int64.compare
+        (H.fold p ~tid ~slot:1 ~init:[] (fun ks k -> k :: ks)),
+      H.cardinal p ~tid ~slot:1 )
+
+  let crash_and_recover = P.crash_and_recover
+  let crash_with_evictions = P.crash_with_evictions
+  let crash_with_faults = P.crash_with_faults
+  let rollback_on_flips = false
+end
+
+module Onll_list : QUIESCENT = struct
+  include CE.Onll_target
+
+  let words = 1 lsl 12
+  let keyspace = 100
+end
+
+(* Every construction: its mid-op target, its quiescent target and, for
+   the eight PTMs, the transactional interface --sched schedules. *)
+type construction = {
+  name : string;
+  midop : (module CE.TARGET);
+  quiescent : (module QUIESCENT);
+  sched : (module Ptm.Ptm_intf.S) option;
+}
+
+let of_ptm (module P : Ptm.Ptm_intf.S) =
+  {
+    name = P.name;
+    midop = (module CE.Of_ptm (P));
+    quiescent = (module Hash_target (P));
+    sched = Some (module P);
+  }
+
+let constructions =
+  List.map of_ptm
+    [
+      (module Ptm.Pmdk_sim : Ptm.Ptm_intf.S);
+      (module Ptm.Onefile);
+      (module Ptm.Romulus);
+      (module Ptm.Cx_ptm.Puc);
+      (module Ptm.Cx_ptm.Ptm);
+      (module Ptm.Redo_ptm.Base);
+      (module Ptm.Redo_ptm.Timed);
+      (module Ptm.Redo_ptm.Opt);
+    ]
+  @ [
+      {
+        name = Onll_list.name;
+        midop = (module CE.Onll_target);
+        quiescent = (module Onll_list);
+        sched = None;
+      };
+    ]
+
+(* Quiescent torture.  Thread 0 runs the batches, so the model is exact
+   and every add/remove return is checked against it; the churn threads
+   work on disjoint keys and leave the set as they found it.  [hist] holds
+   the models a recovery may present, newest first: just the current one,
+   or every completed prefix when the target may roll back under bit
+   flips.  Churn is then skipped, as its intermediate states are not in
+   [hist]. *)
+let torture_one (module Q : QUIESCENT) ~rounds ~seed ~evict_prob ~torn_prob
+    ~bitflips ~threads =
+  let module E = CE.Make (Q) in
+  let t = Q.create ~num_threads:threads ~words:Q.words in
+  let rollback = bitflips > 0 && Q.rollback_on_flips in
+  let hist = ref [ I64Set.empty ] in
   let st = Random.State.make [| seed |] in
   let failures = ref 0 in
+  let fail fmt =
+    Printf.ksprintf
+      (fun s ->
+        Printf.printf "  !! %s: %s\n" Q.name s;
+        incr failures)
+      fmt
+  in
   (try
      for round = 1 to rounds do
-       (* a batch of random operations, single-threaded so the model is
-          exact *)
        for _ = 1 to 50 do
-         let k = Int64.of_int (Random.State.int st 500) in
-         if Random.State.bool st then begin
-           let r = H.add p ~tid:0 ~slot:1 k in
-           if r <> not (I64Set.mem k !model) then begin
-             Printf.printf "  !! %s: add %Ld return diverged (round %d)\n"
-               P.name k round;
-             incr failures
-           end;
-           model := I64Set.add k !model
-         end
-         else begin
-           let r = H.remove p ~tid:0 ~slot:1 k in
-           if r <> I64Set.mem k !model then begin
-             Printf.printf "  !! %s: remove %Ld return diverged (round %d)\n"
-               P.name k round;
-             incr failures
-           end;
-           model := I64Set.remove k !model
-         end
+         let k = Int64.of_int (Random.State.int st Q.keyspace) in
+         let op = if Random.State.bool st then CE.Add k else CE.Remove k in
+         let model = List.hd !hist in
+         let changes, model' =
+           match op with
+           | Add k -> (not (I64Set.mem k model), I64Set.add k model)
+           | Remove k -> (I64Set.mem k model, I64Set.remove k model)
+         in
+         if Q.apply t ~tid:0 op <> changes then
+           fail "%s return diverged (round %d)" (CE.pp_op op) round;
+         hist := model' :: (if rollback then !hist else [])
        done;
-       (* some extra concurrent churn on disjoint keys before the crash *)
-       if threads > 1 && round mod 4 = 0 then begin
+       if threads > 1 && round mod 4 = 0 && not rollback then begin
          let ds =
            List.init (threads - 1) (fun w ->
                Domain.spawn (fun () ->
                    let tid = w + 1 in
                    for i = 0 to 19 do
                      let k = Int64.of_int (1000 + (tid * 100) + i) in
-                     ignore (H.add p ~tid ~slot:1 k);
-                     ignore (H.remove p ~tid ~slot:1 k)
+                     ignore (Q.apply t ~tid (Add k));
+                     ignore (Q.apply t ~tid (Remove k))
                    done))
          in
          List.iter Domain.join ds
        end;
-       (* crash (with evictions / media faults), then verify vs the model *)
-       (match (torn_prob, bitflips) with
-       | None, 0 ->
-           P.crash_with_evictions p ~seed:(seed + round) ~prob:evict_prob
-       | _ ->
-           P.crash_with_faults p ~seed:(seed + round) ~evict_prob
-             ~torn_prob:(Option.value torn_prob ~default:0.)
-             ~bitflips);
-       let card = H.cardinal p ~tid:0 ~slot:1 in
-       if card <> I64Set.cardinal !model then begin
-         Printf.printf
-           "  !! %s: cardinality diverged after crash: got %d want %d (round \
-            %d, seed %d)\n"
-           P.name card
-           (I64Set.cardinal !model)
-           round seed;
-         incr failures
-       end;
-       I64Set.iter
-         (fun k ->
-           if not (H.contains p ~tid:0 ~slot:1 k) then begin
-             Printf.printf
-               "  !! %s: lost committed key %Ld (round %d, seed %d)\n" P.name k
-               round seed;
-             incr failures
-           end)
-         !model
+       E.crash t ~seed:(seed + round) ~evict_prob:(Some evict_prob) ~torn_prob
+         ~bitflips;
+       let keys, count = Q.contents t ~tid:0 in
+       let matches s = keys = I64Set.elements s && count = I64Set.cardinal s in
+       let rec resync = function
+         | [] -> None
+         | s :: _ as h when matches s -> Some h
+         | _ :: older -> resync older
+       in
+       match resync !hist with
+       | Some h -> hist := h
+       | None ->
+           let model = List.hd !hist in
+           let lost =
+             I64Set.filter (fun k -> not (List.mem k keys)) model
+             |> I64Set.elements |> List.map Int64.to_string
+           in
+           fail "diverged after crash: got %d keys (count %d), want %s (round \
+                 %d, seed %d)"
+             (List.length keys) count
+             (if rollback then "a completed prefix"
+              else
+                Printf.sprintf "%d keys, lost {%s}" (I64Set.cardinal model)
+                  (String.concat "," lost))
+             round seed;
+           (* report each divergence once: later rounds check against what
+              recovery presented *)
+           hist := [ I64Set.of_list keys ]
      done
    with Ptm.Ptm_intf.Unrecoverable { detail; _ } ->
      if bitflips > 0 then
        Printf.printf "  detected: %s recovery refused corrupt image (%s)\n"
-         P.name detail
-     else begin
-       Printf.printf "  !! %s: Unrecoverable on a flip-free image (%s)\n"
-         P.name detail;
-       incr failures
-     end);
+         Q.name detail
+     else fail "Unrecoverable on a flip-free image (%s)" detail);
   !failures
 
-(* Quiescent torture for ONLL.  Every completed invoke fenced its own log
-   entry, so without bit flips recovery must reproduce the model exactly
-   (torn write-backs only affect dirty lines, and fenced lines are clean).
-   Under bit flips ONLL's recovery truncates the log at the first invalid
-   entry, legitimately rolling back to an earlier completed prefix: the
-   recovered state must then match some previous model state, and the
-   model resynchronizes to it. *)
-let torture_onll ~rounds ~seed ~evict_prob ~torn_prob ~bitflips =
-  let module OS = Ptm.Crash_explorer.Onll_sweep in
-  let i = OS.mk ~num_threads:1 ~words:(1 lsl 12) () in
-  let model = ref I64Set.empty in
-  let hist = ref [ I64Set.empty ] in
-  let st = Random.State.make [| seed |] in
-  let failures = ref 0 in
-  (try
-     for round = 1 to rounds do
-       for _ = 1 to 50 do
-         let k = Int64.of_int (Random.State.int st 100) in
-         let op =
-           if Random.State.bool st then Ptm.Crash_explorer.Add k
-           else Ptm.Crash_explorer.Remove k
-         in
-         OS.apply_op i op;
-         (model :=
-            match op with
-            | Add k -> I64Set.add k !model
-            | Remove k -> I64Set.remove k !model);
-         hist := !model :: !hist
-       done;
-       (match (torn_prob, bitflips) with
-       | None, 0 ->
-           Ptm.Onll.crash_with_evictions (OS.onll i) ~seed:(seed + round)
-             ~prob:evict_prob
-       | _ ->
-           Ptm.Onll.crash_with_faults (OS.onll i) ~seed:(seed + round)
-             ~evict_prob
-             ~torn_prob:(Option.value torn_prob ~default:0.)
-             ~bitflips);
-       let keys, count = OS.contents i in
-       let matches s =
-         keys = I64Set.elements s && count = I64Set.cardinal s
-       in
-       if bitflips > 0 then begin
-         match List.find_opt matches !hist with
-         | Some s -> model := s (* log truncated: resync to that prefix *)
-         | None ->
-             Printf.printf
-               "  !! ONLL: recovered state matches no completed prefix \
-                (round %d, seed %d)\n"
-               round seed;
-             incr failures
-       end
-       else if not (matches !model) then begin
-         Printf.printf
-           "  !! ONLL: diverged after crash: got %d keys want %d (round %d, \
-            seed %d)\n"
-           count
-           (I64Set.cardinal !model)
-           round seed;
-         incr failures
-       end
-     done
-   with Ptm.Ptm_intf.Unrecoverable { detail; _ } ->
-     if bitflips > 0 then
-       Printf.printf "  detected: ONLL recovery refused corrupt image (%s)\n"
-         detail
-     else begin
-       Printf.printf "  !! ONLL: Unrecoverable on a flip-free image (%s)\n"
-         detail;
-       incr failures
-     end);
-  !failures
-
-let print_report (report : Ptm.Crash_explorer.report) =
-  Printf.printf "%s\n"
-    (Format.asprintf "%a" Ptm.Crash_explorer.pp_report report);
+let print_report (report : CE.report) =
+  Printf.printf "%s\n" (Format.asprintf "%a" CE.pp_report report);
   List.iter
-    (fun (v : Ptm.Crash_explorer.violation) ->
+    (fun (v : CE.violation) ->
       Printf.printf "  !! step %d (in-flight op %d: %s): %s\n     repro: %s\n"
-        v.step v.op_index
-        (Ptm.Crash_explorer.pp_op v.op)
-        v.detail v.repro)
+        v.step v.op_index (CE.pp_op v.op) v.detail v.repro)
     report.violations;
   List.length report.violations
 
-let midop_one (module P : Ptm.Ptm_intf.S) ~seed ~nops ~step ~sample
-    ~evict_prob ~torn_prob ~bitflips =
-  let module E = Ptm.Crash_explorer.Make (P) in
-  let ops = Ptm.Crash_explorer.default_ops ~n:nops ~seed () in
-  let report =
-    if step > 0 then
-      E.sweep ?evict_prob ?torn_prob ~bitflips ~seed ~ops ~steps:[ step ] ()
+let midop_one (module T : CE.TARGET) ~seed ~nops ~step ~sample ~evict_prob
+    ~torn_prob ~bitflips =
+  let module E = CE.Make (T) in
+  let ops = CE.default_ops ~n:nops ~seed () in
+  let steps =
+    if step > 0 then [ step ]
     else
       let total = E.total_steps ~ops () in
-      let steps =
-        if sample = 0 then List.init total (fun i -> i + 1)
-        else Ptm.Crash_explorer.sample_steps ~total ~count:sample
-      in
-      E.sweep ?evict_prob ?torn_prob ~bitflips ~seed ~ops ~steps ()
+      if sample = 0 then List.init total (fun i -> i + 1)
+      else CE.sample_steps ~total ~count:sample
   in
-  print_report report
-
-let midop_onll ~seed ~nops ~step ~sample ~evict_prob ~torn_prob ~bitflips =
-  let module OS = Ptm.Crash_explorer.Onll_sweep in
-  let ops = Ptm.Crash_explorer.default_ops ~n:nops ~seed () in
-  let report =
-    if step > 0 then
-      OS.sweep ?evict_prob ?torn_prob ~bitflips ~seed ~ops ~steps:[ step ] ()
-    else
-      let total = OS.total_steps ~ops () in
-      let steps =
-        if sample = 0 then List.init total (fun i -> i + 1)
-        else Ptm.Crash_explorer.sample_steps ~total ~count:sample
-      in
-      OS.sweep ?evict_prob ?torn_prob ~bitflips ~seed ~ops ~steps ()
-  in
-  print_report report
+  print_report (E.sweep ?evict_prob ?torn_prob ~bitflips ~seed ~ops ~steps ())
 
 (* Adversarial-schedule progress runs (--sched).  With explicit
    injections this replays exactly one scenario — the round-trip target
@@ -293,7 +278,7 @@ let midop_onll ~seed ~nops ~step ~sample ~evict_prob ~torn_prob ~bitflips =
    calibrated stall/kill/crash sweep. *)
 let sched_one (module P : Ptm.Ptm_intf.S) ~seed ~threads ~ops ~rounds ~budget
     ~stalls ~kills ~crash_step ~evict_prob ~torn_prob ~bitflips =
-  let module S = Ptm.Crash_explorer.Sched_sweep (P) in
+  let module S = Ptm.Progress.Make (P) in
   let verdicts =
     if stalls <> [] || kills <> [] || crash_step <> None then
       [
@@ -306,11 +291,13 @@ let sched_one (module P : Ptm.Ptm_intf.S) ~seed ~threads ~ops ~rounds ~budget
     (fun v ->
       Printf.printf "%s\n%!" (Format.asprintf "%a" Ptm.Progress.pp_verdict v))
     verdicts;
+  let failures =
+    List.filter (fun (v : Ptm.Progress.verdict) -> not v.ok) verdicts
+  in
   List.iter
-    (fun (v : Ptm.Progress.verdict) ->
-      if not v.ok then Printf.printf "  !! repro: %s\n" v.repro)
-    (S.failures verdicts);
-  List.length (S.failures verdicts)
+    (fun (v : Ptm.Progress.verdict) -> Printf.printf "  !! repro: %s\n" v.repro)
+    failures;
+  List.length failures
 
 (* "TID@STEP" / "TID@STEP:K" adversary specs, as printed in repro lines. *)
 let parse_at ~flag s =
@@ -1463,8 +1450,8 @@ let () =
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "crash_torture [options]";
   let selected =
-    if !ptm_filter = "" then ptms
-    else List.filter (fun (n, _) -> n = !ptm_filter) ptms
+    if !ptm_filter = "" then constructions
+    else List.filter (fun c -> c.name = !ptm_filter) constructions
   in
   if selected = [] then begin
     Printf.eprintf "unknown PTM %S\n" !ptm_filter;
@@ -1575,18 +1562,17 @@ let () =
        (Unix.gettimeofday () -. t0)
    end
    else if !sched then begin
-     if !ptm_filter = "ONLL" then begin
-       Printf.eprintf "--sched: ONLL has no dynamic transactions to schedule\n";
-       exit 2
-     end;
      let ep = if !evict_set then Some !evict_prob else None in
-     List.iter
-       (fun (name, target) ->
-         match target with
-         | Onll_target -> ()
-         | Std (Ptm.Ptm_intf.Boxed (module P)) ->
-             Printf.printf "sched %-10s (seed %d, %d threads, %d ops)\n%!" name
-               !sched_seed !sched_threads !sched_ops;
+     match List.filter_map (fun c -> c.sched) selected with
+     | [] ->
+         Printf.eprintf "--sched: %s has no dynamic transactions to schedule\n"
+           !ptm_filter;
+         exit 2
+     | ps ->
+         List.iter
+           (fun (module P : Ptm.Ptm_intf.S) ->
+             Printf.printf "sched %-10s (seed %d, %d threads, %d ops)\n%!"
+               P.name !sched_seed !sched_threads !sched_ops;
              let t0 = Unix.gettimeofday () in
              let f =
                sched_one (module P) ~seed:!sched_seed ~threads:!sched_threads
@@ -1596,43 +1582,32 @@ let () =
              in
              total_failures := !total_failures + f;
              Printf.printf "  (%.1fs)\n" (Unix.gettimeofday () -. t0))
-       selected
+           ps
    end
    else if !mid_op then
      let ep = if !evict_set then Some !evict_prob else None in
      List.iter
-       (fun (_, target) ->
+       (fun c ->
          let t0 = Unix.gettimeofday () in
          let f =
-           match target with
-           | Std (Ptm.Ptm_intf.Boxed (module P)) ->
-               midop_one (module P) ~seed:!seed ~nops:!nops ~step:!step
-                 ~sample:!sample ~evict_prob:ep ~torn_prob:tp
-                 ~bitflips:!bitflips
-           | Onll_target ->
-               midop_onll ~seed:!seed ~nops:!nops ~step:!step ~sample:!sample
-                 ~evict_prob:ep ~torn_prob:tp ~bitflips:!bitflips
+           midop_one c.midop ~seed:!seed ~nops:!nops ~step:!step
+             ~sample:!sample ~evict_prob:ep ~torn_prob:tp ~bitflips:!bitflips
          in
          total_failures := !total_failures + f;
          Printf.printf "  (%.1fs)\n" (Unix.gettimeofday () -. t0))
        selected
    else
      List.iter
-       (fun (name, target) ->
+       (fun c ->
          Printf.printf
            "torturing %-10s (%d rounds, evict %.2f, torn %.2f, flips %d, %d \
             threads)... %!"
-           name !rounds !evict_prob !torn_prob !bitflips !threads;
+           c.name !rounds !evict_prob !torn_prob !bitflips !threads;
          let t0 = Unix.gettimeofday () in
          let f =
-           match target with
-           | Std (Ptm.Ptm_intf.Boxed (module P)) ->
-               torture_one (module P) ~rounds:!rounds ~seed:!seed
-                 ~evict_prob:!evict_prob ~torn_prob:tp ~bitflips:!bitflips
-                 ~threads:!threads
-           | Onll_target ->
-               torture_onll ~rounds:!rounds ~seed:!seed
-                 ~evict_prob:!evict_prob ~torn_prob:tp ~bitflips:!bitflips
+           torture_one c.quiescent ~rounds:!rounds ~seed:!seed
+             ~evict_prob:!evict_prob ~torn_prob:tp ~bitflips:!bitflips
+             ~threads:!threads
          in
          total_failures := !total_failures + f;
          Printf.printf "%s (%.1fs)\n"

@@ -189,6 +189,18 @@ let supervise ~rounds ~host ~port ~dir ~child_args ~clients ~kill_interval
   end;
   exit (if verdict then 0 else 1)
 
+let remove_region_dir dir =
+  match Sys.readdir dir with
+  | exception Sys_error _ -> ()
+  | files ->
+      Array.iter
+        (fun f ->
+          if String.starts_with ~prefix:"shard-" f
+             && Filename.check_suffix f ".region"
+          then try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+        files;
+      (try Sys.rmdir dir with Sys_error _ -> ())
+
 (* ---- entry point ---- *)
 
 let () =
@@ -315,9 +327,16 @@ let () =
     (* Supervisor: fork the real server as a child over a backing dir. *)
     let dir =
       if !pmem_dir <> "" then !pmem_dir
-      else
-        Filename.concat (Filename.get_temp_dir_name ())
-          (Printf.sprintf "redodb-sup-%d" (Unix.getpid ()))
+      else begin
+        let dir =
+          Filename.concat (Filename.get_temp_dir_name ())
+            (Printf.sprintf "redodb-sup-%d" (Unix.getpid ()))
+        in
+        (* The supervisor's own backing dir goes with it, pass or fail: its
+           shard region files, then the dir if nothing else is left. *)
+        at_exit (fun () -> remove_region_dir dir);
+        dir
+      end
     in
     if !port = 0 then port := 17_000 + (Unix.getpid () mod 10_000);
     (* room for every load client plus the ready probe and the auditor *)

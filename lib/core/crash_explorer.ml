@@ -20,11 +20,14 @@
       a one-line reproduction.
 
     The workload is a singly-linked list set with an element-count word,
-    self-contained here (the [pds] structures live above this library).  It
-    exercises allocation, deallocation and multi-word pointer surgery, so
-    torn or replayed transactions corrupt it in externally visible ways:
-    the count disagreeing with the chain is exactly the kind of half-applied
-    state a broken PTM leaks. *)
+    self-contained here (the [pds] structures live above this library) and
+    written once over the transactional accessors, so the eight PTMs
+    ({!Of_ptm}) and ONLL ({!Onll_target}, as two registered operations) run
+    the very same code under the one sweep {!Make}.  It exercises
+    allocation, deallocation and multi-word pointer surgery, so torn or
+    replayed transactions corrupt it in externally visible ways: the count
+    disagreeing with the chain is exactly the kind of half-applied state a
+    broken PTM leaks. *)
 
 module I64Set = Set.Make (Int64)
 
@@ -96,171 +99,215 @@ let sample_steps ~total ~count =
     List.sort_uniq compare
       (List.init count (fun i -> 1 + (i * (total - 1) / (count - 1))))
 
-module Make (P : Ptm_intf.S) = struct
-  let default_words = 512
+module type TARGET = sig
+  val name : string
+
+  type t
+
+  val create : num_threads:int -> words:int -> t
+  val pmem : t -> Pmem.t
+  val apply : t -> tid:int -> op -> bool
+  val contents : t -> tid:int -> int64 list * int
+  val crash_and_recover : t -> unit
+  val crash_with_evictions : t -> seed:int -> prob:float -> unit
+
+  val crash_with_faults :
+    t -> seed:int -> evict_prob:float -> torn_prob:float -> bitflips:int -> unit
+
+  val rollback_on_flips : bool
+end
+
+(* The list-set workload over a construction's accessors.  Both root slots
+   start at zero (empty list), so a fresh instance needs no initialisation
+   transaction — keeping run 0 and run k step-aligned from the very first
+   operation. *)
+module List_set (X : sig
+  type t
+  type tx
+
+  val get : tx -> int -> int64
+  val set : tx -> int -> int64 -> unit
+  val alloc : tx -> int -> int
+  val dealloc : tx -> int -> unit
+  val read_only : t -> tid:int -> (tx -> int64) -> int64
+end) =
+struct
   let head_slot = Palloc.root_addr 1
   let count_slot = Palloc.root_addr 2
 
-  (* Both root slots start at zero (empty list), so a fresh instance needs
-     no initialisation transaction — keeping run 0 and run k step-aligned
-     from the very first operation. *)
-
-  let apply_op p ~tid op =
-    ignore
-      (P.update p ~tid (fun tx ->
-           match op with
-           | Add k ->
-               let rec find cur =
-                 if cur = 0 then None
-                 else if Int64.equal (P.get tx cur) k then Some cur
-                 else find (Int64.to_int (P.get tx (cur + 1)))
-               in
-               (match find (Int64.to_int (P.get tx head_slot)) with
-               | Some _ -> 0L
-               | None ->
-                   let n = P.alloc tx 2 in
-                   P.set tx n k;
-                   P.set tx (n + 1) (P.get tx head_slot);
-                   P.set tx head_slot (Int64.of_int n);
-                   P.set tx count_slot (Int64.add (P.get tx count_slot) 1L);
-                   1L)
-           | Remove k ->
-               let rec unlink prev cur =
-                 if cur = 0 then 0L
-                 else if Int64.equal (P.get tx cur) k then begin
-                   let nxt = P.get tx (cur + 1) in
-                   if prev = 0 then P.set tx head_slot nxt
-                   else P.set tx (prev + 1) nxt;
-                   P.dealloc tx cur;
-                   P.set tx count_slot (Int64.sub (P.get tx count_slot) 1L);
-                   1L
-                 end
-                 else unlink cur (Int64.to_int (P.get tx (cur + 1)))
-               in
-               unlink 0 (Int64.to_int (P.get tx head_slot))))
-
-  (* Sorted keys + stored cardinality of the recovered structure.  The walk
-     carries fuel: a corrupted chain may be cyclic, and the oracle must
-     report that rather than hang.  The refs are reset inside the closure
-     because some PTMs re-execute read closures (helped reads). *)
-  let contents p ~tid =
-    let keys = ref [] in
-    let count = ref 0 in
-    ignore
-      (P.read_only p ~tid (fun tx ->
-           keys := [];
-           count := Int64.to_int (P.get tx count_slot);
-           let rec walk fuel cur =
-             if cur <> 0 then
-               if fuel = 0 then count := min_int (* cycle: can match nothing *)
-               else begin
-                 keys := P.get tx cur :: !keys;
-                 walk (fuel - 1) (Int64.to_int (P.get tx (cur + 1)))
-               end
-           in
-           walk 4096 (Int64.to_int (P.get tx head_slot));
-           0L));
-    (List.sort Int64.compare !keys, !count)
-
-  let show_set s =
-    String.concat "," (List.map Int64.to_string (I64Set.elements s))
-
-  let show_keys ks = String.concat "," (List.map Int64.to_string ks)
-
-  let mk_repro ~seed ~nops ~evict_prob ~torn_prob ~bitflips k =
-    mk_repro_line ~ptm:P.name ~seed ~nops ~evict_prob ~torn_prob ~bitflips k
-
-  (* Durable-linearizability check of the recovered instance, plus a
-     usability probe (recovery must leave a working PTM behind, not just a
-     pretty durable image). *)
-  let verify_recovered p ~k ~op_index ~op ~before ~after ~seed ~nops
-      ~evict_prob ~torn_prob ~bitflips =
-    let fail detail =
-      Some
-        {
-          step = k;
-          op_index;
-          op;
-          detail;
-          repro = mk_repro ~seed ~nops ~evict_prob ~torn_prob ~bitflips k;
-        }
+  let add tx k =
+    let rec find cur =
+      if cur = 0 then None
+      else if Int64.equal (X.get tx cur) k then Some cur
+      else find (Int64.to_int (X.get tx (cur + 1)))
     in
-    match contents p ~tid:0 with
-    | exception e ->
-        fail
-          (Printf.sprintf "recovered read-only walk raised %s"
-             (Printexc.to_string e))
-    | keys, count -> (
-        let matches s =
-          keys = I64Set.elements s && count = I64Set.cardinal s
-        in
-        if not (matches before || matches after) then
-          fail
-            (Printf.sprintf
-               "recovered {%s} count=%d equals neither pre-op {%s} nor \
-                post-op {%s} of in-flight op %d (%s)"
-               (show_keys keys) count (show_set before) (show_set after)
-               op_index (pp_op op))
-        else
-          (* probe: the recovered instance must still accept an update *)
-          let probe = 0x7FFF_FFFFL in
-          match apply_op p ~tid:0 (Add probe) with
-          | exception e ->
-              fail
-                (Printf.sprintf "post-recovery update raised %s"
-                   (Printexc.to_string e))
-          | () -> (
-              match contents p ~tid:0 with
-              | exception e ->
-                  fail
-                    (Printf.sprintf "read after post-recovery update raised %s"
-                       (Printexc.to_string e))
-              | keys', _ ->
-                  if List.mem probe keys' then None
-                  else fail "post-recovery update was lost"))
+    match find (Int64.to_int (X.get tx head_slot)) with
+    | Some _ -> 0L
+    | None ->
+        let n = X.alloc tx 2 in
+        X.set tx n k;
+        X.set tx (n + 1) (X.get tx head_slot);
+        X.set tx head_slot (Int64.of_int n);
+        X.set tx count_slot (Int64.add (X.get tx count_slot) 1L);
+        1L
 
-  (* Drive [ops] on [p] until completion or an injected crash; returns the
-     in-flight operation and the model before/after it. *)
-  let exec_until_crash p ops =
-    let rec go i model = function
+  let remove tx k =
+    let rec unlink prev cur =
+      if cur = 0 then 0L
+      else if Int64.equal (X.get tx cur) k then begin
+        let nxt = X.get tx (cur + 1) in
+        if prev = 0 then X.set tx head_slot nxt else X.set tx (prev + 1) nxt;
+        X.dealloc tx cur;
+        X.set tx count_slot (Int64.sub (X.get tx count_slot) 1L);
+        1L
+      end
+      else unlink cur (Int64.to_int (X.get tx (cur + 1)))
+    in
+    unlink 0 (Int64.to_int (X.get tx head_slot))
+
+  (* Sorted keys + stored cardinality.  The walk carries fuel: a corrupted
+     chain may be cyclic, and the oracle must report that rather than hang.
+     The result is overwritten on every run of the closure because some
+     PTMs re-execute read closures (helped reads). *)
+  let contents t ~tid =
+    let r = ref ([], 0) in
+    ignore
+      (X.read_only t ~tid (fun tx ->
+           let count = Int64.to_int (X.get tx count_slot) in
+           let rec walk fuel keys cur =
+             if cur = 0 then (keys, count)
+             else if fuel = 0 then (keys, min_int) (* cycle: matches nothing *)
+             else walk (fuel - 1) (X.get tx cur :: keys)
+                 (Int64.to_int (X.get tx (cur + 1)))
+           in
+           r := walk 4096 [] (Int64.to_int (X.get tx head_slot));
+           0L));
+    let keys, count = !r in
+    (List.sort Int64.compare keys, count)
+end
+
+module Of_ptm (P : Ptm_intf.S) = struct
+  module L = List_set (P)
+
+  let name = P.name
+
+  type t = P.t
+
+  let create ~num_threads ~words = P.create ~num_threads ~words ()
+  let pmem = P.pmem
+
+  let apply p ~tid op =
+    P.update p ~tid (fun tx ->
+        match op with Add k -> L.add tx k | Remove k -> L.remove tx k)
+    = 1L
+
+  let contents = L.contents
+  let crash_and_recover = P.crash_and_recover
+  let crash_with_evictions = P.crash_with_evictions
+  let crash_with_faults = P.crash_with_faults
+  let rollback_on_flips = false
+end
+
+(* ONLL is not a {!Ptm_intf.S}: it has no dynamic transactions, so the
+   list's add and remove are its two registered operations. *)
+module Onll_target = struct
+  module L = List_set (Onll)
+
+  let name = Onll.name
+
+  type t = { o : Onll.t; add_op : int; remove_op : int }
+
+  let create ~num_threads ~words =
+    let o = Onll.create ~num_threads ~words () in
+    let add_op = Onll.register o (fun tx args -> L.add tx args.(0)) in
+    let remove_op = Onll.register o (fun tx args -> L.remove tx args.(0)) in
+    { o; add_op; remove_op }
+
+  let pmem t = Onll.pmem t.o
+
+  let apply t ~tid op =
+    (match op with
+    | Add k -> Onll.invoke t.o ~tid t.add_op [| k |]
+    | Remove k -> Onll.invoke t.o ~tid t.remove_op [| k |])
+    = 1L
+
+  let contents t ~tid = L.contents t.o ~tid
+  let crash_and_recover t = Onll.crash_and_recover t.o
+  let crash_with_evictions t = Onll.crash_with_evictions t.o
+  let crash_with_faults t = Onll.crash_with_faults t.o
+
+  (* Recovery truncates the logical log at the first entry whose
+     content-sealed tag fails to validate, so after bit flips the image may
+     be that of any earlier completed prefix. *)
+  let rollback_on_flips = true
+end
+
+module Make (T : TARGET) = struct
+  let default_words = 512
+
+  (* Drive [ops] on [t] until completion or an injected crash; returns the
+     in-flight operation, the model after every completed prefix (newest
+     first, so its head is the state before the in-flight op) and the model
+     after the in-flight op. *)
+  let exec_until_crash t ops =
+    let rec go i hist = function
       | [] -> None
       | op :: rest -> (
-          let after = model_apply model op in
-          match apply_op p ~tid:0 op with
-          | () -> go (i + 1) after rest
-          | exception Pmem.Crash_injected -> Some (i, op, model, after))
+          let after = model_apply (List.hd hist) op in
+          match T.apply t ~tid:0 op with
+          | _ -> go (i + 1) (after :: hist) rest
+          | exception Pmem.Crash_injected -> Some (i, op, hist, after))
     in
-    go 0 I64Set.empty ops
+    go 0 [ I64Set.empty ] ops
 
   (** Steps executed by the uninterrupted reference run of [ops]. *)
   let total_steps ?(num_threads = 2) ?(words = default_words) ~ops () =
-    let p = P.create ~num_threads ~words () in
-    let pm = P.pmem p in
+    let t = T.create ~num_threads ~words in
+    let pm = T.pmem t in
     Pmem.set_step_tracking pm true;
-    List.iter (apply_op p ~tid:0) ops;
+    List.iter (fun op -> ignore (T.apply t ~tid:0 op)) ops;
     Pmem.steps pm
 
+  (* A clean crash when no fault is asked for, evictions with [evict_prob]
+     alone, the media-fault model as soon as [torn_prob] or [bitflips] is
+     set. *)
+  let crash t ~seed ~evict_prob ~torn_prob ~bitflips =
+    match (torn_prob, bitflips, evict_prob) with
+    | None, 0, None -> T.crash_and_recover t
+    | None, 0, Some prob -> T.crash_with_evictions t ~seed ~prob
+    | _ ->
+        T.crash_with_faults t ~seed
+          ~evict_prob:(Option.value evict_prob ~default:0.)
+          ~torn_prob:(Option.value torn_prob ~default:0.)
+          ~bitflips
+
+  type arm = Step of int | Coin of { seed : int; prob : float }
   type point_result = Completed | Survived | Detected | Violated of violation
 
-  (* One crash point: fresh instance, crash armed [k] steps in.  With
-     [torn_prob] or [bitflips] set the crash goes through the media-fault
-     model; {!Ptm_intf.Unrecoverable} raised while bit flips are being
-     injected is the hardened recovery correctly refusing a corrupt image
-     ([Detected]), whereas any exception out of a flip-free recovery is a
-     violation — clean crashes, evictions and torn write-backs must always
-     leave a recoverable image. *)
+  (* One crash point: fresh instance, crash armed at a fixed step or by a
+     seeded per-step coin.  With [torn_prob] or [bitflips] set the crash
+     goes through the media-fault model; {!Ptm_intf.Unrecoverable} raised
+     while bit flips are being injected is the hardened recovery correctly
+     refusing a corrupt image ([Detected]), whereas any exception out of a
+     flip-free recovery is a violation — clean crashes, evictions and torn
+     write-backs must always leave a recoverable image.  The recovered
+     structure must then equal the model before or after the in-flight op
+     (or, when the target's recovery may roll back under bit flips, after
+     any completed prefix) and must still accept an update. *)
   let run_point ~num_threads ~words ~evict_prob ~torn_prob ~bitflips ~seed
-      ~ops k =
-    let p = P.create ~num_threads ~words () in
-    let pm = P.pmem p in
+      ~ops arm =
+    let t = T.create ~num_threads ~words in
+    let pm = T.pmem t in
     Pmem.set_step_tracking pm true;
-    Pmem.inject_crash_after_step pm k;
-    match exec_until_crash p ops with
+    (match arm with
+    | Step k -> Pmem.inject_crash_after_step pm k
+    | Coin { seed; prob } -> Pmem.inject_crash_probabilistic pm ~seed ~prob);
+    match exec_until_crash t ops with
     | None ->
         Pmem.clear_injection pm;
         Completed
-    | Some (op_index, op, before, after) -> (
-        let nops = List.length ops in
+    | Some (op_index, op, hist, after) -> (
+        let k = match arm with Step k -> k | Coin _ -> Pmem.steps pm in
         let fail detail =
           Violated
             {
@@ -268,39 +315,75 @@ module Make (P : Ptm_intf.S) = struct
               op_index;
               op;
               detail;
-              repro = mk_repro ~seed ~nops ~evict_prob ~torn_prob ~bitflips k;
+              repro =
+                mk_repro_line ~ptm:T.name ~seed ~nops:(List.length ops)
+                  ~evict_prob ~torn_prob ~bitflips k;
             }
         in
-        let crash () =
-          match (torn_prob, bitflips) with
-          | None, 0 -> (
-              match evict_prob with
-              | None -> P.crash_and_recover p
-              | Some prob ->
-                  (* eviction choices derive deterministically from (seed, k)
-                     so the repro line replays the exact same durable image *)
-                  P.crash_with_evictions p ~seed:(seed + (911 * k)) ~prob)
-          | _ ->
-              P.crash_with_faults p ~seed:(seed + (911 * k))
-                ~evict_prob:(Option.value evict_prob ~default:0.)
-                ~torn_prob:(Option.value torn_prob ~default:0.)
-                ~bitflips
+        let raised what e =
+          fail (Printf.sprintf "%s raised %s" what (Printexc.to_string e))
         in
-        match crash () with
+        (* eviction choices derive deterministically from (seed, k) so the
+           repro line replays the exact same durable image *)
+        match
+          crash t ~seed:(seed + (911 * k)) ~evict_prob ~torn_prob ~bitflips
+        with
         | exception Ptm_intf.Unrecoverable { detail; _ } ->
             if bitflips > 0 then Detected
             else
               fail
                 (Printf.sprintf "recovery refused a flip-free image: %s" detail)
-        | exception e ->
-            fail (Printf.sprintf "recovery raised %s" (Printexc.to_string e))
+        | exception e -> raised "recovery" e
         | () -> (
-            match
-              verify_recovered p ~k ~op_index ~op ~before ~after ~seed ~nops
-                ~evict_prob ~torn_prob ~bitflips
-            with
-            | None -> Survived
-            | Some v -> Violated v))
+            let before = List.hd hist in
+            let rollback = bitflips > 0 && T.rollback_on_flips in
+            let ok_states =
+              if rollback then after :: hist else [ after; before ]
+            in
+            let show ks = String.concat "," (List.map Int64.to_string ks) in
+            match T.contents t ~tid:0 with
+            | exception e -> raised "recovered read-only walk" e
+            | keys, count -> (
+                let matches s =
+                  keys = I64Set.elements s && count = I64Set.cardinal s
+                in
+                if not (List.exists matches ok_states) then
+                  fail
+                    (Printf.sprintf
+                       "recovered {%s} count=%d equals neither pre-op {%s} nor \
+                        post-op {%s}%s of in-flight op %d (%s)"
+                       (show keys) count
+                       (show (I64Set.elements before))
+                       (show (I64Set.elements after))
+                       (if rollback then " nor any earlier completed prefix"
+                        else "")
+                       op_index (pp_op op))
+                else
+                  (* probe: the recovered instance must still accept an
+                     update, not just show a pretty durable image *)
+                  let probe = 0x7FFF_FFFFL in
+                  match T.apply t ~tid:0 (Add probe) with
+                  | exception e -> raised "post-recovery update" e
+                  | _ -> (
+                      match T.contents t ~tid:0 with
+                      | exception e ->
+                          raised "read after post-recovery update" e
+                      | keys', _ ->
+                          if List.mem probe keys' then Survived
+                          else fail "post-recovery update was lost"))))
+
+  let report ~total ~seed results =
+    let count p = List.length (List.filter p results) in
+    {
+      ptm = T.name;
+      seed;
+      total_steps = total;
+      steps_tested = List.length results;
+      crashes_injected = count (fun r -> r <> Completed);
+      detected = count (fun r -> r = Detected);
+      violations =
+        List.filter_map (function Violated v -> Some v | _ -> None) results;
+    }
 
   (** [sweep ~ops ~steps ()] runs one injection per step number in [steps]
       (step numbers outside [1..total] are skipped).  [evict_prob] switches
@@ -309,37 +392,11 @@ module Make (P : Ptm_intf.S) = struct
   let sweep ?(num_threads = 2) ?(words = default_words) ?evict_prob
       ?torn_prob ?(bitflips = 0) ?(seed = 0) ~ops ~steps () =
     let total = total_steps ~num_threads ~words ~ops () in
-    let tested = ref 0 in
-    let injected = ref 0 in
-    let det = ref 0 in
-    let viols = ref [] in
-    List.iter
-      (fun k ->
-        if k >= 1 && k <= total then begin
-          incr tested;
-          match
-            run_point ~num_threads ~words ~evict_prob ~torn_prob ~bitflips
-              ~seed ~ops k
-          with
-          | Completed -> ()
-          | Survived -> incr injected
-          | Detected ->
-              incr injected;
-              incr det
-          | Violated v ->
-              incr injected;
-              viols := v :: !viols
-        end)
-      steps;
-    {
-      ptm = P.name;
-      seed;
-      total_steps = total;
-      steps_tested = !tested;
-      crashes_injected = !injected;
-      detected = !det;
-      violations = List.rev !viols;
-    }
+    List.filter (fun k -> k >= 1 && k <= total) steps
+    |> List.map (fun k ->
+           run_point ~num_threads ~words ~evict_prob ~torn_prob ~bitflips
+             ~seed ~ops (Step k))
+    |> report ~total ~seed
 
   (** Exhaustive sweep: every step k = 1..N of the reference run. *)
   let sweep_all ?num_threads ?words ?evict_prob ?torn_prob ?bitflips
@@ -355,320 +412,9 @@ module Make (P : Ptm_intf.S) = struct
   let random_sweep ?(num_threads = 2) ?(words = default_words) ?evict_prob
       ?torn_prob ?(bitflips = 0) ?(seed = 0) ?(prob = 0.02) ~ops ~trials () =
     let total = total_steps ~num_threads ~words ~ops () in
-    let injected = ref 0 in
-    let det = ref 0 in
-    let viols = ref [] in
-    for trial = 1 to trials do
-      let p = P.create ~num_threads ~words () in
-      let pm = P.pmem p in
-      Pmem.set_step_tracking pm true;
-      Pmem.inject_crash_probabilistic pm ~seed:(seed + (7919 * trial)) ~prob;
-      match exec_until_crash p ops with
-      | None -> Pmem.clear_injection pm
-      | Some (op_index, op, before, after) -> (
-          incr injected;
-          let k = Pmem.steps pm in
-          let nops = List.length ops in
-          let fail detail =
-            viols :=
-              {
-                step = k;
-                op_index;
-                op;
-                detail;
-                repro =
-                  mk_repro ~seed ~nops ~evict_prob ~torn_prob ~bitflips k;
-              }
-              :: !viols
-          in
-          let crash () =
-            match (torn_prob, bitflips) with
-            | None, 0 -> (
-                match evict_prob with
-                | None -> P.crash_and_recover p
-                | Some prob ->
-                    P.crash_with_evictions p ~seed:(seed + (911 * k)) ~prob)
-            | _ ->
-                P.crash_with_faults p ~seed:(seed + (911 * k))
-                  ~evict_prob:(Option.value evict_prob ~default:0.)
-                  ~torn_prob:(Option.value torn_prob ~default:0.)
-                  ~bitflips
-          in
-          match crash () with
-          | exception Ptm_intf.Unrecoverable { detail; _ } ->
-              if bitflips > 0 then incr det
-              else
-                fail
-                  (Printf.sprintf "recovery refused a flip-free image: %s"
-                     detail)
-          | exception e ->
-              fail (Printf.sprintf "recovery raised %s" (Printexc.to_string e))
-          | () -> (
-              match
-                verify_recovered p ~k ~op_index ~op ~before ~after ~seed ~nops
-                  ~evict_prob ~torn_prob ~bitflips
-              with
-              | None -> ()
-              | Some v -> viols := v :: !viols))
-    done;
-    {
-      ptm = P.name;
-      seed;
-      total_steps = total;
-      steps_tested = trials;
-      crashes_injected = !injected;
-      detected = !det;
-      violations = List.rev !viols;
-    }
-end
-
-(* The adversarial-schedule counterpart of the crash sweeps above: where
-   [Make] explores the crash surface (durable linearizability at every
-   persistence step), [Sched_sweep] explores the schedule surface —
-   stall/kill adversaries under the deterministic scheduler and the
-   wait-freedom/blocked-detection oracle.  The machinery lives in
-   {!Progress}; this functor is the exploration entry point alongside
-   the crash sweeps. *)
-module Sched_sweep (P : Ptm_intf.S) = struct
-  include Progress.Make (P)
-
-  (** [all_ok vs] and the number of failed rounds, for harness exit
-      codes. *)
-  let failures vs = List.filter (fun v -> not v.Progress.ok) vs
-  let all_ok vs = failures vs = []
-end
-
-(* ONLL is not a {!Ptm_intf.S} (registered operations instead of dynamic
-   transactions), so it gets a dedicated sweep over the same linked-list
-   workload, with its own oracle: recovery truncates the logical log to the
-   longest valid prefix, so under injected bit flips the recovered state may
-   legitimately equal the model after {e any} prefix of the completed
-   operations — not just before/after the in-flight one. *)
-module Onll_sweep = struct
-  let default_words = 512
-  let head_slot = Palloc.root_addr 1
-  let count_slot = Palloc.root_addr 2
-
-  type inst = { o : Onll.t; add_op : int; remove_op : int }
-
-  let mk ?(num_threads = 2) ?(words = default_words) () =
-    let o = Onll.create ~num_threads ~words () in
-    let add_op =
-      Onll.register o (fun tx args ->
-          let k = args.(0) in
-          let rec find cur =
-            if cur = 0 then None
-            else if Int64.equal (Onll.get tx cur) k then Some cur
-            else find (Int64.to_int (Onll.get tx (cur + 1)))
-          in
-          match find (Int64.to_int (Onll.get tx head_slot)) with
-          | Some _ -> 0L
-          | None ->
-              let n = Onll.alloc tx 2 in
-              Onll.set tx n k;
-              Onll.set tx (n + 1) (Onll.get tx head_slot);
-              Onll.set tx head_slot (Int64.of_int n);
-              Onll.set tx count_slot (Int64.add (Onll.get tx count_slot) 1L);
-              1L)
-    in
-    let remove_op =
-      Onll.register o (fun tx args ->
-          let k = args.(0) in
-          let rec unlink prev cur =
-            if cur = 0 then 0L
-            else if Int64.equal (Onll.get tx cur) k then begin
-              let nxt = Onll.get tx (cur + 1) in
-              if prev = 0 then Onll.set tx head_slot nxt
-              else Onll.set tx (prev + 1) nxt;
-              Onll.dealloc tx cur;
-              Onll.set tx count_slot (Int64.sub (Onll.get tx count_slot) 1L);
-              1L
-            end
-            else unlink cur (Int64.to_int (Onll.get tx (cur + 1)))
-          in
-          unlink 0 (Int64.to_int (Onll.get tx head_slot)))
-    in
-    { o; add_op; remove_op }
-
-  let onll i = i.o
-
-  let apply_op i op =
-    ignore
-      (match op with
-      | Add k -> Onll.invoke i.o ~tid:0 i.add_op [| k |]
-      | Remove k -> Onll.invoke i.o ~tid:0 i.remove_op [| k |])
-
-  let contents i =
-    let keys = ref [] in
-    let count = ref 0 in
-    ignore
-      (Onll.read_only i.o ~tid:0 (fun tx ->
-           keys := [];
-           count := Int64.to_int (Onll.get tx count_slot);
-           let rec walk fuel cur =
-             if cur <> 0 then
-               if fuel = 0 then count := min_int
-               else begin
-                 keys := Onll.get tx cur :: !keys;
-                 walk (fuel - 1) (Int64.to_int (Onll.get tx (cur + 1)))
-               end
-           in
-           walk 4096 (Int64.to_int (Onll.get tx head_slot));
-           0L));
-    (List.sort Int64.compare !keys, !count)
-
-  let mk_repro ~seed ~nops ~evict_prob ~torn_prob ~bitflips k =
-    mk_repro_line ~ptm:Onll.name ~seed ~nops ~evict_prob ~torn_prob ~bitflips k
-
-  (* Run [ops], tracking the model after every completed prefix (newest
-     first), until completion or an injected crash. *)
-  let exec_until_crash i ops =
-    let rec go idx model hist = function
-      | [] -> None
-      | op :: rest -> (
-          let after = model_apply model op in
-          match apply_op i op with
-          | () -> go (idx + 1) after (after :: hist) rest
-          | exception Pmem.Crash_injected -> Some (idx, op, hist, after))
-    in
-    go 0 I64Set.empty [ I64Set.empty ] ops
-
-  let total_steps ?(num_threads = 2) ?(words = default_words) ~ops () =
-    let i = mk ~num_threads ~words () in
-    let pm = Onll.pmem i.o in
-    Pmem.set_step_tracking pm true;
-    List.iter (apply_op i) ops;
-    Pmem.steps pm
-
-  type point_result = Completed | Survived | Detected | Violated of violation
-
-  let run_point ~num_threads ~words ~evict_prob ~torn_prob ~bitflips ~seed
-      ~ops k =
-    let i = mk ~num_threads ~words () in
-    let pm = Onll.pmem i.o in
-    Pmem.set_step_tracking pm true;
-    Pmem.inject_crash_after_step pm k;
-    match exec_until_crash i ops with
-    | None ->
-        Pmem.clear_injection pm;
-        Completed
-    | Some (op_index, op, hist, after) -> (
-        let nops = List.length ops in
-        let fail detail =
-          Violated
-            {
-              step = k;
-              op_index;
-              op;
-              detail;
-              repro = mk_repro ~seed ~nops ~evict_prob ~torn_prob ~bitflips k;
-            }
-        in
-        let crash () =
-          match (torn_prob, bitflips) with
-          | None, 0 -> (
-              match evict_prob with
-              | None -> Onll.crash_and_recover i.o
-              | Some prob ->
-                  Onll.crash_with_evictions i.o ~seed:(seed + (911 * k)) ~prob)
-          | _ ->
-              Onll.crash_with_faults i.o ~seed:(seed + (911 * k))
-                ~evict_prob:(Option.value evict_prob ~default:0.)
-                ~torn_prob:(Option.value torn_prob ~default:0.)
-                ~bitflips
-        in
-        match crash () with
-        | exception Ptm_intf.Unrecoverable { detail; _ } ->
-            if bitflips > 0 then Detected
-            else
-              fail
-                (Printf.sprintf "recovery refused a flip-free image: %s" detail)
-        | exception e ->
-            fail (Printf.sprintf "recovery raised %s" (Printexc.to_string e))
-        | () -> (
-            (* Without bit flips the oracle is the usual prefix-closed one:
-               before or after the in-flight op.  With bit flips, log
-               truncation may legitimately roll further back: any completed
-               prefix is acceptable, silent divergence from all of them is
-               not. *)
-            let ok_states =
-              if bitflips > 0 then after :: hist
-              else [ after; List.hd hist ]
-            in
-            match contents i with
-            | exception e ->
-                fail
-                  (Printf.sprintf "recovered read-only walk raised %s"
-                     (Printexc.to_string e))
-            | keys, count ->
-                let matches s =
-                  keys = I64Set.elements s && count = I64Set.cardinal s
-                in
-                if not (List.exists matches ok_states) then
-                  fail
-                    (Printf.sprintf
-                       "recovered {%s} count=%d matches no completed prefix \
-                        of in-flight op %d (%s)"
-                       (String.concat ","
-                          (List.map Int64.to_string keys))
-                       count op_index (pp_op op))
-                else
-                  let probe = 0x7FFF_FFFFL in
-                  match apply_op i (Add probe) with
-                  | exception e ->
-                      fail
-                        (Printf.sprintf "post-recovery update raised %s"
-                           (Printexc.to_string e))
-                  | () -> (
-                      match contents i with
-                      | exception e ->
-                          fail
-                            (Printf.sprintf
-                               "read after post-recovery update raised %s"
-                               (Printexc.to_string e))
-                      | keys', _ ->
-                          if List.mem probe keys' then Survived
-                          else fail "post-recovery update was lost")))
-
-  let sweep ?(num_threads = 2) ?(words = default_words) ?evict_prob
-      ?torn_prob ?(bitflips = 0) ?(seed = 0) ~ops ~steps () =
-    let total = total_steps ~num_threads ~words ~ops () in
-    let tested = ref 0 in
-    let injected = ref 0 in
-    let det = ref 0 in
-    let viols = ref [] in
-    List.iter
-      (fun k ->
-        if k >= 1 && k <= total then begin
-          incr tested;
-          match
-            run_point ~num_threads ~words ~evict_prob ~torn_prob ~bitflips
-              ~seed ~ops k
-          with
-          | Completed -> ()
-          | Survived -> incr injected
-          | Detected ->
-              incr injected;
-              incr det
-          | Violated v ->
-              incr injected;
-              viols := v :: !viols
-        end)
-      steps;
-    {
-      ptm = Onll.name;
-      seed;
-      total_steps = total;
-      steps_tested = !tested;
-      crashes_injected = !injected;
-      detected = !det;
-      violations = List.rev !viols;
-    }
-
-  let sweep_all ?num_threads ?words ?evict_prob ?torn_prob ?bitflips
-      ?(seed = 0) ~ops () =
-    let total = total_steps ?num_threads ?words ~ops () in
-    sweep ?num_threads ?words ?evict_prob ?torn_prob ?bitflips ~seed ~ops
-      ~steps:(List.init total (fun i -> i + 1))
-      ()
+    List.init trials (fun i ->
+        run_point ~num_threads ~words ~evict_prob ~torn_prob ~bitflips ~seed
+          ~ops
+          (Coin { seed = seed + (7919 * (i + 1)); prob }))
+    |> report ~total ~seed
 end

@@ -7,7 +7,12 @@
     prefix-closed durable-linearizability oracle — the recovered structure
     must equal the model either before or after the in-flight operation,
     and must still accept updates.  Each violation carries a one-line
-    reproduction for [crash_torture --mid-op]. *)
+    reproduction for [crash_torture --mid-op].
+
+    All nine constructions run through the one sweep {!Make} over a
+    {!TARGET}: the eight PTMs via {!Of_ptm}, ONLL via {!Onll_target}.
+    The oracle differs in one rule only, which a target declares with
+    [rollback_on_flips]. *)
 
 type op = Add of int64 | Remove of int64
 
@@ -44,9 +49,62 @@ val pp_report : Format.formatter -> report -> unit
     [count >= total]. *)
 val sample_steps : total:int -> count:int -> int list
 
-module Make (P : Ptm_intf.S) : sig
+(** A construction the sweep can drive: the list-set workload behind
+    [apply] and [contents], and the three crash entry points every
+    construction gets from {!Ptm_intf.Crash}. *)
+module type TARGET = sig
+  val name : string
+
+  type t
+
+  val create : num_threads:int -> words:int -> t
+  val pmem : t -> Pmem.t
+
+  (** [apply t ~tid op] runs one add/remove as a single update; [true]
+      when it changed the set. *)
+  val apply : t -> tid:int -> op -> bool
+
+  (** Sorted keys + stored cardinality of the set, read in one read-only
+      operation.  The walk carries fuel, so a cyclic (corrupt) chain
+      yields a count of [min_int] instead of hanging. *)
+  val contents : t -> tid:int -> int64 list * int
+
+  val crash_and_recover : t -> unit
+  val crash_with_evictions : t -> seed:int -> prob:float -> unit
+
+  val crash_with_faults :
+    t -> seed:int -> evict_prob:float -> torn_prob:float -> bitflips:int -> unit
+
+  (** Whether recovery may, after bit flips, present the state of an
+      earlier completed prefix (ONLL truncates its logical log at the first
+      entry whose seal fails).  A property of the construction's recovery,
+      not a setting: only then does the oracle accept any completed prefix
+      instead of the state before or after the in-flight operation. *)
+  val rollback_on_flips : bool
+end
+
+(** The workload as one [update] / [read_only] transaction per operation. *)
+module Of_ptm (P : Ptm_intf.S) : TARGET with type t = P.t
+
+(** The workload as two registered {!Onll} operations;
+    [rollback_on_flips] is [true]. *)
+module Onll_target : TARGET
+
+module Make (T : TARGET) : sig
   (** Steps executed by the uninterrupted reference run of [ops]. *)
   val total_steps : ?num_threads:int -> ?words:int -> ops:op list -> unit -> int
+
+  (** The one crash selection: a clean crash when no fault is asked for,
+      [T.crash_with_evictions] with [evict_prob] alone, and
+      [T.crash_with_faults] (absent probabilities read as 0) as soon as
+      [torn_prob] or [bitflips] is set. *)
+  val crash :
+    T.t ->
+    seed:int ->
+    evict_prob:float option ->
+    torn_prob:float option ->
+    bitflips:int ->
+    unit
 
   (** [sweep ~ops ~steps ()] runs one injection per step number in
       [steps] (numbers outside [1..total] are skipped); [evict_prob]
@@ -96,66 +154,6 @@ module Make (P : Ptm_intf.S) : sig
     ?prob:float ->
     ops:op list ->
     trials:int ->
-    unit ->
-    report
-end
-
-(** Adversarial-schedule sweep: the {!Progress} oracle packaged as an
-    exploration entry point alongside the crash sweeps.  [sweep] runs
-    calibrated stall/kill/crash rounds under the deterministic scheduler
-    ({!Sched}); wait-free PTMs must complete every announced operation
-    through helping, blocking PTMs must be detected as blocked. *)
-module Sched_sweep (P : Ptm_intf.S) : sig
-  include module type of Progress.Make (P)
-
-  (** Rounds that failed their oracle. *)
-  val failures : Progress.verdict list -> Progress.verdict list
-
-  val all_ok : Progress.verdict list -> bool
-end
-
-(** Crash-surface sweep for {!Onll}, which is not a {!Ptm_intf.S} (its
-    operations are registered, not dynamic transactions).  Same linked-list
-    workload and flags; the oracle additionally accepts the model after any
-    completed prefix of operations when [bitflips > 0], because ONLL's
-    hardened recovery truncates the logical log at the first entry whose
-    content-sealed tag fails to validate. *)
-module Onll_sweep : sig
-  (** An ONLL instance with the linked-list set operations registered. *)
-  type inst
-
-  val mk : ?num_threads:int -> ?words:int -> unit -> inst
-
-  (** The underlying ONLL, for driving crashes directly. *)
-  val onll : inst -> Onll.t
-
-  val apply_op : inst -> op -> unit
-
-  (** Sorted keys + stored cardinality of the list (fuel-limited walk). *)
-  val contents : inst -> int64 list * int
-
-  val total_steps : ?num_threads:int -> ?words:int -> ops:op list -> unit -> int
-
-  val sweep :
-    ?num_threads:int ->
-    ?words:int ->
-    ?evict_prob:float ->
-    ?torn_prob:float ->
-    ?bitflips:int ->
-    ?seed:int ->
-    ops:op list ->
-    steps:int list ->
-    unit ->
-    report
-
-  val sweep_all :
-    ?num_threads:int ->
-    ?words:int ->
-    ?evict_prob:float ->
-    ?torn_prob:float ->
-    ?bitflips:int ->
-    ?seed:int ->
-    ops:op list ->
     unit ->
     report
 end

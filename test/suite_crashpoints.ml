@@ -1,7 +1,9 @@
 (* Mid-transaction crash-point exploration: arm Pmem's step-counting crash
    injection at chosen points of a deterministic workload and check that
-   every PTM recovers to a prefix-closed durably-linearizable state (the
-   model before or after the in-flight operation) and stays usable.
+   every construction — the eight PTMs and ONLL, each as a
+   Crash_explorer.TARGET — recovers to a prefix-closed durably-linearizable
+   state (the model before or after the in-flight operation) and stays
+   usable.
 
    Quick tests sample the crash surface; the full per-step sweeps (strict
    and with random cache evictions) run under `Slow (alcotest -e).
@@ -15,9 +17,11 @@
    [mutant_suites] instantiates deliberately broken configurations and
    asserts the sweeps *catch* them — the sweep must detect real durability
    bugs, not just rubber-stamp correct PTMs: a Redo that skips the pfence
-   before the [curComb] transition (caught by the eviction sweep), and a
-   PMDK whose undo log drops its checksums (caught by the bit-flip
-   sweep). *)
+   before the [curComb] transition (caught by the eviction sweep), a PMDK
+   whose undo log drops its checksums (caught by the bit-flip sweep), and
+   an ONLL target that denies its own log truncation (caught by the
+   bit-flip sweep, which shows the rollback allowance is what admits
+   ONLL's bit-flip rounds). *)
 
 module CE = Ptm.Crash_explorer
 
@@ -29,8 +33,8 @@ let check_clean name (r : CE.report) =
     r.violations;
   Alcotest.(check int) (name ^ ": violations") 0 (List.length r.violations)
 
-module Make (P : Ptm.Ptm_intf.S) = struct
-  module E = CE.Make (P)
+module Make (T : CE.TARGET) = struct
+  module E = CE.Make (T)
 
   let ops = CE.default_ops ~n:12 ~seed:42 ()
 
@@ -82,7 +86,7 @@ module Make (P : Ptm.Ptm_intf.S) = struct
 
   let suites =
     [
-      ( "crashpoints[" ^ P.name ^ "]",
+      ( "crashpoints[" ^ T.name ^ "]",
         [
           Alcotest.test_case "sampled strict sweep" `Quick test_sampled_strict;
           Alcotest.test_case "sampled eviction sweep" `Quick
@@ -93,47 +97,6 @@ module Make (P : Ptm.Ptm_intf.S) = struct
             test_sampled_bitflips;
           Alcotest.test_case "full strict sweep" `Slow test_full_strict;
           Alcotest.test_case "full eviction sweep" `Slow test_full_evictions;
-          Alcotest.test_case "full torn sweep" `Slow test_full_torn;
-        ] );
-    ]
-end
-
-(* ONLL is not a Ptm_intf.S, so it gets its own sweep harness. *)
-module Onll_tests = struct
-  module OS = CE.Onll_sweep
-
-  let ops = CE.default_ops ~n:12 ~seed:42 ()
-
-  let test_sampled_strict () =
-    let total = OS.total_steps ~ops () in
-    if total <= 0 then Alcotest.fail "ONLL workload produced no steps";
-    let steps = CE.sample_steps ~total ~count:25 in
-    check_clean "ONLL strict sample" (OS.sweep ~seed:42 ~ops ~steps ())
-
-  let test_sampled_torn () =
-    let total = OS.total_steps ~ops () in
-    let steps = CE.sample_steps ~total ~count:15 in
-    check_clean "ONLL torn sample"
-      (OS.sweep ~evict_prob:0.7 ~torn_prob:1.0 ~seed:42 ~ops ~steps ())
-
-  let test_full_torn () =
-    check_clean "ONLL full torn"
-      (OS.sweep_all ~evict_prob:0.7 ~torn_prob:1.0 ~seed:42 ~ops ())
-
-  let test_sampled_bitflips () =
-    let total = OS.total_steps ~ops () in
-    let steps = CE.sample_steps ~total ~count:25 in
-    check_clean "ONLL strict bit flips"
-      (OS.sweep ~bitflips:2 ~seed:42 ~ops ~steps ())
-
-  let suites =
-    [
-      ( "crashpoints[ONLL]",
-        [
-          Alcotest.test_case "sampled strict sweep" `Quick test_sampled_strict;
-          Alcotest.test_case "sampled torn sweep" `Quick test_sampled_torn;
-          Alcotest.test_case "sampled bit-flip sweep" `Quick
-            test_sampled_bitflips;
           Alcotest.test_case "full torn sweep" `Slow test_full_torn;
         ] );
     ]
@@ -152,7 +115,7 @@ module Broken_redo = Ptm.Redo_ptm.Make (struct
   let omit_prepub_fence = true
 end)
 
-module E_broken = CE.Make (Broken_redo)
+module E_broken = CE.Make (CE.Of_ptm (Broken_redo))
 
 let test_mutant_caught () =
   let ops = CE.default_ops ~n:10 ~seed:7 () in
@@ -168,7 +131,7 @@ module Broken_pmdk = Ptm.Pmdk_sim.Make (struct
   let checksum_log = false
 end)
 
-module E_broken_pmdk = CE.Make (Broken_pmdk)
+module E_broken_pmdk = CE.Make (CE.Of_ptm (Broken_pmdk))
 
 let test_desum_mutant_caught () =
   let ops = CE.default_ops ~n:12 ~seed:42 () in
@@ -176,6 +139,26 @@ let test_desum_mutant_caught () =
   Alcotest.(check bool)
     "bit-flip sweep flags the de-checksummed undo log" true
     (r.violations <> [])
+
+(* ONLL with its rollback allowance withdrawn: bit flips truncate its log
+   to an earlier completed prefix, which the before/after oracle must
+   reject.  A PTM target declares [rollback_on_flips = false], so this is
+   the oracle every PTM is held to. *)
+module Onll_no_rollback = struct
+  include CE.Onll_target
+
+  let rollback_on_flips = false
+end
+
+module E_onll_no_rollback = CE.Make (Onll_no_rollback)
+
+let test_no_rollback_caught () =
+  let ops = CE.default_ops ~n:12 ~seed:42 () in
+  let total = E_onll_no_rollback.total_steps ~ops () in
+  let steps = CE.sample_steps ~total ~count:25 in
+  let r = E_onll_no_rollback.sweep ~bitflips:2 ~seed:42 ~ops ~steps () in
+  Alcotest.(check bool)
+    "bit-flip sweep flags the log truncation" true (r.violations <> [])
 
 let mutant_suites =
   [
@@ -185,5 +168,7 @@ let mutant_suites =
           test_mutant_caught;
         Alcotest.test_case "PmdkNoSum caught by bit-flip sweep" `Quick
           test_desum_mutant_caught;
+        Alcotest.test_case "ONLL without rollback caught by bit-flip sweep"
+          `Quick test_no_rollback_caught;
       ] );
   ]

@@ -41,14 +41,16 @@ module Multi_redoopt = Suite_multi.Make (Ptm.Redo_ptm.Opt)
 module Multi_cxptm = Suite_multi.Make (Ptm.Cx_ptm.Ptm)
 module Multi_onefile = Suite_multi.Make (Ptm.Onefile)
 module Multi_pmdk = Suite_multi.Make (Ptm.Pmdk_sim)
-module Cp_pmdk = Suite_crashpoints.Make (Ptm.Pmdk_sim)
-module Cp_onefile = Suite_crashpoints.Make (Ptm.Onefile)
-module Cp_romulus = Suite_crashpoints.Make (Ptm.Romulus)
-module Cp_cx_puc = Suite_crashpoints.Make (Ptm.Cx_ptm.Puc)
-module Cp_cx_ptm = Suite_crashpoints.Make (Ptm.Cx_ptm.Ptm)
-module Cp_redo = Suite_crashpoints.Make (Ptm.Redo_ptm.Base)
-module Cp_redo_timed = Suite_crashpoints.Make (Ptm.Redo_ptm.Timed)
-module Cp_redo_opt = Suite_crashpoints.Make (Ptm.Redo_ptm.Opt)
+module CE = Ptm.Crash_explorer
+module Cp_pmdk = Suite_crashpoints.Make (CE.Of_ptm (Ptm.Pmdk_sim))
+module Cp_onefile = Suite_crashpoints.Make (CE.Of_ptm (Ptm.Onefile))
+module Cp_romulus = Suite_crashpoints.Make (CE.Of_ptm (Ptm.Romulus))
+module Cp_cx_puc = Suite_crashpoints.Make (CE.Of_ptm (Ptm.Cx_ptm.Puc))
+module Cp_cx_ptm = Suite_crashpoints.Make (CE.Of_ptm (Ptm.Cx_ptm.Ptm))
+module Cp_redo = Suite_crashpoints.Make (CE.Of_ptm (Ptm.Redo_ptm.Base))
+module Cp_redo_timed = Suite_crashpoints.Make (CE.Of_ptm (Ptm.Redo_ptm.Timed))
+module Cp_redo_opt = Suite_crashpoints.Make (CE.Of_ptm (Ptm.Redo_ptm.Opt))
+module Cp_onll = Suite_crashpoints.Make (CE.Onll_target)
 module Db_redodb = Suite_db.Make (Kv.Redodb)
 module Db_rocks = Suite_db.Make (Kv.Rocksdb_sim)
 
@@ -110,7 +112,7 @@ let () =
          Cp_redo.suites;
          Cp_redo_timed.suites;
          Cp_redo_opt.suites;
-         Suite_crashpoints.Onll_tests.suites;
+         Cp_onll.suites;
          Suite_crashpoints.mutant_suites;
          Db_redodb.suites;
          Db_rocks.suites;
