@@ -43,18 +43,45 @@ let unrecoverable t detail =
   Obs.recovery_unrecoverable ();
   raise (Ptm_intf.Unrecoverable { ptm = t.ptm; detail })
 
+let used_of get = Palloc.used_words { Palloc.get; set = (fun _ _ -> ()) }
+
+let used_words t i =
+  let b = base t i in
+  used_of (fun a -> Pmem.get_word t.pm (b + a))
+
+(* Words [0, heap_base + used), rounded up to a whole line and clamped to
+   the stride.  An optimistic reader may see a replica mid-mutation, hence
+   the clamp; its caller validates the copy anyway. *)
+let extent_of ~stride used =
+  let w = Palloc.heap_base + used in
+  let w = (w + Pmem.words_per_line - 1) / Pmem.words_per_line * Pmem.words_per_line in
+  max Palloc.heap_base (min stride w)
+
+let extent t i = extent_of ~stride:t.stride (used_words t i)
+
+let pwb_extent t ~tid i lines =
+  let b = base t i in
+  let n = extent t i in
+  Pmem.pwb_range t.pm ~tid b (b + n - 1);
+  Line_set.iter
+    (fun line ->
+      if line * Pmem.words_per_line >= n then
+        Pmem.pwb t.pm ~tid (b + (line * Pmem.words_per_line)))
+    lines
+
 let format ?image t =
   let b0 = base t 0 in
-  let mem =
-    {
-      Palloc.get = (fun a -> Pmem.get_word t.pm (b0 + a));
-      set = (fun a v -> Pmem.set_word t.pm ~tid:0 (b0 + a) v);
-    }
-  in
+  let set a v = Pmem.set_word t.pm ~tid:0 (b0 + a) v in
   (match image with
-  | None -> Palloc.format mem ~words:t.stride
-  | Some img -> Array.iteri mem.set img);
-  Pmem.pwb_range t.pm ~tid:0 b0 (b0 + t.stride - 1);
+  | None ->
+      Palloc.format
+        { Palloc.get = (fun a -> Pmem.get_word t.pm (b0 + a)); set }
+        ~words:t.stride
+  | Some img ->
+      for a = 0 to extent_of ~stride:t.stride (used_of (Array.get img)) - 1 do
+        set a img.(a)
+      done);
+  Pmem.pwb_range t.pm ~tid:0 b0 (b0 + extent t 0 - 1);
   Pmem.set_word t.pm ~tid:0 header_addr (seal (Seqtid.pack ~seq:0 ~tid:0 ~idx:0));
   Pmem.set_word t.pm ~tid:0 (record_addr 0)
     (seal (Seqtid.pack ~seq:0 ~tid:0 ~idx:0));

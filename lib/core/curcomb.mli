@@ -42,8 +42,32 @@ val index : t -> int -> int
 
 (** Durably format replica 0 as an empty allocator heap, or as [image]
     (an exported logical image of [stride] words), then seal the header
-    and record 0 at seq 0 naming it. *)
+    and record 0 at seq 0 naming it.  Only the image's {!extent} is
+    written and flushed: the words above it are unallocated. *)
 val format : ?image:int64 array -> t -> unit
+
+(** {2 Live extent}
+
+    A replica's live data is its metadata, root slots, allocator
+    metadata and every block ever carved from the heap: words
+    [\[0, heap_base + used_words)] ({!Palloc.used_words}).  Words above
+    it are unspecified ({!Palloc}), so replica copies and whole-replica
+    flushes stop there. *)
+
+(** [used_words t i] is {!Palloc.used_words} read through replica [i]'s
+    volatile image. *)
+val used_words : t -> int -> int
+
+(** [extent t i] is replica [i]'s live extent in words, read through its
+    volatile image, rounded up to a whole line and clamped to
+    [\[heap_base, stride\]] (the clamp only matters to an optimistic
+    copy reading a replica mid-mutation, which it then discards). *)
+val extent : t -> int -> int
+
+(** [pwb_extent t ~tid i lines] pwbs every line of replica [i]'s
+    {!extent}, plus each line of [lines] (replica-relative line numbers)
+    above it: undo residue of a reverted transaction lies there. *)
+val pwb_extent : t -> tid:int -> int -> Line_set.t -> unit
 
 (** {2 Header} *)
 

@@ -18,10 +18,10 @@
 
     The two modes differ only in store interposition (§4):
     - {b CX-PUC} does not interpose loads or stores, so it cannot know which
-      cache lines changed and must flush the {e whole region} before every
-      [curComb] transition — efficient only for small objects;
+      cache lines changed and must flush the {e whole live extent} before
+      every [curComb] transition — efficient only for small objects;
     - {b CX-PTM} interposes stores and flushes only the mutated lines
-      (replica copies still require a full-region flush, since the copy
+      (replica copies still require a full-extent flush, since the copy
       makes every durable line of the destination stale).  Each replica
       collects its mutated lines in a {!Line_set} (a byte mark per line,
       no hashing), and its flush issues their pwbs in the order the lines
@@ -36,7 +36,7 @@
 module type MODE = sig
   val name : string
 
-  (** Whether stores are interposed (CX-PTM) or the whole region is flushed
+  (** Whether stores are interposed (CX-PTM) or the whole extent is flushed
       per transition (CX-PUC). *)
   val interpose : bool
 end
@@ -195,8 +195,10 @@ module Make (M : MODE) = struct
       match
         if Atomic.get t.cur_comb <> ci then false
         else begin
+          (* Only the source's live extent (see Redo_ptm.try_copy). *)
+          let n = Curcomb.extent t.cc ci in
           Breakdown.timed t.bd ~tid Copy (fun () ->
-              Pmem.blit_words t.pm ~tid ~src:src.base ~dst:c.base t.words);
+              Pmem.blit_words t.pm ~tid ~src:src.base ~dst:c.base n);
           c.head <- src.head;
           Atomic.set c.head_ticket (Atomic.get src.head_ticket);
           c.valid <- true;
@@ -240,9 +242,10 @@ module Make (M : MODE) = struct
     done
 
   let flush_replica t ~tid c =
+    let ci = Curcomb.index t.cc c.base in
     Breakdown.timed t.bd ~tid Flush (fun () ->
         if (not M.interpose) || c.full_flush then begin
-          Pmem.pwb_range t.pm ~tid c.base (c.base + t.words - 1);
+          Curcomb.pwb_extent t.cc ~tid ci c.dirty;
           c.full_flush <- false
         end
         else
@@ -253,8 +256,7 @@ module Make (M : MODE) = struct
         Line_set.clear c.dirty;
         (* Refresh this replica's fallback record under the same fence that
            proves the replica consistent: no extra fence. *)
-        Curcomb.write_record t.cc ~tid (Curcomb.index t.cc c.base)
-          ~seq:(Atomic.get c.head_ticket);
+        Curcomb.write_record t.cc ~tid ci ~seq:(Atomic.get c.head_ticket);
         Pmem.pfence t.pm ~tid)
 
   (* After winning a transition, opportunistically invalidate replicas whose
@@ -508,12 +510,7 @@ module Make (M : MODE) = struct
   end)
 
   let nvm_usage_words t =
-    let ci = Atomic.get t.cur_comb in
-    let base = t.combs.(ci).base in
-    let mem =
-      { Palloc.get = (fun a -> Pmem.get_word t.pm (base + a)); set = (fun _ _ -> ()) }
-    in
-    Palloc.used_words mem + (t.nrep * t.words)
+    Curcomb.used_words t.cc (Atomic.get t.cur_comb) + (t.nrep * t.words)
 
   let volatile_usage_words t =
     (* queue nodes between the oldest cursor and the tail *)

@@ -4,8 +4,10 @@
     word whose durable value never regresses.
 
     The two modes differ only in store interposition: CX-PUC flushes the
-    whole region per transition (no annotation of the sequential code);
-    CX-PTM tracks and flushes only the mutated cache lines. *)
+    whole live extent ({!Curcomb.extent}) per transition (no annotation of
+    the sequential code); CX-PTM tracks and flushes only the mutated cache
+    lines.  Replica copies, like those of Redo, cover the live extent only,
+    as in CX for large objects (Correia, Ramalhete and Felber). *)
 
 module type MODE = sig
   val name : string
@@ -15,7 +17,7 @@ end
 module Make (M : MODE) : Ptm_intf.S
 
 (** The persistent universal construction: no load/store annotation,
-    whole-region flush per [curComb] transition. *)
+    whole-extent flush per [curComb] transition. *)
 module Puc : Ptm_intf.S
 
 (** The PTM: interposed stores, per-line flushing. *)

@@ -26,9 +26,13 @@
       duration) with backoff, keeping those replicas hot and minimising
       copies.
     - {b RedoOpt}: RedoTimed plus store aggregation (hash write-set),
-      flush aggregation (postponed, deduplicated pwbs with a whole-region
+      flush aggregation (postponed, deduplicated pwbs with a whole-replica
       fallback past 1/10th of the object), and non-temporal-store replica
       copies.
+
+    Replica copies and whole-replica flushes cover the live extent only
+    ({!Curcomb.extent}: words below the allocator's high-water mark), so
+    their cost follows the data stored, not the region's capacity.
 
     Each replica collects the lines it must flush in a {!Line_set} (a
     byte mark per line, no hashing): lines dirtied by log replay or undo,
@@ -284,7 +288,7 @@ module Make (C : CONFIG) = struct
 
   (* Optimistic copy from curComb's replica (no lock: validated by curComb
      staying put).  With ntstore_copy the copied lines are staged for the
-     commit fence instead of needing a full-region pwb sweep. *)
+     commit fence instead of needing a full-extent pwb sweep. *)
   let try_copy t ~tid c =
     let cur = Atomic.get t.cur_comb in
     let src = t.combs.(Seqtid.idx cur) in
@@ -292,10 +296,14 @@ module Make (C : CONFIG) = struct
     else begin
       let t0 = clock () in
       let head0 = Atomic.get src.head in
+      (* Only the source's live extent: words above it are unallocated
+         in the source, so whatever the destination holds there is as
+         good (Palloc's rule: no word is read before it is written). *)
+      let n = Curcomb.extent t.cc (Seqtid.idx cur) in
       Breakdown.timed t.bd ~tid Copy (fun () ->
           if C.ntstore_copy then
-            Pmem.ntcopy_words t.pm ~tid ~src:src.base ~dst:c.base t.words
-          else Pmem.blit_words t.pm ~tid ~src:src.base ~dst:c.base t.words);
+            Pmem.ntcopy_words t.pm ~tid ~src:src.base ~dst:c.base n
+          else Pmem.blit_words t.pm ~tid ~src:src.base ~dst:c.base n);
       if Atomic.get t.cur_comb <> cur then false
       else begin
         Atomic.set c.head head0;
@@ -353,13 +361,14 @@ module Make (C : CONFIG) = struct
     go ()
 
   (* Flush everything this session modified on replica [c] (simulation log
-     [st], replayed lines in [extra_dirty], or the whole region after a
+     [st], replayed lines in [extra_dirty], or the whole extent after a
      plain copy), then fence: the replica is durable before we try to make
      it [curComb]. *)
   let flush_before_transition t ~tid c st ~tkt =
+    let ci = Curcomb.index t.cc c.base in
     Breakdown.timed t.bd ~tid Flush (fun () ->
         if c.full_flush then begin
-          Pmem.pwb_range t.pm ~tid c.base (c.base + t.words - 1);
+          Curcomb.pwb_extent t.cc ~tid ci c.extra_dirty;
           c.full_flush <- false;
           Line_set.clear c.extra_dirty
         end
@@ -370,7 +379,7 @@ module Make (C : CONFIG) = struct
           if
             C.flush_agg
             && Line_set.length lines > t.words / Pmem.words_per_line / 10
-          then Pmem.pwb_range t.pm ~tid c.base (c.base + t.words - 1)
+          then Curcomb.pwb_extent t.cc ~tid ci lines
           else
             Line_set.iter
               (fun line ->
@@ -390,8 +399,7 @@ module Make (C : CONFIG) = struct
            proves the replica consistent: no extra fence.  [tkt] is the
            ticket the replica is about to carry ([c.head] is only advanced
            after this flush). *)
-        Curcomb.write_record t.cc ~tid (Curcomb.index t.cc c.base)
-          ~seq:(Seqtid.seq tkt);
+        Curcomb.write_record t.cc ~tid ci ~seq:(Seqtid.seq tkt);
         if not C.omit_prepub_fence then Pmem.pfence t.pm ~tid)
 
   (* Revert the simulated mutations after a lost transition race. *)
@@ -740,12 +748,8 @@ module Make (C : CONFIG) = struct
     Curcomb.corrupt_durable t.cc ~seed ~count
 
   let nvm_usage_words t =
-    let cur = Atomic.get t.cur_comb in
-    let base = t.combs.(Seqtid.idx cur).base in
-    let mem =
-      { Palloc.get = (fun a -> Pmem.get_word t.pm (base + a)); set = (fun _ _ -> ()) }
-    in
-    Palloc.used_words mem + (t.nrep * t.words)
+    Curcomb.used_words t.cc (Seqtid.idx (Atomic.get t.cur_comb))
+    + (t.nrep * t.words)
 
   let volatile_usage_words t =
     (* States (logs + applied/results) dominate volatile usage. *)

@@ -16,7 +16,7 @@ module type CONFIG = sig
   val store_agg : bool
 
   (** Flush aggregation: deduplicate pwbs by cache line, with a whole-
-      region fallback past 1/10th of the object. *)
+      extent fallback past 1/10th of the object. *)
   val flush_agg : bool
 
   (** Postpone pwbs to just before the [curComb] transition. *)

@@ -16,7 +16,22 @@
     - words [1 .. 63]: persistent root slots;
     - words [64 ..]: allocator metadata (bump pointer, live-word counter,
       per-class free-list heads);
-    - first line-aligned word after the metadata: start of the heap. *)
+    - first line-aligned word after the metadata: start of the heap.
+
+    {b Unallocated words are unspecified.}  Only words
+    [\[0, heap_base + used_words)] -- the metadata and every block ever
+    carved from the heap -- carry defined contents.  A word above the
+    bump pointer may hold anything: the universal constructions copy and
+    flush a replica only up to that bound ([Curcomb.extent]), so a
+    destination replica keeps whatever an older copy, a reverted
+    transaction or an abandoned replica left above it.  Such a word is in
+    the same position as a recycled block, which [alloc] already hands out
+    without zeroing.  Hence the one rule every client keeps: {e never read
+    an allocated word before writing it.}  Every [alloc] site in RedoDB
+    and the persistent data structures initialises each word of its block
+    in the allocating transaction (node fields, string length and payload,
+    zeroed bucket arrays); the allocator itself reads only its metadata and
+    the free-list link [dealloc] wrote. *)
 
 (** Word accessors supplied by the enclosing transaction. *)
 type mem = {
@@ -40,7 +55,8 @@ val heap_base : int
 val format : mem -> words:int -> unit
 
 (** [alloc mem n] returns the address of [n] fresh user words (n >= 1).
-    The block is {e not} zeroed.
+    The block is {e not} zeroed: its words are unspecified until the
+    caller writes them, whether the block was recycled or newly carved.
     @raise Out_of_memory when the heap is exhausted. *)
 val alloc : mem -> int -> int
 
@@ -55,5 +71,6 @@ val block_words : int -> int
     in persistent metadata. *)
 val live_words : mem -> int
 
-(** High-water mark: words ever carved out of the heap. *)
+(** High-water mark: words ever carved out of the heap.  It never
+    decreases outside a reverted transaction. *)
 val used_words : mem -> int

@@ -25,34 +25,35 @@ type plan =
   | At_step of int (* absolute step number at which to fire *)
   | Probabilistic of { rng : Random.State.t; prob : float }
 
-(* Durable image: either plain process memory (the default) or a
-   MAP_SHARED mmap of a region file.  The mapped variant is what makes a
-   real [kill -9] an honest power failure: words written back through
-   [writeback_line*] land in the kernel page cache and survive the
-   process, while the volatile [data] image, staging buffers and dirty
-   set die with it — exactly the split the simulated [crash] models.
-   All durable accesses are aligned 64-bit word reads/writes, so the two
-   representations are interchangeable behind [img_get]/[img_set]. *)
-type image =
-  | Mem of Bytes.t
-  | Map of (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
+(* Both images are arrays of 64-bit words behind a mmap.  The volatile
+   image, and the durable one of a region without a file, are private
+   maps of /dev/zero: the OS commits a page on its first store, so a
+   region costs resident memory for the lines it touched, not for its
+   capacity.  A file-backed durable image is a MAP_SHARED map of the
+   region file, which is what makes a real [kill -9] an honest power
+   failure: words written back through [writeback_line*] land in the
+   kernel page cache and survive the process, while the volatile image,
+   staging buffers and dirty set die with it — exactly the split the
+   simulated [crash] models.  All accesses are aligned 64-bit words. *)
+type image = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-let[@inline] img_get img addr =
-  match img with
-  | Mem b -> Bytes.get_int64_le b (addr * 8)
-  | Map a -> Bigarray.Array1.unsafe_get a addr
+let map_fd fd kind ~shared n =
+  Bigarray.array1_of_genarray
+    (Unix.map_file fd kind Bigarray.c_layout shared [| n |])
 
-let[@inline] img_set img addr v =
-  match img with
-  | Mem b -> Bytes.set_int64_le b (addr * 8) v
-  | Map a -> Bigarray.Array1.unsafe_set a addr v
+let zero_map kind n =
+  let fd = Unix.openfile "/dev/zero" [ Unix.O_RDWR ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () -> map_fd fd kind ~shared:false n)
 
 type t = {
   words : int;
   nlines : int;
-  data : Bytes.t; (* volatile (cache) image *)
+  data : image; (* volatile (cache) image *)
   durable : image; (* what survives a crash *)
-  dirty : Bytes.t; (* one byte per line: written since last made durable *)
+  dirty : (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t;
+      (* one byte per line: written since last made durable *)
   staging : staging array; (* per tid *)
   counters : int array array; (* per tid *)
   rmw_lock : Mutex.t; (* simulation-level atomicity for [cas_word] *)
@@ -90,19 +91,16 @@ let map_backing ~path ~words ~truncate =
     ~finally:(fun () -> Unix.close fd)
     (fun () ->
       if truncate then Unix.ftruncate fd (words * 8);
-      let a =
-        Unix.map_file fd Bigarray.int64 Bigarray.c_layout true [| words |]
-      in
-      Bigarray.array1_of_genarray a)
+      map_fd fd Bigarray.int64 ~shared:true words)
 
 let mk ~max_threads ~words ~durable =
   let nlines = words / words_per_line in
   {
     words;
     nlines;
-    data = Bytes.make (words * 8) '\000';
+    data = zero_map Bigarray.int64 words;
     durable;
-    dirty = Bytes.make nlines '\000';
+    dirty = zero_map Bigarray.char nlines;
     staging =
       Array.init max_threads (fun _ -> { lines = Array.make 64 0; count = 0 });
     counters = Array.init max_threads (fun _ -> Array.make n_counters 0);
@@ -117,14 +115,25 @@ let mk ~max_threads ~words ~durable =
     bit_flips = Atomic.make 0;
   }
 
+(* Make the volatile image equal the durable one by compare-and-write:
+   a word is stored only where the two differ, so pages neither image
+   has touched stay uncommitted, while every durable word — rot on a
+   line nobody dirtied included — still reaches the volatile image. *)
+let reload t =
+  for addr = 0 to t.words - 1 do
+    let d = Bigarray.Array1.unsafe_get t.durable addr in
+    if not (Int64.equal (Bigarray.Array1.unsafe_get t.data addr) d) then
+      Bigarray.Array1.unsafe_set t.data addr d
+  done
+
 let create ?backing ~max_threads ~words () =
   if max_threads < 1 then invalid_arg "Pmem.create: max_threads < 1";
   if words < words_per_line then invalid_arg "Pmem.create: words too small";
   let words = (words + words_per_line - 1) / words_per_line * words_per_line in
   let durable =
     match backing with
-    | None -> Mem (Bytes.make (words * 8) '\000')
-    | Some path -> Map (map_backing ~path ~words ~truncate:true)
+    | None -> zero_map Bigarray.int64 words
+    | Some path -> map_backing ~path ~words ~truncate:true
   in
   mk ~max_threads ~words ~durable
 
@@ -137,13 +146,11 @@ let reopen ~max_threads ~backing () =
       (Printf.sprintf "Pmem.reopen: %s has %d bytes, not a positive line \
                        multiple" backing bytes);
   let words = bytes / 8 in
-  let durable = Map (map_backing ~path:backing ~words ~truncate:false) in
+  let durable = map_backing ~path:backing ~words ~truncate:false in
   let t = mk ~max_threads ~words ~durable in
   (* The volatile image of a freshly restarted machine is whatever the
      durable medium holds — same as post-[crash]. *)
-  for addr = 0 to words - 1 do
-    Bytes.set_int64_le t.data (addr * 8) (img_get durable addr)
-  done;
+  reload t;
   t
 
 let[@inline] check_addr t addr =
@@ -178,27 +185,27 @@ let[@inline] step t = if t.tracking then step_slow t
 let[@inline] get_word t addr =
   Sched.yield ();
   check_addr t addr;
-  Bytes.get_int64_le t.data (addr * 8)
+  Bigarray.Array1.unsafe_get t.data addr
 
-let[@inline] mark_dirty t addr =
-  Bytes.unsafe_set t.dirty (line_of addr) '\001'
+let[@inline] mark_line t line = Bigarray.Array1.unsafe_set t.dirty line '\001'
+let[@inline] mark_dirty t addr = mark_line t (line_of addr)
 
 let[@inline] set_word t ~tid:_ addr v =
   Sched.yield ();
   check_addr t addr;
   if not t.frozen then begin
-    Bytes.set_int64_le t.data (addr * 8) v;
+    Bigarray.Array1.unsafe_set t.data addr v;
     mark_dirty t addr;
     step t
   end
 
 (* Word-by-word copy using aligned 64-bit accesses so that concurrent
-   readers of the destination never observe torn words (Bytes.blit could
+   readers of the destination never observe torn words (a memmove could
    interleave at byte granularity). *)
-let copy_words_raw src dst ~src_off ~dst_off len =
+let copy_words_raw (img : image) ~src_off ~dst_off len =
   for i = 0 to len - 1 do
-    Bytes.set_int64_le dst ((dst_off + i) * 8)
-      (Bytes.get_int64_le src ((src_off + i) * 8))
+    Bigarray.Array1.unsafe_set img (dst_off + i)
+      (Bigarray.Array1.unsafe_get img (src_off + i))
   done
 
 let blit_words t ~tid:_ ~src ~dst len =
@@ -216,11 +223,11 @@ let blit_words t ~tid:_ ~src ~dst len =
         Sched.yield ();
         let lo = max dst (line * words_per_line) in
         let hi = min (dst + len - 1) (((line + 1) * words_per_line) - 1) in
-        copy_words_raw t.data t.data
+        copy_words_raw t.data
           ~src_off:(src + (lo - dst))
           ~dst_off:lo
           (hi - lo + 1);
-        Bytes.unsafe_set t.dirty line '\001';
+        mark_line t line;
         step t
       done
     end
@@ -236,10 +243,10 @@ let cas_word t ~tid:_ addr ~expected ~desired =
      dead machine — so re-raise instead of no-op'ing. *)
   if t.frozen then raise Crash_injected;
   Mutex.lock t.rmw_lock;
-  let cur = Bytes.get_int64_le t.data (addr * 8) in
+  let cur = Bigarray.Array1.unsafe_get t.data addr in
   let ok = Int64.equal cur expected in
   if ok then begin
-    Bytes.set_int64_le t.data (addr * 8) desired;
+    Bigarray.Array1.unsafe_set t.data addr desired;
     mark_dirty t addr
   end;
   Mutex.unlock t.rmw_lock;
@@ -291,13 +298,14 @@ let pwb_range t ~tid lo hi =
    prefix of whole words (a torn line, never a torn word). *)
 let persist_words t ~off len =
   for i = 0 to len - 1 do
-    img_set t.durable (off + i) (Bytes.get_int64_le t.data ((off + i) * 8))
+    Bigarray.Array1.unsafe_set t.durable (off + i)
+      (Bigarray.Array1.unsafe_get t.data (off + i))
   done
 
 let writeback_line_raw t line =
   let off = line * words_per_line in
   persist_words t ~off words_per_line;
-  Bytes.unsafe_set t.dirty line '\000'
+  Bigarray.Array1.unsafe_set t.dirty line '\000'
 
 (* Write a staged line back to the durable image.  The line contents are the
    ones current at fence time, which is a legal CLWB/SFENCE behaviour. *)
@@ -337,7 +345,7 @@ let psync t ~tid =
 let ntstore_word t ~tid addr v =
   check_addr t addr;
   if not t.frozen then begin
-    Bytes.set_int64_le t.data (addr * 8) v;
+    Bigarray.Array1.unsafe_set t.data addr v;
     mark_dirty t addr;
     stage_line t ~tid (line_of addr);
     let c = t.counters.(tid) in
@@ -358,11 +366,11 @@ let ntcopy_words t ~tid ~src ~dst len =
         Sched.yield ();
         let lo = max dst (line * words_per_line) in
         let hi = min (dst + len - 1) (((line + 1) * words_per_line) - 1) in
-        copy_words_raw t.data t.data
+        copy_words_raw t.data
           ~src_off:(src + (lo - dst))
           ~dst_off:lo
           (hi - lo + 1);
-        Bytes.unsafe_set t.dirty line '\001';
+        mark_line t line;
         stage_line t ~tid line;
         c.(c_ntstore) <- c.(c_ntstore) + 1;
         step t
@@ -372,10 +380,12 @@ let ntcopy_words t ~tid ~src ~dst len =
 
 let crash t =
   Obs.Trace.instant Obs.Trace.Crash ~tid:0;
-  for addr = 0 to t.words - 1 do
-    Bytes.set_int64_le t.data (addr * 8) (img_get t.durable addr)
+  reload t;
+  (* Clear only the set marks, for the same reason as [reload]. *)
+  for line = 0 to t.nlines - 1 do
+    if Bigarray.Array1.unsafe_get t.dirty line <> '\000' then
+      Bigarray.Array1.unsafe_set t.dirty line '\000'
   done;
-  Bytes.fill t.dirty 0 t.nlines '\000';
   Array.iter (fun s -> s.count <- 0) t.staging;
   t.frozen <- false;
   t.plan <- No_plan
@@ -383,7 +393,7 @@ let crash t =
 let crash_with_evictions t ~seed ~prob =
   let rng = Random.State.make [| seed |] in
   for line = 0 to t.nlines - 1 do
-    if Bytes.get t.dirty line = '\001' && Random.State.float rng 1.0 < prob
+    if t.dirty.{line} = '\001' && Random.State.float rng 1.0 < prob
     then writeback_line_raw t line
   done;
   crash t
@@ -416,7 +426,7 @@ let crash_with_faults t ~seed ~evict_prob ~torn_prob =
     invalid_arg "Pmem.crash_with_faults: torn_prob not in [0, 1]";
   let rng = Random.State.make [| seed; 0xfa17 |] in
   for line = 0 to t.nlines - 1 do
-    if Bytes.get t.dirty line = '\001' && Random.State.float rng 1.0 < evict_prob
+    if t.dirty.{line} = '\001' && Random.State.float rng 1.0 < evict_prob
     then
       if Random.State.float rng 1.0 < torn_prob then
         writeback_line_torn t rng line
@@ -449,9 +459,8 @@ let corrupt_words_in t ~seed ~count ~ranges =
       (* A media error corrupts the durable copy; mirror it into the
          volatile image too so that this can be called on a quiesced,
          post-crash region without racing the cache model. *)
-      img_set t.durable addr (Int64.logxor (img_get t.durable addr) mask);
-      Bytes.set_int64_le t.data (addr * 8)
-        (Int64.logxor (Bytes.get_int64_le t.data (addr * 8)) mask);
+      t.durable.{addr} <- Int64.logxor t.durable.{addr} mask;
+      t.data.{addr} <- Int64.logxor t.data.{addr} mask;
       Atomic.incr t.bit_flips;
       Obs.bit_flip_injected ()
     done
@@ -487,7 +496,7 @@ let corrupt_durable_words_in t ~seed ~count ~ranges =
          operations cannot observe the rot — only a scrub that re-reads
          [durable_word], or the next crash (which reloads the volatile
          image from the durable one), surfaces it. *)
-      img_set t.durable addr (Int64.logxor (img_get t.durable addr) mask);
+      t.durable.{addr} <- Int64.logxor t.durable.{addr} mask;
       Atomic.incr t.bit_flips;
       Obs.bit_flip_injected ()
     done
@@ -495,7 +504,7 @@ let corrupt_durable_words_in t ~seed ~count ~ranges =
 
 let durable_word t addr =
   check_addr t addr;
-  img_get t.durable addr
+  t.durable.{addr}
 
 (* ---- Fault injection API ---------------------------------------------- *)
 

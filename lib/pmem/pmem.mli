@@ -41,6 +41,10 @@ val words_per_line : int
 (** [create ~max_threads ~words ()] allocates a region of [words] 64-bit
     words (rounded up to a cache-line multiple) usable by thread ids
     [0 .. max_threads - 1]. The region starts zeroed, and zeroed durable.
+    Both images (and the dirty-line marks) are private maps of
+    [/dev/zero], which the OS commits a page at a time on first touch:
+    a region costs resident memory for the lines it has used, not for
+    its capacity.
 
     With [?backing:path] the durable image is a [MAP_SHARED] mmap of the
     named region file (created/truncated to size): write-backs land in
@@ -57,7 +61,8 @@ val create : ?backing:string -> max_threads:int -> words:int -> unit -> t
     truncating it.  Geometry is taken from the file size, which must be
     a positive cache-line multiple.  The volatile image starts as a copy
     of the durable one — the state of a machine that just powered on —
-    so callers run their recovery procedure next. *)
+    made by compare-and-write as in {!crash}, so callers run their
+    recovery procedure next. *)
 val reopen : max_threads:int -> backing:string -> unit -> t
 
 (** Total number of words in the region. *)
@@ -125,7 +130,12 @@ val ntcopy_words : t -> tid:int -> src:int -> dst:int -> int -> unit
 
 (** [crash t] simulates a full-system non-corrupting failure: the volatile
     image is replaced by the durable image; all staged lines and dirty state
-    are discarded. Deterministic: unflushed lines never survive. *)
+    are discarded. Deterministic: unflushed lines never survive.
+    The reload is a compare-and-write over {e every} word: a word is
+    stored only where the two images differ, so pages neither image has
+    touched stay uncommitted, while durable-only damage on a line that
+    was never dirtied (see {!corrupt_durable_words_in}) still reaches the
+    volatile image. *)
 val crash : t -> unit
 
 (** [crash_with_evictions t ~seed ~prob] first writes back each dirty line

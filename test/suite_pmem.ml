@@ -405,6 +405,67 @@ let test_corrupt_words_in () =
   Alcotest.check i64 "flip mirrored into volatile image"
     (Pmem.durable_word pm 16) (Pmem.get_word pm 16)
 
+(* A crash reloads the volatile image by compare-and-write over every
+   word, not only over the dirty lines: durable-only rot on a line nobody
+   wrote since its last flush (or ever) must still surface. *)
+let test_crash_surfaces_rot_on_clean_lines () =
+  let pm = mk () in
+  for a = 0 to 15 do
+    Pmem.set_word pm ~tid:0 a (Int64.of_int (a + 1))
+  done;
+  Pmem.pwb_range pm ~tid:0 0 15;
+  Pmem.pfence pm ~tid:0;
+  (* line 0 was written and flushed (clean); line 100 was never touched *)
+  List.iter
+    (fun (lo, hi) ->
+      Pmem.corrupt_durable_words_in pm ~seed:3 ~count:1 ~ranges:[ (lo, hi) ])
+    [ (0, 7); (800, 807) ];
+  let rotten lo =
+    List.filter
+      (fun a -> not (Int64.equal (Pmem.durable_word pm a) (Pmem.get_word pm a)))
+      (List.init 8 (fun i -> lo + i))
+  in
+  let before = rotten 0 @ rotten 800 in
+  Alcotest.(check int) "rot is durable-only before the crash" 2
+    (List.length before);
+  Pmem.crash pm;
+  List.iter
+    (fun a ->
+      Alcotest.check i64 "crash reloads the rotten word"
+        (Pmem.durable_word pm a) (Pmem.get_word pm a))
+    before
+
+(* VmRSS of this process in KiB, from /proc/self/status (Linux). *)
+let vm_rss_kib () =
+  let ic = open_in "/proc/self/status" in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () ->
+      let rec go () =
+        let l = input_line ic in
+        match String.split_on_char ':' l with
+        | [ "VmRSS"; v ] -> Scanf.sscanf v " %d kB" Fun.id
+        | _ -> go ()
+      in
+      go ())
+
+(* Both images are committed on first touch, and a crash stores only the
+   words that differ: a large region that is never written costs next to
+   no resident memory, even across a crash. *)
+let test_untouched_region_costs_no_rss () =
+  if not (Sys.file_exists "/proc/self/status") then Alcotest.skip ();
+  let before = vm_rss_kib () in
+  let pm = Pmem.create ~max_threads:1 ~words:(256 * 1024 * 1024 / 8) () in
+  Pmem.set_word pm ~tid:0 0 1L;
+  Pmem.pwb pm ~tid:0 0;
+  Pmem.pfence pm ~tid:0;
+  Pmem.crash pm;
+  let grown = vm_rss_kib () - before in
+  Alcotest.check i64 "the flushed word survives" 1L (Pmem.get_word pm 0);
+  if grown >= 8 * 1024 then
+    Alcotest.failf "256 MiB region + crash raised VmRSS by %d KiB (>= 8 MiB)"
+      grown
+
 let qcheck_durable_model =
   (* Property: after an arbitrary sequence of stores / pwb / pfence and a
      strict crash, the surviving image matches a reference model where only
@@ -485,6 +546,10 @@ let suites =
         Alcotest.test_case "torn line is partial" `Quick
           test_torn_line_is_partial;
         Alcotest.test_case "corrupt_words_in" `Quick test_corrupt_words_in;
+        Alcotest.test_case "crash surfaces rot on clean lines" `Quick
+          test_crash_surfaces_rot_on_clean_lines;
+        Alcotest.test_case "untouched region costs no RSS" `Quick
+          test_untouched_region_costs_no_rss;
         QCheck_alcotest.to_alcotest qcheck_durable_model;
       ] );
   ]

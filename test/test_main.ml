@@ -51,6 +51,10 @@ module Cp_redo = Suite_crashpoints.Make (CE.Of_ptm (Ptm.Redo_ptm.Base))
 module Cp_redo_timed = Suite_crashpoints.Make (CE.Of_ptm (Ptm.Redo_ptm.Timed))
 module Cp_redo_opt = Suite_crashpoints.Make (CE.Of_ptm (Ptm.Redo_ptm.Opt))
 module Cp_onll = Suite_crashpoints.Make (CE.Onll_target)
+module Pt_redo = Suite_poisoned_tail.Make (Ptm.Redo_ptm.Base) (Suite_poisoned_tail.Redo_nrep)
+module Pt_redo_opt = Suite_poisoned_tail.Make (Ptm.Redo_ptm.Opt) (Suite_poisoned_tail.Redo_nrep)
+module Pt_cx_ptm = Suite_poisoned_tail.Make (Ptm.Cx_ptm.Ptm) (Suite_poisoned_tail.Cx_nrep)
+module Pt_cx_puc = Suite_poisoned_tail.Make (Ptm.Cx_ptm.Puc) (Suite_poisoned_tail.Cx_nrep)
 module Db_redodb = Suite_db.Make (Kv.Redodb)
 module Db_rocks = Suite_db.Make (Kv.Rocksdb_sim)
 
@@ -114,6 +118,11 @@ let () =
          Cp_redo_opt.suites;
          Cp_onll.suites;
          Suite_crashpoints.mutant_suites;
+         Pt_redo.suites;
+         Pt_redo_opt.suites;
+         Pt_cx_ptm.suites;
+         Pt_cx_puc.suites;
+         Suite_poisoned_tail.db_suites;
          Db_redodb.suites;
          Db_rocks.suites;
          Suite_db.cursor_suites;
