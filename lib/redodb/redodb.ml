@@ -10,7 +10,27 @@
 
     Read operations run on their own snapshot (a shared-locked Combined
     replica), which is what gives RedoDB its read-while-write advantage in
-    Figure 7. *)
+    Figure 7.
+
+    Overwrite in place.  A put over an existing key whose new value needs
+    the same allocator block size as the old one rewrites the old block
+    instead of freeing it and allocating another: no allocator metadata,
+    block header or chain-node store, and within the block only the
+    words that change.  A store may be skipped only for a word inside
+    the old string — its length word and its [(old_len + 7) / 8] packed
+    words.  A committed transaction wrote those words, so every valid
+    replica holds the same value there (it was copied or replayed), and
+    the word's line is clean or already in that replica's dirty set.
+    Words in the block's slack, beyond the old string, are unspecified:
+    replicas may disagree on them (an allocated block is never read
+    before it is written, see Palloc), so they are always stored.
+
+    The skip lives here, not in [Redo_ptm.set], because only this layer
+    knows which words a committed transaction wrote.  A PTM-level "store
+    only if different" drops a store that equals the executing replica's
+    stale word — e.g. a 0 written into fresh memory — from the redo log,
+    so a lagging replica that replays the log keeps whatever it held
+    there. *)
 
 module P = Ptm.Redo_ptm.Opt
 
@@ -84,6 +104,19 @@ let alloc_string tx s =
   let a = P.alloc tx (string_words (String.length s)) in
   write_string tx a s;
   a
+
+(* Overwrite the string at [addr] (of committed length [old_len]) with
+   [s], which fits the same block: words inside the old string are
+   stored only where they change, slack words always (see the header). *)
+let rewrite_string tx addr ~old_len s =
+  let store_if_changed a v = if not (Int64.equal (P.get tx a) v) then P.set tx a v in
+  let len = String.length s in
+  let old_words = (old_len + 7) / 8 in
+  store_if_changed addr (Int64.of_int len);
+  for w = 0 to ((len + 7) / 8) - 1 do
+    let a = addr + 1 + w in
+    if w < old_words then store_if_changed a (pack_word s w) else P.set tx a (pack_word s w)
+  done
 
 let hash_string s = Int64.of_int (Hashtbl.hash s land 0x3FFFFFFF)
 
@@ -224,9 +257,18 @@ let put_tx tx ~key ~value =
   let kh = hash_string key in
   let b, _, node = locate tx h key kh in
   if node <> 0 then begin
-    (* overwrite: swap the value block *)
-    P.dealloc tx (Int64.to_int (P.get tx (node + 2)));
-    P.set tx (node + 2) (Int64.of_int (alloc_string tx value))
+    (* overwrite: in place if the value keeps its block size (a value
+       block is always allocated for its stored length's class), else
+       swap the block *)
+    let va = Int64.to_int (P.get tx (node + 2)) in
+    let old_len = Int64.to_int (P.get tx va) in
+    let block len = Palloc.block_words (string_words len) in
+    if block (String.length value) = block old_len then
+      rewrite_string tx va ~old_len value
+    else begin
+      P.dealloc tx va;
+      P.set tx (node + 2) (Int64.of_int (alloc_string tx value))
+    end
   end
   else begin
     let n = P.alloc tx node_words in
@@ -422,6 +464,11 @@ let stats t = P.stats t.p
 let reset_stats t = Pmem.reset_stats (P.pmem t.p)
 let set_flush_cost t iters = Pmem.set_flush_cost (P.pmem t.p) iters
 let memory_usage t = (P.nvm_usage_words t.p, P.volatile_usage_words t.p)
+
+let live_words t ~tid =
+  Int64.to_int
+    (P.read_only t.p ~tid (fun tx ->
+         Int64.of_int (Palloc.live_words { Palloc.get = P.get tx; set = P.set tx })))
 
 (* Replay a journal, oldest first, one transaction per record (the
    record boundaries are the original commit boundaries).  Bypasses the

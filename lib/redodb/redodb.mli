@@ -37,6 +37,10 @@ val crash_with_faults :
     (initialisation flushes would otherwise pay it too). *)
 val set_flush_cost : t -> int -> unit
 
+(** Words in allocated blocks (the allocator's live count, block headers
+    and power-of-two slack included), read in one read-only transaction. *)
+val live_words : t -> tid:int -> int
+
 (** {1 Commit journal and relocatable snapshots (shard rebuild)} *)
 
 (** One committed write transaction's effective operations: puts/deletes

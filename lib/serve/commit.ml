@@ -571,10 +571,13 @@ let two_phase c ~tid ~rid ~tok ~deadline ~view ~submit slices =
      request deadline covers the prepares only — once every prepare is
      durably staged the transaction crosses into decide, where shedding
      would leave work recovery must redo for no latency win. *)
-  let rec prepare k done_ = function
-    | [] -> Result.Ok ()
+  let rec prepare k done_ on = function
+    | [] -> Result.Ok (List.rev on)
     | ((s, ops) as slice) :: rest -> (
         let record = encode_prep ~txid ~participants:parts ~ops in
+        (* the instance the prepare is meant for, taken before the submit
+           so that a swap during it cannot go unseen *)
+        let db = view s in
         match
           stage c.h_prep Obs.Trace.Prepare ~tid ~arg:s ~rid @@ fun () ->
           submit ~deadline s (if skip_2pc then ops else [ (prep_key txid, Some record) ])
@@ -582,22 +585,29 @@ let two_phase c ~tid ~rid ~tok ~deadline ~view ~submit slices =
         | Result.Ok () ->
             Obs.Metrics.incr c.c_prep ~tid;
             maybe_crash c (Prepare k);
-            prepare (k + 1) (slice :: done_) rest
+            prepare (k + 1) (slice :: done_) ((s, db) :: on) rest
         | Error e ->
             abort done_;
             Error (`Refused e))
   in
-  match prepare 1 [] slices with
+  match prepare 1 [] [] slices with
   | Error _ as e -> e
-  | Result.Ok () when skip_2pc -> Result.Ok { txid = 0; epoch = A.get c.epoch_src }
-  | Result.Ok () -> (
-      match List.find_opt (fun s -> Option.is_none (view s)) parts with
-      | Some down ->
+  | Result.Ok _ when skip_2pc -> Result.Ok { txid = 0; epoch = A.get c.epoch_src }
+  | Result.Ok prepared_on -> (
+      let moved (s, db) =
+        match (view s, db) with Some now, Some was -> now != was | _ -> true
+      in
+      match List.find_opt moved prepared_on with
+      | Some (down, _) ->
           (* A participant was quarantined between its prepare and the
-             decision.  No decision record exists, so this is a definite
-             abort: roll the reachable prepares back and refuse.
-             Nothing durable commits on any shard — the
-             mid-2PC-quarantine test's no-prefix-commit oracle. *)
+             decision, or rebuilt under it: a prepare that entered the
+             old instance's batcher may have committed there after the
+             rebuild read its journal, so the fresh instance lacks it
+             and a decided apply would find no guard.  No decision
+             record exists, so this is a definite abort: roll the
+             reachable prepares back and refuse.  Nothing durable
+             commits on any shard — the mid-2PC-quarantine test's
+             no-prefix-commit oracle. *)
           abort slices;
           Error (`Shard_down down)
       | None -> (

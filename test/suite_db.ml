@@ -300,6 +300,65 @@ let test_cursor_is_snapshot () =
   | None -> Alcotest.fail "snapshot lost");
   Alcotest.(check bool) "snapshot has exactly one entry" false (Kv.Redodb.next c)
 
+(* RedoDB-specific: the lines a write flushes.  One thread over 20k
+   preloaded keys with redobench-shaped 64-byte values ("P<writer>.<seq>;"
+   padded with 'x').  An overwrite of the same length keeps its block and
+   is rewritten in place, storing only the words that change (here the
+   one or two words the "P<writer>.<seq>;" head spans).  The block swap it replaced also stored the
+   allocator's free-list head and live count, the block header and link
+   words and the chain node's value pointer: 10 lines per overwrite and
+   100 per batch of 16.  Every line a transaction stores is flushed on
+   its replica and again when the next transaction replays its log onto
+   the other one. *)
+let test_flush_budget () =
+  let db = Kv.Redodb.open_db ~num_threads:1 ~capacity_bytes:(8 lsl 20) () in
+  let keys = 20_000 in
+  let key i = Printf.sprintf "k%06d" i in
+  let value writer seq =
+    let head = Printf.sprintf "P%d.%d;" writer seq in
+    head ^ String.make (64 - String.length head) 'x'
+  in
+  for b = 0 to (keys / 1000) - 1 do
+    Kv.Redodb.write_batch db ~tid:0
+      (List.init 1000 (fun j -> (key ((b * 1000) + j), Some (value 0 ((b * 1000) + j)))))
+  done;
+  let rng = Random.State.make [| 7 |] in
+  let any_key () = key (Random.State.int rng keys) in
+  (* per-transaction pwbs and fences; the first transactions after the
+     preload replay its batches onto the other replica, so they are run
+     before the counters are reset *)
+  let per_tx ~txs f =
+    for i = 1 to 8 do f (-i) done;
+    Kv.Redodb.reset_stats db;
+    for i = 1 to txs do f i done;
+    let s = Kv.Redodb.stats db in
+    let per n = float_of_int n /. float_of_int txs in
+    (per s.Pmem.Stats.pwb, per (Pmem.Stats.fences s))
+  in
+  let live = Kv.Redodb.live_words db ~tid:0 in
+  let single_pwb, single_fences =
+    per_tx ~txs:400 (fun i -> Kv.Redodb.put db ~tid:0 ~key:(any_key ()) ~value:(value 1 i))
+  in
+  let batch_pwb, batch_fences =
+    per_tx ~txs:100 (fun i ->
+        Kv.Redodb.write_batch db ~tid:0
+          (List.init 16 (fun j -> (any_key (), Some (value 2 ((16 * i) + j))))))
+  in
+  Alcotest.(check int) "overwrites allocate nothing" live (Kv.Redodb.live_words db ~tid:0);
+  let at_most what budget got =
+    if got > budget then Alcotest.failf "%s: %.2f pwb, budget %.1f" what got budget
+  in
+  at_most "same-class overwrite" 5. single_pwb;
+  at_most "batch of 16 overwrites" 40. batch_pwb;
+  Alcotest.(check (float 0.)) "fences per overwrite" 2. single_fences;
+  Alcotest.(check (float 0.)) "fences per batch" 2. batch_fences
+
+let flush_suites =
+  [
+    ( "db[RedoDB]-flush",
+      [ Alcotest.test_case "flush budget of an overwrite" `Quick test_flush_budget ] );
+  ]
+
 let cursor_suites =
   [
     ( "db[RedoDB]-cursor",

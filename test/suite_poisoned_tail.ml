@@ -187,11 +187,78 @@ let test_redodb () =
   Alcotest.(check bool) "past two table resizes (> 256 keys)" true
     (List.length clean_final > 256)
 
+(* Overwrite in place on a poisoned region.  Values take lengths on both
+   sides of word and block-size boundaries (0, 7-9, 15-17, 64, 119-121
+   bytes), so an overwrite grows, shrinks or keeps its length within one
+   block or changes block; each 8-byte word of a value is all zero or
+   all one letter.  A value grown in place into a fresh block's slack
+   thus often stores a zero word over the zero of replica 0's fresh
+   memory, while the other replicas hold poison there and will only
+   replay the store.  Every answer and, after every operation, the whole
+   store (read on whichever replica is current) is checked against a
+   model; an overwrite that keeps its block must leave the allocator's
+   live count alone; the store crashes every 150 operations, clean and
+   torn in turn. *)
+let lengths = [| 0; 7; 8; 9; 15; 16; 17; 64; 119; 120; 121 |]
+
+let block_of len = Palloc.block_words (1 + ((len + 7) / 8))
+
+let in_place_workload db =
+  let rng = Random.State.make [| 26 |] in
+  let model = Hashtbl.create 128 in
+  let key k = Printf.sprintf "key-%02d" k in
+  let value () =
+    let len = lengths.(Random.State.int rng (Array.length lengths)) in
+    let word =
+      Array.init ((len + 7) / 8) (fun _ ->
+          if Random.State.bool rng then '\000' else Char.chr (97 + Random.State.int rng 26))
+    in
+    String.init len (fun i -> word.(i / 8))
+  in
+  let same_block = ref 0 in
+  for i = 1 to 1500 do
+    let tid = i mod num_threads in
+    let k = key (Random.State.int rng 100) in
+    (match Random.State.int rng 10 with
+    | 0 ->
+        Alcotest.(check bool) ("delete " ^ k) (Hashtbl.mem model k) (Db.delete db ~tid k);
+        Hashtbl.remove model k
+    | 1 | 2 ->
+        Alcotest.(check (option string)) ("get " ^ k) (Hashtbl.find_opt model k)
+          (Db.get db ~tid k)
+    | _ ->
+        let v = value () in
+        let live = Db.live_words db ~tid in
+        Db.put db ~tid ~key:k ~value:v;
+        (match Hashtbl.find_opt model k with
+        | Some old when block_of (String.length old) = block_of (String.length v) ->
+            incr same_block;
+            Alcotest.(check int) ("in-place overwrite of " ^ k ^ " allocates nothing") live
+              (Db.live_words db ~tid)
+        | _ -> ());
+        Hashtbl.replace model k v);
+    Alcotest.(check (list (pair string string)))
+      (Printf.sprintf "contents after op %d" i)
+      (List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) model []))
+      (List.sort compare (Db.fold db ~tid:0 ~init:[] (fun acc k v -> (k, v) :: acc)));
+    if i mod 300 = 150 then ignore (Db.crash_and_recover db);
+    if i mod 300 = 0 then
+      match
+        Db.crash_with_faults db ~seed:i ~evict_prob:0.5 ~torn_prob:0.5 ~bitflips:0
+      with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail e
+  done;
+  Alcotest.(check bool) "many same-block overwrites" true (!same_block > 200)
+
+let test_in_place () = with_region (fun b -> in_place_workload (open_store ~poisoned:true b))
+
 let db_suites =
   [
     ( "poisoned-tail[RedoDB]",
       [
         Alcotest.test_case "put/overwrite/delete/resize across crashes" `Quick
           test_redodb;
+        Alcotest.test_case "overwrite in place across crashes" `Quick test_in_place;
       ] );
   ]

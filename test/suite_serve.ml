@@ -1680,83 +1680,118 @@ let test_rot_then_rebuild ~rot ~rebuild () =
   crash ();
   whole "after one more clean power failure"
 
-(* The hard case: a rebuild runs beside a live cross-shard commit.  A
-   writer's MPUT over shards 0 and 1 is frozen at a sweep of scheduler
-   steps, for a sweep of durations, while an operator freezes and
-   rebuilds shard 1.  Short freezes let the writer settle while the
-   rebuild restores and replays the journal, three-quarter-rebuild ones
-   while it resolves and re-anchors (the resolve runs about halfway
-   through), long ones after the readmission.  The rebuild may roll a decided txid forward, but it must
-   not roll back a prepare whose coordinator may yet decide, and a
-   settle must not forget a decision whose apply landed on the replaced
-   instance: live reads right after the rebuild, and again after one
-   more clean power failure, see the MPUT whole or absent, and whole if
-   it was acked.  The operator spins until the freeze point, so the
-   writer gets about half the steps before it: sweeping up to twice the
-   writer's step count run alone covers its whole commit. *)
+(* A rebuild beside a live cross-shard commit: a writer's MPUT over
+   shards 0 and 1 (fiber 0) is frozen at scheduler step [at] for
+   [duration] steps while an operator (fiber 1) spins until [at], then
+   freezes and rebuilds shard 1.  The rebuild may roll a decided txid
+   forward, but it must not roll back a prepare whose coordinator may yet
+   decide, a settle must not forget a decision whose apply landed on the
+   replaced instance, and the MPUT must not decide over a prepare the
+   rebuilt instance never saw: live reads right after the rebuild, and
+   again after one more clean power failure, see the MPUT whole or
+   absent, and whole if it was acked.  Each run adds its observed
+   outcome to [outcomes]. *)
+let live_commit_setup () =
+  let e = small_engine ~shards:2 ~num_threads:2 ~isolate:true () in
+  let ka = key_on e 0 "a" and kb = key_on e 1 "b" in
+  okc (E.put e ~tid:0 ~key:ka ~value:"a0");
+  okc (E.put e ~tid:0 ~key:kb ~value:"b0");
+  (e, ka, kb, fun () -> E.multi_put e ~tid:0 [ (ka, Some "A"); (kb, Some "B") ])
+
+(* Scheduler steps of [f e mput] run alone on a fresh setup. *)
+let steps_alone f =
+  let e, _, _, mput = live_commit_setup () in
+  (Sched.run ~num_fibers:1 (fun _ -> f e mput)).Sched.steps
+
+let rebuild_steps_alone () =
+  steps_alone (fun e _ ->
+      E.quarantine e ~tid:0 1 ~reason:"operator freeze (test)";
+      ignore (E.rebuild_shard e ~tid:0 1))
+
+let rebuild_beside_commit ~outcomes ~duration at =
+  let e, ka, kb, mput = live_commit_setup () in
+  let acked = ref false and rebuilt = ref false in
+  let body fid =
+    if fid = 0 then acked := Result.is_ok (mput ())
+    else begin
+      while Sched.now () < at do
+        Sched.yield ()
+      done;
+      E.quarantine e ~tid:1 1 ~reason:"operator freeze (test)";
+      rebuilt := Result.is_ok (E.rebuild_shard e ~tid:1 1)
+    end
+  in
+  let r =
+    Sched.run ~seed:at ~num_fibers:2
+      ~injections:[ Sched.Stall { tid = 0; at_step = at; duration = Some duration } ]
+      body
+  in
+  let name what = Printf.sprintf "writer frozen at step %d for %d: %s" at duration what in
+  Alcotest.(check (list string)) (name "both fibers finished")
+    [ "finished"; "finished" ] (status_strings r);
+  Alcotest.(check bool) (name "shard 1 rebuilt") true !rebuilt;
+  let audit when_ =
+    let got = (present e ka, present e kb) in
+    Hashtbl.replace outcomes got ();
+    if not (got = (Some "A", Some "B") || ((not !acked) && got = (Some "a0", Some "b0")))
+    then
+      Alcotest.failf "%s: got (%s, %s)"
+        (name ("MPUT half-applied or lost " ^ when_))
+        (Option.value (fst got) ~default:"-")
+        (Option.value (snd got) ~default:"-")
+  in
+  audit "while live";
+  (match
+     E.crash_hard_with_faults e ~seed:at ~evict_prob:0. ~torn_prob:0. ~bitflips:0
+   with
+  | Ok _ -> ()
+  | Error d -> Alcotest.fail (name d));
+  audit "after one more clean power failure"
+
+(* The hard case, swept coarsely: freezes at 24 points, for a sweep of
+   durations.  Short freezes let the writer settle while the rebuild
+   restores and replays the journal, three-quarter-rebuild ones while it
+   resolves and re-anchors (the resolve runs about halfway through),
+   long ones after the readmission.  The operator spins until the freeze
+   point, so the writer gets about half the steps before it: sweeping up
+   to twice the writer's step count run alone covers its whole commit. *)
 let test_rebuild_beside_live_commit () =
-  let setup () =
-    let e = small_engine ~shards:2 ~num_threads:2 ~isolate:true () in
-    let ka = key_on e 0 "a" and kb = key_on e 1 "b" in
-    okc (E.put e ~tid:0 ~key:ka ~value:"a0");
-    okc (E.put e ~tid:0 ~key:kb ~value:"b0");
-    (e, ka, kb, fun () -> E.multi_put e ~tid:0 [ (ka, Some "A"); (kb, Some "B") ])
-  in
-  let alone f =
-    let e, _, _, mput = setup () in
-    (Sched.run ~num_fibers:1 (fun _ -> f e mput)).Sched.steps
-  in
-  let writer = alone (fun _ mput -> ignore (mput ())) in
-  let rebuild =
-    alone (fun e _ ->
-        E.quarantine e ~tid:0 1 ~reason:"operator freeze (test)";
-        ignore (E.rebuild_shard e ~tid:0 1))
-  in
+  let writer = steps_alone (fun _ mput -> ignore (mput ())) in
+  let rebuild = rebuild_steps_alone () in
   let outcomes = Hashtbl.create 4 in
-  let run ~duration at =
-    let e, ka, kb, mput = setup () in
-    let acked = ref false and rebuilt = ref false in
-    let body fid =
-      if fid = 0 then acked := Result.is_ok (mput ())
-      else begin
-        while Sched.now () < at do
-          Sched.yield ()
-        done;
-        E.quarantine e ~tid:1 1 ~reason:"operator freeze (test)";
-        rebuilt := Result.is_ok (E.rebuild_shard e ~tid:1 1)
-      end
-    in
-    let r =
-      Sched.run ~seed:at ~num_fibers:2
-        ~injections:[ Sched.Stall { tid = 0; at_step = at; duration = Some duration } ]
-        body
-    in
-    let name what = Printf.sprintf "writer frozen at step %d for %d: %s" at duration what in
-    Alcotest.(check (list string)) (name "both fibers finished")
-      [ "finished"; "finished" ] (status_strings r);
-    Alcotest.(check bool) (name "shard 1 rebuilt") true !rebuilt;
-    let audit when_ =
-      let got = (present e ka, present e kb) in
-      Hashtbl.replace outcomes got ();
-      if not (got = (Some "A", Some "B") || ((not !acked) && got = (Some "a0", Some "b0")))
-      then
-        Alcotest.failf "%s: got (%s, %s)"
-          (name ("MPUT half-applied or lost " ^ when_))
-          (Option.value (fst got) ~default:"-")
-          (Option.value (snd got) ~default:"-")
-    in
-    audit "while live";
-    (match
-       E.crash_hard_with_faults e ~seed:at ~evict_prob:0. ~torn_prob:0. ~bitflips:0
-     with
-    | Ok _ -> ()
-    | Error d -> Alcotest.fail (name d));
-    audit "after one more clean power failure"
-  in
   List.iter
-    (fun duration -> List.iter (run ~duration) (List.init 24 (fun i -> 2 * writer * i / 24)))
+    (fun duration ->
+      List.iter
+        (rebuild_beside_commit ~outcomes ~duration)
+        (List.init 24 (fun i -> 2 * writer * i / 24)))
     [ 50; rebuild / 16; 3 * rebuild / 4; 2 * rebuild ];
   Alcotest.(check int) "the sweep reaches both outcomes" 2 (Hashtbl.length outcomes)
+
+(* The writer's shard-1 prepare, swept densely: freezes at every second
+   step across it, each outlasting the whole rebuild.  A freeze while the
+   prepare sits in the old instance's batcher lets the operator
+   quarantine shard 1 and rebuild it from a journal that lacks the
+   prepare; the prepare then commits on the dropped instance.  The
+   writer must see that shard 1's instance changed under its prepare and
+   abort: deciding would apply shard 0's slice while the fresh shard 1,
+   holding no guard, refuses its own — an acked (A, b0).  The prepare's
+   steps are the writer's, run alone, between its first and second
+   prepare crash points, doubled as in the coarse sweep.  Only the first
+   half is swept: the race is the prepare's trip through the batcher,
+   ahead of its PTM commit, which holds the journal lock the rebuild's
+   journal read waits for. *)
+let test_rebuild_under_prepare () =
+  let steps_to phase =
+    steps_alone (fun e mput ->
+        C.set_crash_after (E.commit e) (Some phase);
+        try ignore (mput ()) with C.Injected_crash _ -> ())
+  in
+  let first = steps_to (C.Prepare 1) and second = steps_to (C.Prepare 2) in
+  let duration = 2 * rebuild_steps_alone () in
+  let outcomes = Hashtbl.create 4 in
+  List.iter
+    (rebuild_beside_commit ~outcomes ~duration)
+    (List.init (((second - first) / 2) + 1) (fun i -> 2 * (first + i)))
 
 (* Txids held only by quarantined shards.  A cross-shard MPUT over
    shards 0 and 2 crashes after [first] (after both prepares: it
@@ -2870,6 +2905,8 @@ let suites =
           (test_rot_then_rebuild ~rot:[ 0; 1 ] ~rebuild:[ 0; 1 ]);
         Alcotest.test_case "rebuild beside a live MPUT never half-applies it"
           `Quick test_rebuild_beside_live_commit;
+        Alcotest.test_case "a rebuild under a live prepare aborts the MPUT"
+          `Quick test_rebuild_under_prepare;
         Alcotest.test_case "txids of quarantined shards are never reused"
           `Quick
           (test_quarantined_txids ~first:(C.Prepare 2) ~before:[ 0; 2 ]);

@@ -125,6 +125,7 @@ let () =
          Suite_poisoned_tail.db_suites;
          Db_redodb.suites;
          Db_rocks.suites;
+         Suite_db.flush_suites;
          Suite_db.cursor_suites;
          Suite_serve.suites;
          Suite_audit.suites;
