@@ -466,18 +466,6 @@ let serve_mput_torture ~shards ~rounds ~seed ~evict_prob ~torn_prob ~bitflips
       (String.concat ""
          (List.map (fun m -> " --mutant " ^ C.pp_mutant m) mutants))
   in
-  (* phase draw: always consume the RNG so --crash-phase replays see the
-     same stream, then override with the pinned phase *)
-  let boundaries =
-    None
-    :: List.concat
-         [
-           List.init shards (fun i -> Some (C.Prepare (i + 1)));
-           [ Some C.Decide ];
-           List.init shards (fun i -> Some (C.Apply (i + 1)));
-           [ Some C.Forget ];
-         ]
-  in
   let failf fail fmt = Printf.ksprintf fail fmt in
   (* One round's crash, replayable: the engine, churn, MPUT and crash
      are a pure function of the round seed. *)
@@ -485,6 +473,12 @@ let serve_mput_torture ~shards ~rounds ~seed ~evict_prob ~torn_prob ~bitflips
     let st = Random.State.make [| round_seed; 0x2bc |] in
     let e = E.create { E.default_config with shards; num_threads = 2; isolate } in
     E.set_mutants e mutants;
+    (* phase draw from the protocol's own boundary list: always consume
+       the RNG so --crash-phase replays see the same stream, then
+       override with the pinned phase *)
+    let boundaries =
+      None :: List.map Option.some (C.phases (E.commit e) ~participants:shards)
+    in
     let drawn = List.nth boundaries (Random.State.int st (List.length boundaries)) in
     let phase = match crash_phase with Some _ as p -> p | None -> drawn in
     let pass = if isolate then " (isolated pass)" else "" in
@@ -518,13 +512,21 @@ let serve_mput_torture ~shards ~rounds ~seed ~evict_prob ~torn_prob ~bitflips
             Printf.sprintf "mv%d.%d" round_seed s ))
     in
     C.set_crash_after (E.commit e) phase;
+    let fired = ref None in
     let outcome =
       match
         E.multi_put e ~tid:0 (List.map (fun (k, v) -> (k, Some v)) mput_kvs)
       with
       | Ok _ -> Serve.Write_audit.Acked
-      | Error _ | (exception C.Injected_crash _) -> Ambiguous
+      | Error _ -> Ambiguous
+      | exception C.Injected_crash p ->
+          fired := Some p;
+          Ambiguous
     in
+    (* a boundary the MPUT never reached tests nothing *)
+    Option.iter
+      (fun p -> if !fired <> Some p then failf fail "armed boundary %s never fired" (C.pp_phase p))
+      phase;
     let crashed =
       E.crash_hard_with_faults e ~seed:round_seed ~evict_prob ~torn_prob ~bitflips
     in

@@ -716,26 +716,29 @@ module Make (C : CONFIG) = struct
      imported into a brand-new region at any base — the "relocatable
      region" property the serving layer's shard rebuild relies on. *)
 
-  (* Consistent logical image [0, words): one read-only transaction over
-     the current replica, so the copy can never observe a half-applied
-     update. *)
+  (* Consistent logical image of the live extent [0, Curcomb.extent):
+     one read-only transaction over the current replica, so the copy can
+     never observe a half-applied update.  The words above the extent are
+     unallocated, so the image leaves them out; the region's size is in
+     the image, in the allocator header. *)
   let export_image t ~tid =
-    let img = Array.make t.words 0L in
+    let img = ref [||] in
     ignore
       (read_only t ~tid (fun tx ->
-           for a = 0 to t.words - 1 do
-             img.(a) <- get tx a
-           done;
+           img := Array.init (Curcomb.extent t.cc (Curcomb.index t.cc tx.c.base)) (get tx);
            0L));
-    img
+    !img
 
-  (* The image already holds a formatted heap; it becomes replica 0,
-     the one the seq-0 header names. *)
+  (* The image already holds a formatted heap, of the size its allocator
+     header records; it becomes replica 0, the one the seq-0 header
+     names.  The words above the image stay zero. *)
   let create_from_image ?backing ~num_threads ~image () =
-    let words = Array.length image in
-    if words <= Palloc.heap_base then
+    let n = Array.length image in
+    if n <= Palloc.heap_base then
       invalid_arg (C.name ^ ".create_from_image: image too small");
-    if words mod Pmem.words_per_line <> 0 then
+    let words = Palloc.heap_end { Palloc.get = Array.get image; set = (fun _ _ -> ()) } in
+    if n > words then invalid_arg (C.name ^ ".create_from_image: image larger than region");
+    if n mod Pmem.words_per_line <> 0 || words mod Pmem.words_per_line <> 0 then
       invalid_arg (C.name ^ ".create_from_image: image not line-aligned");
     create_impl ?backing ~image ~num_threads ~words ()
 

@@ -60,15 +60,20 @@ module type S_backed = sig
       Puddles-style relocatable regions with application-independent
       restore. *)
 
-  (** Consistent logical image of words [0, words): taken inside one
-      read-only transaction, so it never observes a half-applied update. *)
+  (** Consistent logical image of the live extent ({!Curcomb.extent}),
+      taken inside one read-only transaction, so it never observes a
+      half-applied update.  The words above the extent are unallocated
+      and left out, so the image's size follows the live data, not the
+      capacity; the region's size is recorded in its allocator header
+      ({!Palloc.heap_end}). *)
   val export_image : t -> tid:int -> int64 array
 
   (** Build a fresh instance whose replica-0 heap is the given exported
-      image (instead of a newly formatted empty heap).  The image length
-      fixes the region's logical word count; [num_threads] may differ
-      from the exporting instance's.  @raise Invalid_argument if the
-      image is shorter than the allocator header or not cache-line
+      image (instead of a newly formatted empty heap), of the size the
+      image's allocator header records; the words above the image stay
+      zero.  [num_threads] may differ from the exporting instance's.
+      @raise Invalid_argument if the image is shorter than the allocator
+      header, longer than that size, or either is not cache-line
       aligned. *)
   val create_from_image :
     ?backing:string -> num_threads:int -> image:int64 array -> unit -> t

@@ -177,7 +177,9 @@ module Trace : sig
     | Linger  (** leader's batch-fill window (span; arg = batch size) *)
     | Drain  (** leader drained the queue into a batch (span; arg = size) *)
     | Prepare  (** 2PC prepare on one shard (span; arg = shard) *)
-    | Decide  (** 2PC decision-record commit (span; arg = txid) *)
+    | Decide
+        (** 2PC decision commit on the coordinator, carrying its own slice
+            (span; arg = shard) *)
     | Ack  (** response frame write (span) *)
 
   val kind_name : kind -> string

@@ -45,6 +45,8 @@ let format mem ~words =
     mem.set (meta_freelist c) 0L
   done
 
+let heap_end mem = Int64.to_int (mem.get meta_heap_end)
+
 let alloc mem n =
   if n < 1 then invalid_arg "Palloc.alloc";
   let c = class_of_block_words (n + 1) in
@@ -59,7 +61,7 @@ let alloc mem n =
     end
     else begin
       let bump = Int64.to_int (mem.get meta_bump) in
-      let heap_end = Int64.to_int (mem.get meta_heap_end) in
+      let heap_end = heap_end mem in
       if bump + bs > heap_end then raise Out_of_memory;
       mem.set meta_bump (Int64.of_int (bump + bs));
       bump

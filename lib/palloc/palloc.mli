@@ -67,6 +67,9 @@ val dealloc : mem -> int -> unit
     (power-of-two block including its header). *)
 val block_words : int -> int
 
+(** Region size in words, as recorded by [format]. *)
+val heap_end : mem -> int
+
 (** Words currently allocated to live blocks (headers included), as recorded
     in persistent metadata. *)
 val live_words : mem -> int

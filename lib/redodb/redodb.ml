@@ -500,19 +500,21 @@ let replay_journal t ~tid recs =
 
 (* ---- relocatable region snapshots ----
    Wire format of a sealed snapshot:
-     "RDBSNAP1" | words:u64le | words * u64le image | digest:u64le
-   The image is the PTM's logical word image (region-relative pointers
-   only — see {!Ptm.Redo_ptm}), so it restores into ANY fresh region:
-   different base, different replica count, different backing file. *)
+     "RDBSNAP1" | n:u64le | n * u64le image | digest:u64le
+   The image is the PTM's logical word image of the live extent, [n]
+   words (region-relative pointers only — see {!Ptm.Redo_ptm}; the
+   region's size is in its allocator header), so it restores into ANY
+   fresh region: different base, different replica count, different
+   backing file. *)
 
 let snapshot_magic = "RDBSNAP1"
 
 let export_snapshot t ~tid =
   let img = P.export_image t.p ~tid in
-  let words = Array.length img in
-  let b = Buffer.create (24 + (words * 8)) in
+  let n = Array.length img in
+  let b = Buffer.create (24 + (n * 8)) in
   Buffer.add_string b snapshot_magic;
-  Buffer.add_int64_le b (Int64.of_int words);
+  Buffer.add_int64_le b (Int64.of_int n);
   Array.iter (Buffer.add_int64_le b) img;
   Buffer.add_int64_le b (Pmem.Checksum.digest img);
   Buffer.contents b
@@ -523,12 +525,12 @@ let open_from_snapshot ?backing ~num_threads snap =
   else if not (String.equal (String.sub snap 0 mlen) snapshot_magic) then
     Error "snapshot: bad magic"
   else begin
-    let words = Int64.to_int (String.get_int64_le snap mlen) in
-    if words <= 0 || String.length snap <> mlen + 8 + (words * 8) + 8 then
+    let n = Int64.to_int (String.get_int64_le snap mlen) in
+    if n <= 0 || String.length snap <> mlen + 8 + (n * 8) + 8 then
       Error "snapshot: length does not match header"
     else begin
-      let img = Array.init words (fun i -> String.get_int64_le snap (mlen + 8 + (i * 8))) in
-      let digest = String.get_int64_le snap (mlen + 8 + (words * 8)) in
+      let img = Array.init n (fun i -> String.get_int64_le snap (mlen + 8 + (i * 8))) in
+      let digest = String.get_int64_le snap (mlen + 8 + (n * 8)) in
       if not (Int64.equal digest (Pmem.Checksum.digest img)) then
         Error "snapshot: digest mismatch"
       else

@@ -74,9 +74,11 @@ val journal_cut : t -> tid:int -> unit
 val replay_journal : t -> tid:int -> journal_rec list -> unit
 
 (** Sealed relocatable snapshot of the whole store: the PTM's consistent
-    logical word image (region-relative pointers only) framed with a
-    magic, the word count, and a trailing {!Pmem.Checksum.digest}.
-    Taken inside one read-only transaction. *)
+    logical word image of its live extent (region-relative pointers
+    only; the region's size is in its allocator header) framed with a
+    magic, the image's word count, and a trailing
+    {!Pmem.Checksum.digest}.  Its size follows the live data, not the
+    capacity.  Taken inside one read-only transaction. *)
 val export_snapshot : t -> tid:int -> string
 
 (** Restore a snapshot into a brand-new region (fresh in-process region,

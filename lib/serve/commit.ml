@@ -167,10 +167,12 @@ let decode_outcome s =
 (* ---- protocol phase boundaries (crash-injection points) ---- *)
 
 (* Each constructor names the instant JUST AFTER that phase's durable
-   action committed: [Prepare k] after the k-th participant's prepare
-   record, [Decide] after the decision record, [Apply k] after the k-th
-   participant's guarded apply, [Forget] after the decision record was
-   deleted.  The sweeps crash at every one of these. *)
+   action committed: [Prepare k] after the k-th non-coordinator
+   participant's prepare record, [Decide] after the coordinator's merged
+   commit (its slice, the decision record and the outcome record),
+   [Apply k] after the k-th non-coordinator participant's guarded apply,
+   [Forget] after the decision record's delete was queued for the
+   coordinator's next decision.  The sweeps crash at every one of these. *)
 type phase = Prepare of int | Decide | Apply of int | Forget
 
 exception Injected_crash of phase
@@ -221,11 +223,17 @@ type ack = { txid : int; epoch : int }
 
 type ops = (string * string option) list
 
-(* A decided-but-not-yet-completed cross-shard transaction, published so
-   that any reader can drive it to completion. *)
+(* A cross-shard transaction counted as decided, published so that any
+   reader can drive it to completion.  It is registered BEFORE its
+   merged commit is submitted (that commit makes the coordinator's slice
+   visible), so [p_confirmed] says whether its writer has seen the
+   decision commit; a helper settles an unconfirmed entry by the durable
+   decision record instead (see [help_one]). *)
 type pending = {
   p_epoch : int;
-  p_slices : (int * ops) list;  (* per-shard write sets, shards ascending *)
+  p_parts : int list;  (* every participant, shards ascending *)
+  p_slices : (int * ops) list;  (* the prepared participants' write sets *)
+  mutable p_confirmed : bool;  (* guarded by reg_lock *)
 }
 
 type t = {
@@ -233,12 +241,15 @@ type t = {
   mutable crash_after : phase option;
   next_txid : int A.t;
   epoch_src : int A.t;  (* last granted commit epoch; gaps are harmless *)
-  decided : int A.t;  (* cross-shard txns whose decision record committed *)
+  decided : int A.t;  (* cross-shard txns registered as decided *)
   applied : int A.t;  (* of those, completed (claimed from the registry) *)
   reg_lock : Sched.Mutex.t;
   registry : (int, pending) Hashtbl.t;  (* guarded by reg_lock *)
   live : (int, unit) Hashtbl.t;  (* guarded by reg_lock: txids inside two_phase *)
-  window : bool array;  (* per tid: between decide commit and publish *)
+  forgets : (int, string list) Hashtbl.t;
+      (* guarded by reg_lock: per coordinator shard, the decision records
+         of completed transactions, deleted by its next decision *)
+  window : bool array;  (* per tid: between registration and confirmation *)
   c_prep : Obs.Metrics.counter;
   c_dec : Obs.Metrics.counter;
   c_apply : Obs.Metrics.counter;
@@ -262,6 +273,7 @@ let create ~num_threads ~mutants =
     reg_lock = Sched.Mutex.create ();
     registry = Hashtbl.create 16;
     live = Hashtbl.create 16;
+    forgets = Hashtbl.create 4;
     window = Array.make num_threads false;
     c_prep = Obs.Metrics.counter "serve.commit.prepares";
     c_dec = Obs.Metrics.counter "serve.commit.decides";
@@ -279,6 +291,13 @@ let has c m = List.mem m !(c.mutants)
 let set_crash_after c p = c.crash_after <- p
 let current_epoch c = A.get c.epoch_src
 let stats c = (A.get c.decided, A.get c.applied)
+
+(* The boundaries a commit over [participants] shards passes, in order:
+   the No_rollforward mutant acks at the decision and never applies. *)
+let phases c ~participants =
+  let others f = List.init (participants - 1) (fun i -> f (i + 1)) in
+  others (fun k -> Prepare k)
+  @ (Decide :: (if has c No_rollforward then [] else others (fun k -> Apply k) @ [ Forget ]))
 
 let stats_json c =
   Obs.Json.
@@ -345,12 +364,20 @@ let claim c ~tid txid =
        true
      end
 
+(* Decision keys to delete in shard [coord]'s next decision commit. *)
+let queue_forgets c ~tid coord keys =
+  if keys <> [] then
+    locked c ~tid @@ fun () ->
+    Hashtbl.replace c.forgets coord
+      (keys @ Option.value (Hashtbl.find_opt c.forgets coord) ~default:[])
+
 (* THE rule for one txid over the shards reachable in [view]; every path
    that finishes a cross-shard transaction ends here.  [slices] are the
-   participants' prepared write sets (a missing one is already gone).
-   [view] is asked again at each step, never remembered: a shard may be
-   quarantined and rebuilt while a settle runs, and an apply that landed
-   on the replaced instance is lost with it.
+   participants' prepared write sets (a missing one is already gone; the
+   coordinator never has one).  [view] is asked again at each step,
+   never remembered: a shard may be quarantined and rebuilt while a
+   settle runs, and an apply that landed on the replaced instance is
+   lost with it.
 
    - Decided: a guarded apply on every reachable participant — it commits
      the slice iff the shard still holds the prepare, so racing settlers
@@ -358,7 +385,9 @@ let claim c ~tid txid =
      commits per shard.  The decision record is forgotten only if every
      participant is reachable after the applies: a shard quarantined
      before then may have lost its apply, and its rebuild must roll the
-     prepare forward from this very record.
+     prepare forward from this very record.  A live commit queues the
+     delete for the coordinator's next decision; recovery and a rebuild
+     delete at once.
    - Aborted: delete every reachable prepare.
    - Undecided: leave every prepare in doubt. *)
 let settle c ~tid ~view ~by txid parts fate slices =
@@ -392,42 +421,67 @@ let settle c ~tid ~view ~by txid parts fate slices =
             (view s);
           match by with Writer _ -> maybe_crash c (Apply (i + 1)) | _ -> ())
         slices;
+      let coord = List.hd parts in
       if
         (by = Recovery || claim c ~tid txid)
         && List.for_all (fun s -> Option.is_some (view s)) parts
-      then begin
-        Option.iter
-          (fun db -> Kv.Redodb.write_batch db ~tid [ (dec_key txid, None) ])
-          (view (List.hd parts));
-        match by with Writer _ -> maybe_crash c Forget | _ -> ()
-      end
+      then
+        match by with
+        | Recovery ->
+            Option.iter
+              (fun db -> Kv.Redodb.write_batch db ~tid [ (dec_key txid, None) ])
+              (view coord)
+        | Writer _ ->
+            queue_forgets c ~tid coord [ dec_key txid ];
+            maybe_crash c Forget
+        | Helper -> queue_forgets c ~tid coord [ dec_key txid ]
 
-(* Decide the fate of transaction [(txid, parts)] from the durable
-   records on the reachable shards, then settle it.  Only the coordinator
-   (the lowest participant) ever holds the decision record; its absence
-   proves abort once every participant is reachable, as callers resolve
-   only txids whose coordinator has returned.  A txid reused across a
-   crash that hid a quarantined shard's records names a different
-   participant list: its records never decide this transaction. *)
-let resolve c ~tid ~view (txid, parts) =
-  let get s key = Option.bind (view s) (fun db -> Kv.Redodb.get db ~tid key) in
+(* Instance [db], taken from [view s] earlier, no longer serves shard
+   [s] (quarantined or rebuilt since), or never did ([None]). *)
+let moved ~view (s, db) =
+  match (view s, db) with Some now, Some was -> now != was | _ -> true
+
+(* The fate of transaction [(txid, parts)] by the durable decision
+   record, read on the coordinator (the lowest participant, the only
+   shard that ever holds it).  Its absence proves abort once every
+   participant is reachable, provided the coordinator has returned: a
+   decision is only ever written by its own transaction's writer.  A
+   txid reused across a crash that hid a quarantined shard's records
+   names a different participant list: its records never decide this
+   transaction.  A read is trusted only if the instance it was made on
+   still serves the coordinator afterwards: a commit that landed on an
+   instance after its rebuild read the journal is lost with it, so what
+   that instance says decides nothing. *)
+let fate_of c ~tid ~view (txid, parts) =
+  let coord = List.hd parts in
+  let db = view coord in
   let decision =
-    if has c No_rollforward then None else get (List.hd parts) (dec_key txid)
+    if has c No_rollforward then None
+    else Option.bind db (fun db -> Kv.Redodb.get db ~tid (dec_key txid))
   in
-  let fate =
-    match Option.map decode_decision decision with
-    | Some (Some (tx, epoch, ps)) when tx = txid && ps = parts -> Decided epoch
-    | Some (Some (tx, _, _)) when tx <> txid -> Undecided
-    | Some None -> Undecided (* a decision it cannot authenticate: never guess *)
-    | _ when List.for_all (fun s -> Option.is_some (view s)) parts -> Aborted
-    | _ -> Undecided
-  in
+  match Option.map decode_decision decision with
+  | _ when moved ~view (coord, db) -> Undecided
+  | Some (Some (tx, epoch, ps)) when tx = txid && ps = parts -> Decided epoch
+  | Some (Some (tx, _, _)) when tx <> txid -> Undecided
+  | Some None -> Undecided (* a decision it cannot authenticate: never guess *)
+  | _ when List.for_all (fun s -> Option.is_some (view s)) parts -> Aborted
+  | _ -> Undecided
+
+(* Decide the fate of [(txid, parts)] from the durable records on the
+   reachable shards, then settle it; callers resolve only txids whose
+   coordinator has returned. *)
+let resolve c ~tid ~view (txid, parts) =
   let prepared s =
-    match Option.map decode_prep (get s (prep_key txid)) with
+    match
+      Option.map decode_prep
+        (Option.bind (view s) (fun db -> Kv.Redodb.get db ~tid (prep_key txid)))
+    with
     | Some (Some (_, ps, ops)) when ps = parts -> Some (s, ops)
     | _ -> None
   in
-  settle c ~tid ~view ~by:Recovery txid parts fate (List.filter_map prepared parts)
+  settle c ~tid ~view ~by:Recovery txid parts
+    (fate_of c ~tid ~view (txid, parts))
+    (List.filter_map prepared parts)
 
 (* Fold one shard's commit records into [txns] (the set of
    [(txid, participants)]).  Returns the shard's txid and epoch
@@ -456,8 +510,9 @@ let scan db ~tid txns =
    reachable shard.  A record that fails its digest is corruption the
    media-fault layer missed: recovery refuses to guess and the engine
    stays down.  The volatile state (txid/epoch sources, decided/applied,
-   registry, live set) is rebuilt from the high-water marks first — no
-   coordinator survives a crash. *)
+   registry, live set, queued forgets) is rebuilt from the high-water
+   marks first — no coordinator survives a crash, and the decision
+   records whose forgets were still queued are forgotten here. *)
 let recover c ~shards ~view =
   Obs.Trace.span Obs.Trace.Recovery ~tid:0 @@ fun () ->
   let txns = Hashtbl.create 16 in
@@ -480,6 +535,7 @@ let recover c ~shards ~view =
       A.set c.applied 0;
       Hashtbl.reset c.registry;
       Hashtbl.reset c.live;
+      Hashtbl.reset c.forgets;
       Sched.Mutex.reset c.reg_lock;
       Array.fill c.window 0 (Array.length c.window) false;
       Hashtbl.iter (fun txn () -> resolve c ~tid:0 ~view txn) txns;
@@ -510,27 +566,60 @@ let resolve_shard c ~tid ~view db =
       resolve c ~tid ~view txn)
     txns
 
-(* Readers help every published decided transaction to completion before
+(* Drive one registered transaction to completion.  A confirmed entry is
+   rolled forward.  An unconfirmed one is settled by the [fate_of] rule:
+   its decision record present, roll forward; absent while the writer is
+   still inside [two_phase], wait for it — one transaction of the
+   writer's, which its stall-hazard window keeps from being frozen;
+   absent once the writer is gone, the merged commit never landed, so
+   claim it as aborted and leave its prepares to the writer, recovery or
+   a rebuild.  The writer's liveness is read before the record, so a
+   writer seen gone has already returned from its submit.  A record read
+   on a coordinator instance dropped since is no evidence either way
+   ([fate_of] answers Undecided), so the helper waits or claims as if it
+   had found none. *)
+let help_one c ~tid ~view txid =
+  let rec go n =
+    match
+      locked c ~tid (fun () ->
+          Option.map
+            (fun p -> (p, p.p_confirmed, Hashtbl.mem c.live txid))
+            (Hashtbl.find_opt c.registry txid))
+    with
+    | None -> ()
+    | Some (p, confirmed, live) -> (
+        let roll epoch = settle c ~tid ~view ~by:Helper txid p.p_parts (Decided epoch) p.p_slices in
+        if confirmed then roll p.p_epoch
+        else
+          match fate_of c ~tid ~view (txid, p.p_parts) with
+          | Decided epoch -> roll epoch
+          | Aborted | Undecided when live ->
+              Park.pause n;
+              go (n + 1)
+          | Aborted | Undecided -> ignore (claim c ~tid txid))
+  in
+  go 0
+
+(* Readers help every published decided commit to completion before
    taking their snapshots — the lock-free-style helping that keeps
    snapshot reads from blocking on (or being blocked by) writers. *)
 let help c ~tid ~view =
   let pend =
-    locked c ~tid (fun () -> Hashtbl.fold (fun txid p acc -> (txid, p) :: acc) c.registry [])
+    locked c ~tid (fun () -> Hashtbl.fold (fun txid _ acc -> txid :: acc) c.registry [])
   in
-  List.iter
-    (fun (txid, p) ->
-      settle c ~tid ~view ~by:Helper txid (List.map fst p.p_slices) (Decided p.p_epoch)
-        p.p_slices)
-    (List.sort compare pend)
+  List.iter (help_one c ~tid ~view) (List.sort compare pend)
 
 (* A multi-shard read is consistent iff no cross-shard commit was in
    flight across it: every decided transaction was fully applied before
    the first per-shard snapshot (applied = decided) and no new decision
-   landed before the last one (decided unchanged).  Readers help pending
-   commits forward rather than waiting them out, so writers never block
-   readers; a reader retries only if a commit decided DURING its
-   snapshots.  (Optimistic, not wait-free: under a sustained stream of
-   overlapping cross-shard commits a reader can retry repeatedly.) *)
+   landed before the last one (decided unchanged).  A transaction counts
+   as decided before its coordinator's slice can become visible, so a
+   read that overlaps that commit retries.  Readers help pending commits
+   forward rather than waiting them out, so writers never block readers
+   beyond one merged commit; a reader retries only if a commit decided
+   DURING its snapshots.  (Optimistic, not wait-free: under a sustained
+   stream of overlapping cross-shard commits a reader can retry
+   repeatedly.) *)
 let snapshot_read c ~tid ~view f =
   if has c No_read_validation then f ()
   else begin
@@ -557,23 +646,26 @@ let snapshot_read c ~tid ~view f =
 
 let two_phase c ~tid ~rid ~tok ~deadline ~view ~submit slices =
   let parts = List.map fst slices in
-  (* mutant: the pre-commit-layer behavior — each slice commits on its
-     own in place of its prepare record, shards in index order, so a
-     crash between them durably applies a prefix of the write set. *)
+  let coord, coord_ops = List.hd slices and others = List.tl slices in
+  (* mutant: the pre-commit-layer behavior — each other participant's
+     slice commits on its own in place of its prepare record, shards in
+     index order, so a crash between them durably applies a part of the
+     write set. *)
   let skip_2pc = has c Skip_2pc in
   let txid = A.fetch_and_add c.next_txid 1 in
   locked c ~tid (fun () -> Hashtbl.replace c.live txid ());
   Fun.protect ~finally:(fun () -> locked c ~tid (fun () -> Hashtbl.remove c.live txid))
   @@ fun () ->
   Obs.Trace.span Obs.Trace.Commit ~tid ~arg:txid ~rid @@ fun () ->
-  let abort slices = settle c ~tid ~view ~by:(Writer rid) txid parts Aborted slices in
-  (* PREPARE: stage each shard's slice, shards in index order.  The
-     request deadline covers the prepares only — once every prepare is
-     durably staged the transaction crosses into decide, where shedding
-     would leave work recovery must redo for no latency win. *)
-  let rec prepare k done_ on = function
-    | [] -> Result.Ok (List.rev on)
-    | ((s, ops) as slice) :: rest -> (
+  let abort () = settle c ~tid ~view ~by:(Writer rid) txid parts Aborted others in
+  (* PREPARE: stage each other participant's slice, shards in index
+     order; the coordinator's slice waits for the decision.  The request
+     deadline covers the prepares only — once every prepare is durably
+     staged the transaction crosses into decide, where shedding would
+     leave work recovery must redo for no latency win. *)
+  let rec prepare k on = function
+    | [] -> Result.Ok on
+    | (s, ops) :: rest -> (
         let record = encode_prep ~txid ~participants:parts ~ops in
         (* the instance the prepare is meant for, taken before the submit
            so that a swap during it cannot go unseen *)
@@ -585,19 +677,15 @@ let two_phase c ~tid ~rid ~tok ~deadline ~view ~submit slices =
         | Result.Ok () ->
             Obs.Metrics.incr c.c_prep ~tid;
             maybe_crash c (Prepare k);
-            prepare (k + 1) (slice :: done_) ((s, db) :: on) rest
+            prepare (k + 1) ((s, db) :: on) rest
         | Error e ->
-            abort done_;
+            abort ();
             Error (`Refused e))
   in
-  match prepare 1 [] [] slices with
+  match prepare 1 [] others with
   | Error _ as e -> e
-  | Result.Ok _ when skip_2pc -> Result.Ok { txid = 0; epoch = A.get c.epoch_src }
   | Result.Ok prepared_on -> (
-      let moved (s, db) =
-        match (view s, db) with Some now, Some was -> now != was | _ -> true
-      in
-      match List.find_opt moved prepared_on with
+      match List.find_opt (moved ~view) prepared_on with
       | Some (down, _) ->
           (* A participant was quarantined between its prepare and the
              decision, or rebuilt under it: a prepare that entered the
@@ -608,55 +696,96 @@ let two_phase c ~tid ~rid ~tok ~deadline ~view ~submit slices =
              reachable prepares back and refuse.  Nothing durable
              commits on any shard — the mid-2PC-quarantine test's
              no-prefix-commit oracle. *)
-          abort slices;
+          abort ();
           Error (`Shard_down down)
       | None -> (
-          (* DECIDE: the decision record's commit is the commit point.
-             The window flag marks this thread as stall-hazardous until
-             the decision is published in the registry — a thread
-             frozen between a durable decision and its publication
-             would leave readers with a decided count they cannot help
-             to completion. *)
+          (* DECIDE: one transaction on the coordinator commits its own
+             slice, the decision record and the token's outcome record —
+             the commit point, the coordinator's apply and the
+             exactly-once evidence at once — plus the deletes of earlier
+             decisions it coordinated.  The slice is visible the moment
+             it commits, so the transaction is registered and counted
+             decided first: a snapshot overlapping the commit retries,
+             and helpers settle it by the durable record.  The window
+             flag marks this thread stall-hazardous until the entry is
+             confirmed or withdrawn, which bounds a helper's wait on it.
+             A retried 2PC attempt uses a fresh txid, so a duplicated
+             commit leaves a second outcome record under the same token
+             prefix (what the no-dedup-on-retry mutant must produce). *)
           c.window.(tid) <- true;
           Fun.protect ~finally:(fun () -> c.window.(tid) <- false) @@ fun () ->
           let epoch = 1 + A.fetch_and_add c.epoch_src 1 in
-          (* The token's outcome record commits atomically WITH the
-             decision — the commit point and the exactly-once evidence
-             are one PTM transaction.  A retried 2PC attempt uses a
-             fresh txid, so a duplicated commit leaves a second record
-             under the same token prefix (what the no-dedup-on-retry
-             mutant must produce). *)
+          let entry =
+            { p_epoch = epoch; p_parts = parts; p_slices = others; p_confirmed = false }
+          in
+          let forgets =
+            locked c ~tid (fun () ->
+                Hashtbl.replace c.registry txid entry;
+                A.incr c.decided;
+                let f = Option.value (Hashtbl.find_opt c.forgets coord) ~default:[] in
+                Hashtbl.remove c.forgets coord;
+                f)
+          in
           let dec_ops =
-            let d =
-              [ (dec_key txid, Some (encode_decision ~txid ~epoch ~participants:parts)) ]
-            in
-            if tok > 0 then outcome_op ~tok ~txid ~epoch :: d else d
+            coord_ops
+            @ (if tok > 0 then [ outcome_op ~tok ~txid ~epoch ] else [])
+            @ ((dec_key txid, Some (encode_decision ~txid ~epoch ~participants:parts))
+              :: List.map (fun k -> (k, None)) forgets)
+          in
+          (* as for the prepares: a swap during the submit must not go
+             unseen *)
+          let db = view coord in
+          let withdraw () =
+            ignore (claim c ~tid txid);
+            c.window.(tid) <- false
           in
           match
-            stage c.h_dec Obs.Trace.Decide ~tid ~arg:txid ~rid @@ fun () ->
-            submit ~deadline:0. (List.hd parts) dec_ops
+            stage c.h_dec Obs.Trace.Decide ~tid ~arg:coord ~rid @@ fun () ->
+            submit ~deadline:0. coord dec_ops
           with
           | Error e ->
               (* a rejected submit was never committed: definite abort *)
-              abort slices;
+              queue_forgets c ~tid coord forgets;
+              withdraw ();
+              abort ();
               Error (`Refused e)
           | exception (Injected_crash _ as ex) -> raise ex
           | exception _ ->
               (* unknown decide outcome after durable prepares: the one
                  case the engine cannot resolve itself — surface the
                  txid so the client can reason about the replay after
-                 recovery. *)
+                 recovery.  Helpers settle the entry by the record once
+                 this writer is gone. *)
+              queue_forgets c ~tid coord forgets;
               Error (`In_doubt txid)
-          | Result.Ok () ->
+          | Result.Ok () -> (
               Obs.Metrics.incr c.c_dec ~tid;
               maybe_crash c Decide;
-              locked c ~tid (fun () ->
-                  Hashtbl.replace c.registry txid { p_epoch = epoch; p_slices = slices };
-                  A.incr c.decided);
-              (* Published: helpers can now finish the commit, so
-                 freezing this thread is once again harmless. *)
-              c.window.(tid) <- false;
-              if not (has c No_rollforward) then
-                settle c ~tid ~view ~by:(Writer rid) txid parts (Decided epoch)
-                  slices;
-              Result.Ok { txid; epoch }))
+              (* A coordinator quarantined or rebuilt under the submit
+                 may have taken the commit down with the dropped
+                 instance: the answer is what the current view holds. *)
+              match
+                if moved ~view (coord, db) then fate_of c ~tid ~view (txid, parts)
+                else Decided epoch
+              with
+              | Decided epoch ->
+                  locked c ~tid (fun () -> entry.p_confirmed <- true);
+                  (* confirmed: freezing this thread is harmless again *)
+                  c.window.(tid) <- false;
+                  if not (has c No_rollforward) then
+                    settle c ~tid ~view ~by:(Writer rid) txid parts (Decided epoch)
+                      others;
+                  Result.Ok { txid; epoch }
+              | Aborted ->
+                  (* the forgets went down with the dropped instance *)
+                  queue_forgets c ~tid coord forgets;
+                  withdraw ();
+                  abort ();
+                  Error (`Shard_down coord)
+              | Undecided ->
+                  (* the coordinator is behind quarantine: its rebuild
+                     settles the transaction by whatever record it
+                     restores *)
+                  queue_forgets c ~tid coord forgets;
+                  withdraw ();
+                  Error (`In_doubt txid))))

@@ -3,41 +3,82 @@
     that settles every in-doubt transaction.
 
     The engine gives [multi_put] all-or-nothing semantics across shards
-    with a two-phase protocol whose every durable artifact lives INSIDE
-    the shards' own RedoDB regions, written through ordinary PTM
-    transactions — so each record inherits the per-shard durability,
-    torn-line and bit-flip hardening, for free:
-    - a PREPARE record per participating shard (["m!p!<txid>"]), staging
-      that shard's slice of the write set plus the full participant
-      list, so any shard's region alone names everyone involved
+    with a two-phase protocol in the coordinator-log form of
+    presumed-abort 2PC (Mohan, Lindsay and Obermarck, R*, TODS 1986).
+    Every durable artifact lives INSIDE the shards' own RedoDB regions,
+    written through ordinary PTM transactions — so each record inherits
+    the per-shard durability, torn-line and bit-flip hardening, for free:
+    - a PREPARE record on every participant but the coordinator — the
+      lowest participating index — (["m!p!<txid>"]), staging that
+      shard's slice of the write set plus the full participant list, so
+      any prepared shard's region alone names everyone involved
       (self-describing, in the spirit of Puddles' application-independent
       recovery);
-    - one DECISION record on the coordinator shard — the lowest
-      participating index — (["m!d!<txid>"]) carrying the commit epoch.
-      Its commit IS the commit point of the whole transaction;
+    - one DECISION record on the coordinator (["m!d!<txid>"]) carrying
+      the commit epoch.  It commits in ONE PTM transaction with the
+      coordinator's own slice and the token's outcome record: that
+      transaction is the commit point of the whole transaction and the
+      coordinator's apply at once, so a P-shard commit runs P − 1
+      prepares, that merged decision and P − 1 guarded applies — 2P − 1
+      PTM transactions on the ack path;
     - per-shard high-water keys (["m!he"] epoch, ["m!ht"] txid) raised
-      transactionally with each apply, so epochs and txids stay monotone
-      across crashes even after all records are forgotten.
+      transactionally with each guarded apply, so epochs and txids stay
+      monotone across crashes even after all records are forgotten.
+
+    {b Forgets.}  Once every participant has applied, the decision record
+    is no longer needed.  A live commit does not delete it on the ack
+    path: the delete is queued in memory and rides the coordinator
+    shard's next decision transaction.  Records left behind when
+    cross-shard traffic stops (or by a crash, which drops the queue) are
+    forgotten by recovery or by a rebuild of the coordinator, the same
+    way a crashed writer's records are.
+
+    {b High-water argument.}  The coordinator applies no guarded batch,
+    so its high-water keys stop advancing; recovery still takes the
+    maximum over every shard's high-water keys and its surviving prepare
+    and decision records.  That bound covers every granted epoch and
+    txid of a decided transaction: until its decision record is
+    forgotten the record itself carries both, and it is forgotten only
+    after every participant was reachable after its guarded apply — and
+    a cross-shard transaction has at least one non-coordinator
+    participant, whose apply raised both marks.
+
+    {b Snapshot reads.}  The coordinator's slice is visible as soon as
+    the merged decision commits, before the other slices are applied.
+    So the writer registers the transaction (txid, epoch, slices) and
+    counts it decided BEFORE submitting that commit: a snapshot read
+    overlapping it sees the decided count move and retries, and helpers
+    drive the entry home.  Until the writer confirms the commit, a
+    helper settles the entry by the durable decision record: present,
+    roll forward; absent while the writer is still committing, wait (one
+    transaction; the writer is stall-hazardous meanwhile); absent once
+    the writer has returned, claim it as aborted.  A record read on a
+    coordinator instance that no longer serves when the read returns
+    counts as absent: a merged decision can commit on an instance after
+    its quarantine, once the rebuild has read the journal, and is then
+    lost with it.
 
     Record values carry their own splitmix64 digest: the PTM already
     refuses corrupt metadata, but the digest makes the records themselves
     end-to-end self-validating — recovery refuses to guess at a commit
     decision it cannot authenticate.
 
-    {b The in-doubt rule} — crash recovery, an online rebuild and the
-    live commit's apply-and-forget step all apply it, in one place.  For
-    one txid, over the reachable shards:
-    - a decision record on a reachable shard: a guarded apply on every
-      reachable shard that holds the txid's prepare; the decision is
-      forgotten only once every participant is reachable;
+    {b The in-doubt rule} — crash recovery, an online rebuild, a helping
+    reader and the live commit's apply-and-forget step all apply it, in
+    one place.  For one txid, over the reachable shards:
+    - a decision record on a reachable coordinator: a guarded apply on
+      every reachable shard that holds the txid's prepare; the decision
+      is forgotten only once every participant is reachable;
     - no decision, and every participant reachable: roll back every
-      prepare (the coordinator is a participant, so no decision can
-      exist);
+      prepare (the coordinator wrote the decision or nothing);
     - otherwise: leave every prepare in doubt.
     The rule is only ever applied to a txid whose coordinator has
-    stopped: recovery runs after a crash, and a rebuild waits out the
-    coordinator of each transaction it finds on the rebuilt shard.  A
-    transaction is its txid and its participant list. *)
+    stopped: recovery runs after a crash, a rebuild waits out the
+    coordinator of each transaction it finds on the rebuilt shard, and a
+    helper waits while the writer is inside its decision.  A
+    transaction is its txid and its participant list.  The coordinator
+    holds no prepare, so recovery and a rebuild find a transaction by
+    its other participants' prepares or by its decision record. *)
 
 (** {2 Record formats} *)
 
@@ -65,8 +106,10 @@ val decode_outcome : string -> (int * int) option
 
 (** {2 Crash injection and mutants} *)
 
-(** The instant JUST AFTER a phase's durable action: the k-th prepare,
-    the decision, the k-th guarded apply, the forget. *)
+(** The instant JUST AFTER a phase's durable action: the k-th prepare
+    (of a participant other than the coordinator), the merged decision,
+    the k-th guarded apply (likewise), and the forget (its delete queued
+    for the coordinator's next decision). *)
 type phase = Prepare of int | Decide | Apply of int | Forget
 
 exception Injected_crash of phase
@@ -78,13 +121,15 @@ val parse_phase : string -> phase option
     can demonstrate the violation class that guard prevents (the same
     methodology as the RedoNoFence / PmdkNoSum mutants):
 
-    - [Skip_2pc]: multi_put commits per-shard batches directly, the
-      pre-commit-layer behavior.  A crash between shard commits leaves a
-      durable PREFIX of the write set — the prefix-commit violation.
+    - [Skip_2pc]: each participant but the coordinator commits its
+      slice directly in place of its prepare, the pre-commit-layer
+      behavior.  A crash between shard commits leaves a durable PART of
+      the write set — the partial-commit violation.
     - [No_rollforward]: acks at the decision record (legal only if
       recovery completes in-doubt commits) AND recovery treats decision
       records as absent, rolling every prepared shard back.  A crash
-      after the ack loses or half-applies an ACKED multi_put.
+      after the ack half-applies an ACKED multi_put: the coordinator's
+      slice, committed with the decision, survives; the others are lost.
     - [No_read_validation]: snapshot reads skip epoch validation and
       helping, so a scan can interleave with the apply phase and observe
       a half-applied multi_put.
@@ -131,17 +176,27 @@ val create : num_threads:int -> mutants:mutant list ref -> t
     cross-shard commit just after the named phase's durable action. *)
 val set_crash_after : t -> phase option -> unit
 
+(** The phase boundaries a commit over [participants] shards passes, in
+    order: [Prepare 1 .. P-1], [Decide], [Apply 1 .. P-1], [Forget] —
+    only up to [Decide] under the [No_rollforward] mutant, which never
+    applies.  Every crash sweep draws from this one list. *)
+val phases : t -> participants:int -> phase list
+
 (** Last granted commit epoch. *)
 val current_epoch : t -> int
 
-(** (decided, applied) cross-shard commit counts since last recovery. *)
+(** (decided, applied) cross-shard commit counts since last recovery: a
+    transaction counts as decided when it registers, just before its
+    merged decision is submitted, and as applied when it is claimed
+    complete — or withdrawn, if that decision never committed. *)
 val stats : t -> int * int
 
 (** Epoch, next txid, decided/applied counts and pending commits. *)
 val stats_json : t -> (string * Obs.Json.t) list
 
-(** [tid] holds the registry lock or sits between its durable decision
-    and the decision's publication to helping readers. *)
+(** [tid] holds the registry lock or sits between registering its
+    transaction and confirming (or withdrawing) it: a helper may wait on
+    it there. *)
 val stall_hazard : t -> tid:int -> bool
 
 (** The reachable shards: [view s] is the instance serving shard [s], or
@@ -149,14 +204,28 @@ val stall_hazard : t -> tid:int -> bool
     rebuilt shard to its fresh instance. *)
 type view = int -> Kv.Redodb.t option
 
+(** [moved ~view (s, db)]: instance [db], taken from [view s] earlier,
+    no longer serves shard [s] — quarantined or rebuilt since — or
+    never did ([None]).  A read made on [db] in between may have seen a
+    commit that landed there after the quarantine, which the rebuild
+    never saw: such a read proves nothing. *)
+val moved : view:view -> int * Kv.Redodb.t option -> bool
+
 (** Commit [slices] (one write set per participant, shards ascending)
-    all-or-nothing: prepares through [submit] (each bounded by
-    [deadline]), the decision (with [tok]'s outcome record) on the
-    coordinator, publication to helping readers, then the settle step.
-    [submit ~deadline s ops] commits [ops] on shard [s] through its
-    group-commit stage; a submit error aborts with [`Refused].  A
-    participant unreachable after its prepare aborts with [`Shard_down];
-    an unknown decide outcome answers [`In_doubt txid]. *)
+    all-or-nothing: prepares of every slice but the coordinator's (the
+    first) through [submit] (each bounded by [deadline]), registration
+    for helping readers, the merged decision (the coordinator's slice,
+    the decision record, [tok]'s outcome record and the queued forgets)
+    on the coordinator, then the settle step.  [submit ~deadline s ops]
+    commits [ops] on shard [s] through its group-commit stage; a submit
+    error aborts with [`Refused].  A participant unreachable or rebuilt
+    after its prepare aborts with [`Shard_down].  A coordinator rebuilt
+    under the decision's submit is answered from the current view: its
+    decision present, the commit is rolled forward and acked; absent,
+    the prepares are rolled back with [`Shard_down]; the coordinator
+    unreachable, [`In_doubt txid], as is an unknown decide outcome.  A
+    decision that did not commit on the serving instance puts back the
+    record deletes it carried. *)
 val two_phase :
   t ->
   tid:int ->

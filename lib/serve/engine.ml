@@ -376,7 +376,9 @@ let get t ~tid key =
   | None -> Error (Shard_down s)
   | Some db ->
       touch t s key;
-      Result.Ok (Kv.Redodb.get db ~tid (Commit.user_key key))
+      let v = Kv.Redodb.get db ~tid (Commit.user_key key) in
+      (* a read of an instance quarantined meanwhile proves nothing *)
+      if Commit.moved ~view:(view t) (s, Some db) then Error (Shard_down s) else Result.Ok v
 
 (* One read-only snapshot per visited shard, shards in index order. *)
 let multi_get t ~tid keys =
@@ -389,24 +391,23 @@ let multi_get t ~tid keys =
       touch t s key;
       per_shard.(s) <- (i, Commit.user_key key) :: per_shard.(s))
     keys;
-  match
-    List.find_opt
-      (fun s -> per_shard.(s) <> [] && not (Health.admits t.health s))
-      (List.init t.cfg.shards Fun.id)
-  with
-  | Some s -> Error (Shard_down s)
-  | None ->
-      Result.Ok
-        ( Commit.snapshot_read t.commit ~tid ~view:(view t) @@ fun () ->
-          let out = Array.make (List.length keys) None in
-          for s = 0 to t.cfg.shards - 1 do
-            match List.rev per_shard.(s) with
-            | [] -> ()
-            | batch ->
-                let vals = Kv.Redodb.get_batch t.dbs.(s) ~tid (List.map snd batch) in
-                List.iter2 (fun (i, _) v -> out.(i) <- v) batch vals
-          done;
-          Array.to_list out )
+  Commit.snapshot_read t.commit ~tid ~view:(view t) @@ fun () ->
+  let out = Array.make (List.length keys) None in
+  let rec read s =
+    if s = t.cfg.shards then Result.Ok (Array.to_list out)
+    else
+      match (List.rev per_shard.(s), view t s) with
+      | [], _ -> read (s + 1)
+      | _, None -> Error (Shard_down s)
+      | batch, Some db ->
+          let vals = Kv.Redodb.get_batch db ~tid (List.map snd batch) in
+          if Commit.moved ~view:(view t) (s, Some db) then Error (Shard_down s)
+          else begin
+            List.iter2 (fun (i, _) v -> out.(i) <- v) batch vals;
+            read (s + 1)
+          end
+  in
+  read 0
 
 let scan t ~tid ~prefix ~max =
   with_entry t ~tid @@ fun () ->
@@ -424,15 +425,17 @@ let scan t ~tid ~prefix ~max =
             (* each cursor is sorted: its first [max] entries are all this
                shard can contribute to the merged first [max] *)
             let c = Kv.Redodb.seek db ~tid iprefix in
-            let rec walk n =
+            let rec walk n acc =
               match Kv.Redodb.entry c with
               | Some (k, v) when n < max ->
-                  all := (Commit.user_of_internal k, v) :: !all;
                   ignore (Kv.Redodb.next c);
-                  walk (n + 1)
-              | _ -> ()
+                  walk (n + 1) ((Commit.user_of_internal k, v) :: acc)
+              | _ -> acc
             in
-            walk 0)
+            let mine = walk 0 [] in
+            (* a shard quarantined during its walk is left out, as if
+               before it *)
+            if not (Commit.moved ~view:(view t) (s, Some db)) then all := mine @ !all)
           (view t s)
       done;
       let sorted = List.sort (fun (a, _) (b, _) -> String.compare a b) !all in
@@ -597,6 +600,9 @@ let attempted_batches t ~shard =
          if String.length k > 0 && k.[0] = 'u' then Some (Commit.user_of_internal k)
          else None))
     (Batcher.attempted_batches t.batchers.(shard))
+
+let pmem_stats t =
+  Array.fold_left (fun acc db -> Pmem.Stats.add acc (Kv.Redodb.stats db)) Pmem.Stats.zero t.dbs
 
 let queue_depths t =
   Array.to_list (Array.map Batcher.queue_depth t.batchers)

@@ -139,6 +139,10 @@ val put :
   value:string ->
   (unit, error) result
 
+(** [Shard_down] if the key's shard is quarantined, also if it is
+    quarantined or rebuilt while the read runs: the instance read may
+    then hold a commit its rebuild never saw.  {!multi_get} and {!scan}
+    keep the same rule per shard. *)
 val get : t -> tid:int -> string -> (string option, error) result
 
 (** Acked delete (no existence report: under group commit the delete is
@@ -175,7 +179,8 @@ val txstat : t -> tid:int -> int -> (Ledger.tx_status, error) result
 
 (** Up to [max] key-sorted pairs whose key starts with [prefix], merged
     across per-shard snapshots taken at one validated epoch — a scan
-    never observes a partially applied [multi_put]. *)
+    never observes a partially applied [multi_put].  A shard behind
+    quarantine, or quarantined while it is read, is left out. *)
 val scan :
   t -> tid:int -> prefix:string -> max:int -> ((string * string) list, error) result
 
@@ -284,8 +289,8 @@ val refresh_export : t -> tid:int -> int -> unit
 (** {2 Introspection} *)
 
 (** Scheduler-adversary hazard: [tid] is a committing batch leader,
-    holds a stage, registry or active-token lock, or sits between a
-    durable commit decision and its registry publication (see
+    holds a stage, registry or active-token lock, or sits between
+    registering a cross-shard commit and confirming its decision (see
     {!Batcher.stall_hazard}, {!Commit.stall_hazard}).
     Freezing a thread there could wedge readers with a decided commit
     they cannot help to completion. *)
@@ -298,6 +303,9 @@ val batch_sizes : t -> shard:int -> int list
     before commit — the mid-batch crash oracle's ground truth.  Commit
     metadata writes are excluded: they are not acked user data. *)
 val attempted_batches : t -> shard:int -> string list list
+
+(** Device counters summed over every shard's current instance. *)
+val pmem_stats : t -> Pmem.Stats.snapshot
 
 (** Current per-shard queue depths (batching only; [[]] otherwise). *)
 val queue_depths : t -> int list

@@ -196,7 +196,8 @@ let test_router_model () =
 (* Scans over 4 shards that also hold commit metadata: outcome records
    of tokened PUTs and MPUTs, the high-water keys of applied 2PCs, and
    the prepare and decision records of a 2PC cut off right after its
-   decision (so nothing of it is applied).  User prefixes of 7 and 8
+   merged decision (so only the coordinator's slice is applied until a
+   reader helps the rest home).  User prefixes of 7 and 8
    bytes become internal prefixes ("u" ^ p) of 8 and 9 bytes: exactly
    one packed word, then a word plus a partial one.  Some user keys
    imitate the metadata namespace, so only the 'u' escape keeps the
@@ -234,7 +235,12 @@ let test_scan_beside_commit_metadata () =
                 (List.map (fun (k, v) -> (k, Some v)) kvs)));
         List.iter (fun (k, v) -> Hashtbl.replace model k v) kvs
   done;
-  (* prepare + decision (+ outcome) records, never applied *)
+  (* A writer that dies just after its merged decision: shard 1 holds a
+     prepare, shard 0 the decision and outcome records and its own slice,
+     and the transaction sits unconfirmed in the registry.  It is
+     committed, so the model holds it, and the scans below — the first
+     reads since the crash, with no recovery — must settle it by the
+     decision record and return it whole. *)
   let on shard tag =
     let rec go i =
       let k = tag ^ string_of_int i in
@@ -242,19 +248,12 @@ let test_scan_beside_commit_metadata () =
     in
     go 0
   in
+  let cut = [ (on 0 "grp0001", "cut"); (on 1 "grp00012", "cut") ] in
   C.set_crash_after (E.commit e) (Some C.Decide);
-  (match
-     E.multi_put ~tok:99 e ~tid:0
-       [ (on 0 "grp0001", Some "cut"); (on 1 "grp00012", Some "cut") ]
-   with
+  (match E.multi_put ~tok:99 e ~tid:0 (List.map (fun (k, v) -> (k, Some v)) cut) with
   | exception C.Injected_crash _ -> ()
   | _ -> Alcotest.fail "expected the injected crash after the decision");
-  (match (E.txstat e ~tid:0 1001, E.txstat e ~tid:0 1002, E.txstat e ~tid:0 99) with
-  | ( Ok (Serve.Ledger.Tx_committed { records = 1; _ }),
-      Ok (Serve.Ledger.Tx_committed { records = 1; _ }),
-      Ok (Serve.Ledger.Tx_committed { records = 1; _ }) ) -> ()
-  | _ -> Alcotest.fail "every token must have left exactly one outcome record");
-  Alcotest.(check int) "count excludes metadata" (Hashtbl.length model) (E.count e ~tid:0);
+  List.iter (fun (k, v) -> Hashtbl.replace model k v) cut;
   List.iter
     (fun (prefix, max) ->
       let want =
@@ -270,7 +269,15 @@ let test_scan_beside_commit_metadata () =
     [
       ("grp0001", 1000); ("grp0001", 5); ("grp00012", 1000); ("grp00012", 3);
       ("m!o!000", 1000); ("m!p!0000", 1000); ("m!he", 2); ("", 1000); ("", 7);
-    ]
+    ];
+  (match (E.txstat e ~tid:0 1001, E.txstat e ~tid:0 1002, E.txstat e ~tid:0 99) with
+  | ( Ok (Serve.Ledger.Tx_committed { records = 1; _ }),
+      Ok (Serve.Ledger.Tx_committed { records = 1; _ }),
+      Ok (Serve.Ledger.Tx_committed { records = 1; _ }) ) -> ()
+  | _ -> Alcotest.fail "every token must have left exactly one outcome record");
+  Alcotest.(check int) "count excludes metadata" (Hashtbl.length model) (E.count e ~tid:0);
+  let decided, applied = C.stats (E.commit e) in
+  Alcotest.(check int) "the dead writer's commit was claimed" decided applied
 
 (* ---- deterministic batch formation under the scheduler ---- *)
 
@@ -546,53 +553,62 @@ let key_on e shard tag =
 let present e k =
   match E.get e ~tid:0 k with Ok (Some v) -> Some v | _ -> None
 
-(* Crash at every 2PC phase boundary of a two-shard multi_put, recover
-   hard, and audit exact all-or-nothing: before the decision record the
-   transaction must vanish entirely; from the decision on it must be
-   rolled forward entirely.  The engine must stay usable afterwards. *)
+(* Crash at every 2PC phase boundary ({!C.phases}) of a multi_put over
+   two and over three shards, recover hard, and audit exact
+   all-or-nothing: before the merged decision the transaction must
+   vanish entirely; from the decision on it must be rolled forward
+   entirely.  The engine must stay usable afterwards. *)
 let test_commit_phase_crash_sweep () =
-  let phases =
-    [ C.Prepare 1; C.Prepare 2; C.Decide; C.Apply 1; C.Apply 2; C.Forget ]
-  in
-  List.iteri
-    (fun round phase ->
-      let e = small_engine ~shards:2 ~num_threads:2 () in
-      let name what =
-        Printf.sprintf "crash@%s: %s" (C.pp_phase phase) what
+  List.iter
+    (fun shards ->
+      let phases =
+        C.phases (E.commit (small_engine ~shards ())) ~participants:shards
       in
-      okc (E.put e ~tid:0 ~key:"base" ~value:"b");
-      let ka = key_on e 0 "a" and kb = key_on e 1 "b" in
-      C.set_crash_after (E.commit e) (Some phase);
-      (match E.multi_put e ~tid:0 [ (ka, Some "va"); (kb, Some "vb") ] with
-      | exception C.Injected_crash p ->
-          Alcotest.(check string) (name "crashed at the armed boundary")
-            (C.pp_phase phase) (C.pp_phase p)
-      | Ok _ -> Alcotest.fail (name "expected an injected crash")
-      | Error err -> Alcotest.fail (name (E.pp_error err)));
-      (match
-         E.crash_hard_with_faults e ~seed:(500 + round) ~evict_prob:0.5
-           ~torn_prob:0.3 ~bitflips:0
-       with
-      | Ok _ -> ()
-      | Error d -> Alcotest.fail (name ("recovery failed: " ^ d)));
-      let committed = match phase with C.Prepare _ -> false | _ -> true in
-      let expect = if committed then (Some "va", Some "vb") else (None, None) in
-      Alcotest.(check (pair (option string) (option string)))
-        (name "exact all-or-nothing across shards") expect
-        (present e ka, present e kb);
-      Alcotest.(check (option string)) (name "unrelated key intact") (Some "b")
-        (present e "base");
-      Alcotest.(check int) (name "user-key count excludes commit metadata")
-        (if committed then 3 else 1)
-        (E.count e ~tid:0);
-      (* post-recovery the engine commits fresh cross-shard transactions *)
-      let ack = okc (E.multi_put e ~tid:0 [ (ka, Some "A2"); (kb, Some "B2") ]) in
-      Alcotest.(check bool) (name "post-recovery commit acked") true
-        (ack.E.txid > 0 && ack.E.epoch > 0);
-      Alcotest.(check (pair (option string) (option string)))
-        (name "post-recovery commit applied") (Some "A2", Some "B2")
-        (present e ka, present e kb))
-    phases
+      Alcotest.(check int)
+        (Printf.sprintf "%d shards: 2P boundaries" shards)
+        (2 * shards) (List.length phases);
+      List.iteri
+        (fun round phase ->
+          let e = small_engine ~shards ~num_threads:2 () in
+          let name what =
+            Printf.sprintf "%d shards, crash@%s: %s" shards (C.pp_phase phase) what
+          in
+          okc (E.put e ~tid:0 ~key:"base" ~value:"b");
+          let kvs = List.init shards (fun s -> (key_on e s "k", Printf.sprintf "v%d" s)) in
+          let keys = List.map fst kvs in
+          C.set_crash_after (E.commit e) (Some phase);
+          (match E.multi_put e ~tid:0 (List.map (fun (k, v) -> (k, Some v)) kvs) with
+          | exception C.Injected_crash p ->
+              Alcotest.(check string) (name "crashed at the armed boundary")
+                (C.pp_phase phase) (C.pp_phase p)
+          | Ok _ -> Alcotest.fail (name "expected an injected crash")
+          | Error err -> Alcotest.fail (name (E.pp_error err)));
+          (match
+             E.crash_hard_with_faults e ~seed:(500 + round) ~evict_prob:0.5
+               ~torn_prob:0.3 ~bitflips:0
+           with
+          | Ok _ -> ()
+          | Error d -> Alcotest.fail (name ("recovery failed: " ^ d)));
+          let committed = match phase with C.Prepare _ -> false | _ -> true in
+          Alcotest.(check (list (option string)))
+            (name "exact all-or-nothing across shards")
+            (List.map (fun (_, v) -> if committed then Some v else None) kvs)
+            (List.map (present e) keys);
+          Alcotest.(check (option string)) (name "unrelated key intact") (Some "b")
+            (present e "base");
+          Alcotest.(check int) (name "user-key count excludes commit metadata")
+            (if committed then shards + 1 else 1)
+            (E.count e ~tid:0);
+          (* post-recovery the engine commits fresh cross-shard transactions *)
+          let ack = okc (E.multi_put e ~tid:0 (List.map (fun k -> (k, Some "Z")) keys)) in
+          Alcotest.(check bool) (name "post-recovery commit acked") true
+            (ack.E.txid > 0 && ack.E.epoch > 0);
+          Alcotest.(check (list (option string)))
+            (name "post-recovery commit applied")
+            (List.map (fun _ -> Some "Z") keys)
+            (List.map (present e) keys))
+        phases)
+    [ 2; 3 ]
 
 (* Commit epochs in acks are strictly monotone, and survive a hard crash
    via the per-shard high-water marks: the epoch source never regresses
@@ -649,11 +665,11 @@ let test_mutant_skip_2pc () =
     | Error d -> Alcotest.fail d);
     (present e ka, present e kb)
   in
-  (* mutant: shard 0's slice committed alone — the prefix the sweep must
-     catch *)
+  (* mutant: shard 1's slice committed alone, ahead of the coordinator's
+     — the partial commit the sweep must catch *)
   Alcotest.(check (pair (option string) (option string)))
-    "skip-2pc leaves a durable prefix"
-    (Some "VA", Some "vb")
+    "skip-2pc leaves a durable part"
+    (Some "va", Some "VB")
     (run ~mutants:[ C.Skip_2pc ]);
   (* clean protocol, same crash point: all-or-nothing (the second MPUT
      vanishes — its prepare was rolled back) *)
@@ -663,8 +679,9 @@ let test_mutant_skip_2pc () =
     (run ~mutants:[])
 
 (* No_rollforward: acking at the decision record is only sound if
-   recovery completes in-doubt commits; dropping roll-forward loses an
-   ACKED multi_put wholesale. *)
+   recovery completes in-doubt commits; dropping roll-forward
+   half-applies an ACKED multi_put — the coordinator's slice committed
+   with the decision, the participant's prepared slice is rolled back. *)
 let test_mutant_no_rollforward () =
   let e = small_engine ~shards:2 ~num_threads:2 () in
   E.set_mutants e [ C.No_rollforward ];
@@ -678,7 +695,7 @@ let test_mutant_no_rollforward () =
   | Ok _ -> ()
   | Error d -> Alcotest.fail d);
   Alcotest.(check (pair (option string) (option string)))
-    "acked multi_put lost without roll-forward" (None, None)
+    "acked multi_put half-applied without roll-forward" (Some "va", None)
     (present e ka, present e kb);
   (* clean protocol on the same schedule: the ack survives the crash *)
   let e = small_engine ~shards:2 ~num_threads:2 () in
@@ -818,21 +835,111 @@ let test_stalled_coordinator_helping () =
   Alcotest.(check bool) "helping was counted" true
     (Obs.Metrics.counter_value c_helped > helped_before)
 
+(* A writer frozen across its merged decision.  Its transaction is
+   registered before the coordinator's slice can become visible, and
+   stays stall-hazardous until it confirms the decision, so a requested
+   stall anywhere from registration to confirmation is deferred to a
+   point where helpers can finish the commit.  One reader alternates
+   SCANs and MGETs over one key per shard: each must return the MPUT
+   whole or not at all, and finish within [read_bound] scheduler steps.
+   Returns (partial reads, the longest read in steps, whether the reader
+   finished). *)
+let read_bound = 5_000
+
+let stalled_writer_run ~mutants ~seed ?crash ?stall () =
+  let e = small_engine ~shards:3 ~num_threads:2 ~linger_us:2. () in
+  E.set_mutants e mutants;
+  let keys = List.init 3 (fun s -> key_on e s "w") in
+  List.iter (fun key -> okc (E.put e ~tid:0 ~key ~value:"o")) keys;
+  C.set_crash_after (E.commit e) crash;
+  let crashed_at = ref (-1) and partial = ref 0 and longest = ref 0 in
+  let whole vs = List.for_all (( = ) (Some "o")) vs || List.for_all (( = ) (Some "x")) vs in
+  let timed f =
+    let t0 = Sched.now () in
+    let r = f () in
+    longest := max !longest (Sched.now () - t0);
+    r
+  in
+  let body fid =
+    if fid = 0 then
+      try ignore (E.multi_put e ~tid:0 (List.map (fun k -> (k, Some "x")) keys))
+      with C.Injected_crash _ -> crashed_at := Sched.now ()
+    else
+      for _ = 1 to 6 do
+        (match timed (fun () -> E.scan e ~tid:1 ~prefix:"w" ~max:10) with
+        | Ok kvs -> if not (whole (List.map (fun k -> List.assoc_opt k kvs) keys)) then incr partial
+        | Error _ -> ());
+        match timed (fun () -> E.multi_get e ~tid:1 keys) with
+        | Ok vs -> if not (whole vs) then incr partial
+        | Error _ -> ()
+      done
+  in
+  let r =
+    Sched.run ~seed ~budget:200_000
+      ~injections:
+        (Option.fold stall ~none:[] ~some:(fun at ->
+             [ Sched.Stall { tid = 0; at_step = at; duration = None } ]))
+      ~hazard:(fun fid -> E.stall_hazard e ~tid:fid)
+      ~num_fibers:2 body
+  in
+  (!crashed_at, !partial, !longest, (status_strings r |> List.rev |> List.hd) = "finished")
+
+let stalled_writer_seeds = [ 3; 4; 5 ]
+
+(* The writer's registration-to-confirmation window on [seed]'s
+   schedule: the steps of its last prepare and decision crash points,
+   which the same seed reaches on the same schedule. *)
+let writer_window ~seed =
+  let at phase = let s, _, _, _ = stalled_writer_run ~mutants:[] ~seed ~crash:phase () in s in
+  (at (C.Prepare 2), at C.Decide)
+
+let test_stalled_writer_merged_commit () =
+  List.iter
+    (fun seed ->
+      let first, last = writer_window ~seed in
+      Alcotest.(check bool) (Printf.sprintf "seed %d: window found" seed) true
+        (first > 0 && last > first);
+      for at = first to last + 2 do
+        let name what = Printf.sprintf "seed %d, writer stalled at step %d: %s" seed at what in
+        let _, partial, longest, finished = stalled_writer_run ~mutants:[] ~seed ~stall:at () in
+        Alcotest.(check bool) (name "reader finished") true finished;
+        Alcotest.(check int) (name "every read all-or-nothing") 0 partial;
+        if longest > read_bound then
+          Alcotest.failf "%s" (name (Printf.sprintf "a read took %d steps" longest))
+      done)
+    stalled_writer_seeds;
+  let caught =
+    List.exists
+      (fun seed ->
+        let first, last = writer_window ~seed in
+        List.exists
+          (fun at ->
+            let _, partial, _, _ =
+              stalled_writer_run ~mutants:[ C.No_read_validation ] ~seed ~stall:at ()
+            in
+            partial > 0)
+          (List.init (last + 3 - first) (fun i -> first + i)))
+      stalled_writer_seeds
+  in
+  Alcotest.(check bool) "the sweep catches the no-read-validation mutant" true caught
+
 (* ---- request span tree under the deterministic scheduler ---- *)
 
 (* One cross-shard MPUT must leave a complete causally-ordered span tree
    in the trace, linked by its request id: the commit umbrella span, a
-   prepare per shard, exactly one decision, an apply per shard, and the
-   queue-wait spans of the batcher submissions — ordered commit <=
-   prepares <= decide <= applies by start timestamp. *)
+   prepare per participant other than the coordinator, exactly one
+   decision — on the coordinator, whose slice it commits — an apply per
+   prepared participant, and the queue-wait spans of the batcher
+   submissions — ordered commit <= prepares <= decide <= applies by
+   start timestamp. *)
 let test_sched_span_tree () =
   Obs.Trace.enable ();
   Fun.protect ~finally:(fun () -> Obs.Trace.disable ()) @@ fun () ->
-  let e = small_engine ~shards:2 ~num_threads:2 ~linger_us:2. () in
-  let ka = key_on e 0 "ta" and kb = key_on e 1 "tb" in
+  let e = small_engine ~shards:3 ~num_threads:2 ~linger_us:2. () in
+  let keys = List.init 3 (fun s -> key_on e s "t") in
   let committed = ref false in
   let body _fid =
-    match E.multi_put e ~tid:0 ~rid:42 [ (ka, Some "x"); (kb, Some "x") ] with
+    match E.multi_put e ~tid:0 ~rid:42 (List.map (fun k -> (k, Some "x")) keys) with
     | Ok _ -> committed := true
     | Error err -> Alcotest.fail (E.pp_error err)
   in
@@ -844,14 +951,15 @@ let test_sched_span_tree () =
     | Some (Obs.Json.List es) -> es
     | _ -> Alcotest.fail "no traceEvents array"
   in
-  let rid_of ev =
+  let arg name ev =
     match Obs.Json.member "args" ev with
     | Some args -> (
-        match Obs.Json.member "rid" args with
+        match Obs.Json.member name args with
         | Some (Obs.Json.Int r) -> r
         | _ -> 0)
     | None -> 0
   in
+  let rid_of = arg "rid" in
   let num = function
     | Some (Obs.Json.Int i) -> float_of_int i
     | Some (Obs.Json.Float f) -> f
@@ -863,17 +971,23 @@ let test_sched_span_tree () =
         if rid_of ev <> 42 then None
         else
           match Obs.Json.member "name" ev with
-          | Some (Obs.Json.String n) -> Some (n, num (Obs.Json.member "ts" ev))
+          | Some (Obs.Json.String n) -> Some (n, num (Obs.Json.member "ts" ev), arg "v" ev)
           | _ -> Alcotest.fail "span without name")
       events
   in
   let ts_of n =
-    List.filter_map (fun (m, ts) -> if m = n then Some ts else None) spans
+    List.filter_map (fun (m, ts, _) -> if m = n then Some ts else None) spans
+  in
+  let shards_of n =
+    List.sort compare (List.filter_map (fun (m, _, a) -> if m = n then Some a else None) spans)
   in
   let count n = List.length (ts_of n) in
-  Alcotest.(check bool) "a prepare span per shard" true (count "prepare" >= 2);
-  Alcotest.(check int) "exactly one decision span" 1 (count "decide");
-  Alcotest.(check bool) "an apply span per shard" true (count "apply" >= 2);
+  Alcotest.(check (list int)) "a prepare span per non-coordinator participant"
+    [ 1; 2 ] (shards_of "prepare");
+  Alcotest.(check (list int)) "exactly one decision, on the coordinator" [ 0 ]
+    (shards_of "decide");
+  Alcotest.(check (list int)) "an apply span per prepared participant" [ 1; 2 ]
+    (shards_of "apply");
   Alcotest.(check int) "one commit umbrella span" 1 (count "commit");
   Alcotest.(check bool) "queue-wait spans from the batcher" true
     (count "queue_wait" >= 1);
@@ -882,7 +996,7 @@ let test_sched_span_tree () =
   let t_commit = List.hd (ts_of "commit") in
   let t_decide = List.hd (ts_of "decide") in
   Alcotest.(check bool) "commit span opens the tree" true
-    (List.for_all (fun (_, ts) -> t_commit <= ts) spans);
+    (List.for_all (fun (_, ts, _) -> t_commit <= ts) spans);
   Alcotest.(check bool) "every prepare precedes the decision" true
     (mx (ts_of "prepare") <= t_decide);
   Alcotest.(check bool) "the decision precedes every apply" true
@@ -890,6 +1004,41 @@ let test_sched_span_tree () =
   (* the link is per-request: no span leaks to another request id *)
   Alcotest.(check int) "no spans under a foreign rid" 0
     (List.length (List.filter (fun ev -> rid_of ev = 41) events))
+
+(* ---- the MPUT's PTM transaction budget ----
+
+   A cross-shard MPUT over P shards costs 2P - 1 PTM transactions: P - 1
+   prepares, the coordinator's merged decision and P - 1 guarded
+   applies; the decision record's delete rides the next decision.
+   Counted over 100 MPUTs spanning all four shards of an in-process
+   engine, after 100 warm-up MPUTs, with values of a fixed size so that
+   every put overwrites in place.  The pwb ceiling sits just above the
+   measured 4-shard cost (EXPERIMENTS, serve_mput). *)
+let mput_pwb_ceiling = 100
+
+let test_mput_txn_budget () =
+  let e = E.create { E.default_config with shards = 4; num_threads = 2 } in
+  let keys = List.concat_map (fun s -> [ key_on e s "ba"; key_on e s "bb" ]) [ 0; 1; 2; 3 ] in
+  let mput i =
+    ignore (okc (E.multi_put e ~tid:0 (List.map (fun k -> (k, Some (Printf.sprintf "v%05d" i))) keys)))
+  in
+  for i = 1 to 100 do
+    mput i
+  done;
+  let was_on = Obs.Metrics.is_on () in
+  Obs.Metrics.enable true;
+  let c = Obs.Metrics.counter "ptm.tx.commit" in
+  let t0 = Obs.Metrics.counter_value c and p0 = E.pmem_stats e in
+  Fun.protect ~finally:(fun () -> Obs.Metrics.enable was_on) (fun () ->
+      for i = 101 to 200 do
+        mput i
+      done);
+  let txns = Obs.Metrics.counter_value c - t0 in
+  let pwbs = (E.pmem_stats e).Pmem.Stats.pwb - p0.Pmem.Stats.pwb in
+  Alcotest.(check int) "7 PTM transactions per 4-shard MPUT" 700 txns;
+  if pwbs > 100 * mput_pwb_ceiling then
+    Alcotest.failf "%.1f pwbs per 4-shard MPUT, over the ceiling of %d"
+      (float_of_int pwbs /. 100.) mput_pwb_ceiling
 
 (* ---- loopback TCP smoke (reactor + client over a real socket) ---- *)
 
@@ -1604,6 +1753,24 @@ let test_snapshot_roundtrip () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "truncated snapshot must be refused"
 
+(* A snapshot carries the live extent, not the capacity: an empty 1 MiB
+   store exports a few lines of allocator and table metadata, and the
+   region it restores into keeps the full capacity. *)
+let test_snapshot_live_extent () =
+  let db = Kv.Redodb.open_db ~num_threads:2 ~capacity_bytes:(1 lsl 20) () in
+  let snap = Kv.Redodb.export_snapshot db ~tid:0 in
+  if String.length snap >= 64 * 1024 then
+    Alcotest.failf "empty 1 MiB store exported %d bytes" (String.length snap);
+  match Kv.Redodb.open_from_snapshot ~num_threads:2 snap with
+  | Error d -> Alcotest.fail ("import refused a good snapshot: " ^ d)
+  | Ok fresh ->
+      let value = String.make 1000 'v' in
+      for i = 0 to 599 do
+        Kv.Redodb.put fresh ~tid:0 ~key:(Printf.sprintf "k%03d" i) ~value
+      done;
+      Alcotest.(check int) "restored region holds more than 512 KiB" 600
+        (Kv.Redodb.count fresh ~tid:0)
+
 (* A cross-shard MPUT with a quarantined participant must abort cleanly:
    Shard_down, no durable effect on ANY shard (never a prefix commit),
    the healthy shard keeps serving, and after the participant rebuilds
@@ -1683,16 +1850,23 @@ let test_rot_then_rebuild ~rot ~rebuild () =
 (* A rebuild beside a live cross-shard commit: a writer's MPUT over
    shards 0 and 1 (fiber 0) is frozen at scheduler step [at] for
    [duration] steps while an operator (fiber 1) spins until [at], then
-   freezes and rebuilds shard 1.  The rebuild may roll a decided txid
-   forward, but it must not roll back a prepare whose coordinator may yet
-   decide, a settle must not forget a decision whose apply landed on the
-   replaced instance, and the MPUT must not decide over a prepare the
-   rebuilt instance never saw: live reads right after the rebuild, and
-   again after one more clean power failure, see the MPUT whole or
-   absent, and whole if it was acked.  Each run adds its observed
-   outcome to [outcomes]. *)
+   freezes and rebuilds [shard] (the participant, 1, by default; 0 is
+   the coordinator).  The rebuild may roll a decided txid forward, but
+   it must not roll back a prepare whose coordinator may yet decide, a
+   settle must not forget a decision whose apply landed on the replaced
+   instance, and the MPUT must not decide over a prepare, nor ack a
+   decision, the rebuilt instance never saw: live reads right after the
+   rebuild, and again after one more clean power failure, see the MPUT
+   whole or absent — whole if it was acked, absent if it was refused
+   (anything but [In_doubt]).  Each run adds its observed outcome to
+   [outcomes].  With [~reader:true] a third fiber alternates MGETs and
+   SCANs over the MPUT's keys until the other two are done, frozen at
+   the same step for the same time as the writer, so that it reads
+   across the rebuild with whatever it took before the quarantine: each
+   read must see the MPUT whole or absent (a SCAN may leave out a shard
+   that is down). *)
 let live_commit_setup () =
-  let e = small_engine ~shards:2 ~num_threads:2 ~isolate:true () in
+  let e = small_engine ~shards:2 ~num_threads:3 ~isolate:true () in
   let ka = key_on e 0 "a" and kb = key_on e 1 "b" in
   okc (E.put e ~tid:0 ~key:ka ~value:"a0");
   okc (E.put e ~tid:0 ~key:kb ~value:"b0");
@@ -1708,32 +1882,66 @@ let rebuild_steps_alone () =
       E.quarantine e ~tid:0 1 ~reason:"operator freeze (test)";
       ignore (E.rebuild_shard e ~tid:0 1))
 
-let rebuild_beside_commit ~outcomes ~duration at =
+let rebuild_beside_commit ~outcomes ~duration ?(shard = 1) ?(reader = false) at =
   let e, ka, kb, mput = live_commit_setup () in
-  let acked = ref false and rebuilt = ref false in
+  let acked = ref false and refused = ref false and rebuilt = ref false in
+  let done_ = ref 0 and torn = ref [] in
+  let read_whole = function
+    | (Some "a0", Some "b0") | (Some "A", Some "B") | (None, _) | (_, None) -> ()
+    | (Some a, Some b) -> torn := (a, b) :: !torn
+  in
   let body fid =
-    if fid = 0 then acked := Result.is_ok (mput ())
-    else begin
+    if fid = 0 then begin
+      (match mput () with
+      | Ok _ -> acked := true
+      | Error (E.In_doubt _) -> ()
+      | Error _ -> refused := true);
+      incr done_
+    end
+    else if fid = 1 then begin
       while Sched.now () < at do
         Sched.yield ()
       done;
-      E.quarantine e ~tid:1 1 ~reason:"operator freeze (test)";
-      rebuilt := Result.is_ok (E.rebuild_shard e ~tid:1 1)
+      E.quarantine e ~tid:1 shard ~reason:"operator freeze (test)";
+      rebuilt := Result.is_ok (E.rebuild_shard e ~tid:1 shard);
+      incr done_
     end
+    else
+      while !done_ < 2 do
+        (match E.multi_get e ~tid:2 [ ka; kb ] with
+        | Ok [ a; b ] -> read_whole (a, b)
+        | _ -> ());
+        match E.scan e ~tid:2 ~prefix:"" ~max:10 with
+        | Ok kvs -> read_whole (List.assoc_opt ka kvs, List.assoc_opt kb kvs)
+        | Error _ -> ()
+      done
   in
+  let fibers = if reader then 3 else 2 in
   let r =
-    Sched.run ~seed:at ~num_fibers:2
-      ~injections:[ Sched.Stall { tid = 0; at_step = at; duration = Some duration } ]
+    Sched.run ~seed:at ~num_fibers:fibers
+      ~injections:
+        (List.init (fibers - 1) (fun i ->
+             let tid = 2 * i in
+             Sched.Stall { tid; at_step = at; duration = Some duration }))
       body
   in
-  let name what = Printf.sprintf "writer frozen at step %d for %d: %s" at duration what in
-  Alcotest.(check (list string)) (name "both fibers finished")
-    [ "finished"; "finished" ] (status_strings r);
-  Alcotest.(check bool) (name "shard 1 rebuilt") true !rebuilt;
+  let name what =
+    Printf.sprintf "shard %d rebuilt, writer%s frozen at step %d for %d: %s" shard
+      (if reader then " and reader" else "")
+      at duration what
+  in
+  Alcotest.(check (list string)) (name "every fiber finished")
+    (List.init fibers (fun _ -> "finished"))
+    (status_strings r);
+  Alcotest.(check (list (pair string string))) (name "every read whole or absent") [] !torn;
+  Alcotest.(check bool) (name "shard rebuilt") true !rebuilt;
   let audit when_ =
     let got = (present e ka, present e kb) in
     Hashtbl.replace outcomes got ();
-    if not (got = (Some "A", Some "B") || ((not !acked) && got = (Some "a0", Some "b0")))
+    if
+      not
+        ((got = (Some "A", Some "B") && not !refused)
+        || ((not !acked) && got = (Some "a0", Some "b0")))
     then
       Alcotest.failf "%s: got (%s, %s)"
         (name ("MPUT half-applied or lost " ^ when_))
@@ -1773,36 +1981,196 @@ let test_rebuild_beside_live_commit () =
    quarantine shard 1 and rebuild it from a journal that lacks the
    prepare; the prepare then commits on the dropped instance.  The
    writer must see that shard 1's instance changed under its prepare and
-   abort: deciding would apply shard 0's slice while the fresh shard 1,
+   abort: deciding would commit shard 0's slice while the fresh shard 1,
    holding no guard, refuses its own — an acked (A, b0).  The prepare's
-   steps are the writer's, run alone, between its first and second
-   prepare crash points, doubled as in the coarse sweep.  Only the first
-   half is swept: the race is the prepare's trip through the batcher,
-   ahead of its PTM commit, which holds the journal lock the rebuild's
-   journal read waits for. *)
+   steps are the writer's, run alone, from its start to its prepare crash
+   point, doubled as in the coarse sweep.  Only the first half is swept:
+   the race is the prepare's trip through the batcher, ahead of its PTM
+   commit, which holds the journal lock the rebuild's journal read waits
+   for. *)
+let steps_to phase =
+  steps_alone (fun e mput ->
+      C.set_crash_after (E.commit e) (Some phase);
+      try ignore (mput ()) with C.Injected_crash _ -> ())
+
 let test_rebuild_under_prepare () =
-  let steps_to phase =
-    steps_alone (fun e mput ->
-        C.set_crash_after (E.commit e) (Some phase);
-        try ignore (mput ()) with C.Injected_crash _ -> ())
-  in
-  let first = steps_to (C.Prepare 1) and second = steps_to (C.Prepare 2) in
+  let second = steps_to (C.Prepare 1) in
   let duration = 2 * rebuild_steps_alone () in
   let outcomes = Hashtbl.create 4 in
   List.iter
     (rebuild_beside_commit ~outcomes ~duration)
-    (List.init (((second - first) / 2) + 1) (fun i -> 2 * (first + i)))
+    (List.init ((second / 2) + 1) (fun i -> 2 * i))
+
+(* The coordinator's merged decision, swept densely the same way: the
+   operator rebuilds shard 0 while the writer is frozen at every second
+   step across the decision's submit, from its prepare crash point to
+   its decision crash point.  A decision that sits in the old instance's
+   batcher while the rebuild reads the journal commits on the dropped
+   instance — the coordinator's slice and the decision record are lost
+   with it — so the writer must answer from the current view: roll the
+   participant back and refuse when the rebuilt coordinator lacks the
+   decision, or report the transaction in doubt while it is still
+   behind quarantine.  Assuming the commit decided would ack (a0, B).
+   The sweep runs again with a reader frozen beside the writer: a read
+   that trusted the instance it took before the quarantine would return
+   the dropped instance's (A, b0). *)
+let test_rebuild_under_decision () =
+  let first = steps_to (C.Prepare 1) and second = steps_to C.Decide in
+  let duration = 2 * rebuild_steps_alone () in
+  let outcomes = Hashtbl.create 4 in
+  List.iter
+    (fun reader ->
+      List.iter
+        (rebuild_beside_commit ~outcomes ~duration ~shard:0 ~reader)
+        (List.init (second - first + 1) (fun i -> 2 * (first + i))))
+    [ false; true ];
+  Alcotest.(check int) "the sweep reaches both outcomes" 2 (Hashtbl.length outcomes)
+
+(* [Commit.two_phase] over two bare stores, through a [view] and a
+   [submit] the test owns, so that a swap of the coordinator's instance
+   lands exactly where a rebuild's would.  [on_decide db] runs just
+   before the merged decision commits on the coordinator's instance
+   [db] (shard 0's one submit), and what it returns just after.
+   Returns the commit, the served instances and an MPUT over shards 0
+   and 1. *)
+let bare_commit () =
+  let store () = Kv.Redodb.open_db ~num_threads:2 ~capacity_bytes:(1 lsl 17) () in
+  let dbs = [| Some (store ()); Some (store ()) |] in
+  let view s = dbs.(s) in
+  let c = C.create ~num_threads:2 ~mutants:(ref []) in
+  let mput ?(on_decide = fun _ () -> ()) ~tid (a, b) =
+    let submit ~deadline:_ s ops =
+      match view s with
+      | None -> Error ()
+      | Some db ->
+          let after = if s = 0 then on_decide db else Fun.id in
+          Kv.Redodb.write_batch db ~tid ops;
+          after ();
+          Ok ()
+    in
+    C.two_phase c ~tid ~rid:0 ~tok:0 ~deadline:0. ~view ~submit
+      [ (0, [ (C.user_key "a", Some a) ]); (1, [ (C.user_key "b", Some b) ]) ]
+  in
+  (c, dbs, mput)
+
+let bare_values dbs =
+  List.map2
+    (fun s k -> Option.bind dbs.(s) (fun db -> Kv.Redodb.get db ~tid:0 (C.user_key k)))
+    [ 0; 1 ] [ "a"; "b" ]
+
+(* Shard 0 rebuilt under the merged decision: the fresh instance is a
+   copy of the old one taken before the decision commits there, and
+   replaces it right after. *)
+let copy_of old =
+  match Kv.Redodb.open_from_snapshot ~num_threads:2 (Kv.Redodb.export_snapshot old ~tid:0) with
+  | Ok fresh -> fresh
+  | Error d -> Alcotest.fail d
+
+(* A completed MPUT's decision record is deleted by its coordinator's
+   next decision, so a coordinator holds at most one decision record
+   however many MPUTs it ran, and none after recovery.  A merged commit
+   lost with a rebuilt coordinator carried the previous record's delete:
+   it is queued again and rides the next decision. *)
+let test_forgets_ride_next_decision () =
+  let c, dbs, mput = bare_commit () in
+  let records () =
+    Kv.Redodb.fold (Option.get dbs.(0)) ~tid:0 ~init:0 (fun n k _ ->
+        if String.starts_with ~prefix:"m!d!" k then n + 1 else n)
+  in
+  let acked v =
+    match mput ~tid:0 (v, v) with
+    | Ok _ -> Alcotest.(check int) (v ^ ": one decision record") 1 (records ())
+    | Error _ -> Alcotest.failf "MPUT %s refused" v
+  in
+  List.iter acked (List.init 20 (Printf.sprintf "v%02d"));
+  let rebuilt old =
+    let fresh = copy_of old in
+    fun () -> dbs.(0) <- Some fresh
+  in
+  (match mput ~tid:0 ~on_decide:rebuilt ("lost", "lost") with
+  | Error (`Shard_down 0) -> ()
+  | _ -> Alcotest.fail "a decision lost with the coordinator must be refused");
+  Alcotest.(check (list (option string))) "the refused MPUT is absent"
+    [ Some "v19"; Some "v19" ] (bare_values dbs);
+  acked "v20";
+  (match C.recover c ~shards:2 ~view:(fun s -> dbs.(s)) with
+  | Ok () -> ()
+  | Error d -> Alcotest.fail d);
+  Alcotest.(check int) "no decision record after recovery" 0 (records ())
+
+(* A helper that took the coordinator's instance before a quarantine and
+   reads it after the merged decision landed there, behind the rebuild's
+   copy: the record it finds is lost with that instance.  The writer
+   sees its coordinator moved, finds no decision on the fresh instance
+   and refuses, so a helper that rolled the participant forward by the
+   stale record would leave (a0, B) behind a refused MPUT.  The helper's
+   [view] hands out the old instance once, at the moment the commit
+   lands on it; the writer waits a bounded while for the helper before
+   returning from the submit. *)
+let test_helper_stale_coordinator () =
+  let c, dbs, mput = bare_commit () in
+  ignore (mput ~tid:0 ("a0", "b0"));
+  let old = Option.get dbs.(0) in
+  let landed = ref false and helped = ref false and answer = ref None in
+  let rebuilt old =
+    dbs.(0) <- None;
+    let fresh = copy_of old in
+    fun () ->
+      landed := true;
+      dbs.(0) <- Some fresh;
+      let t0 = Sched.now () in
+      while (not !helped) && Sched.now () - t0 < 2_000 do
+        Sched.yield ()
+      done
+  in
+  let handed = ref false in
+  let helper_view s =
+    if s = 0 && not !handed then begin
+      handed := true;
+      while not !landed do
+        Sched.yield ()
+      done;
+      Some old
+    end
+    else dbs.(s)
+  in
+  let body fid =
+    if fid = 0 then answer := Some (mput ~tid:0 ~on_decide:rebuilt ("A", "B"))
+    else begin
+      while fst (C.stats c) < 2 do
+        Sched.yield ()
+      done;
+      C.help c ~tid:1 ~view:helper_view;
+      helped := true
+    end
+  in
+  let r = Sched.run ~seed:1 ~budget:200_000 ~num_fibers:2 body in
+  Alcotest.(check (list string)) "both fibers finished" [ "finished"; "finished" ]
+    (status_strings r);
+  Alcotest.(check bool) "the helper read the dropped instance" true !handed;
+  let want =
+    match !answer with
+    | Some (Ok _) -> [ Some "A"; Some "B" ]
+    | Some (Error (`Shard_down 0)) -> [ Some "a0"; Some "b0" ]
+    | _ -> Alcotest.fail "unexpected answer"
+  in
+  Alcotest.(check (list (option string))) "the answer matches the stores" want (bare_values dbs)
 
 (* Txids held only by quarantined shards.  A cross-shard MPUT over
-   shards 0 and 2 crashes after [first] (after both prepares: it
+   shards 0 and 2 crashes after [first] (after shard 2's prepare: it
    aborted; after its decision: it committed), both shards rot, and
    recovery sees only shard 1.  The shards in [before] are rebuilt, then
-   an MPUT over 0 and 1 crashes just after its decision, then the rest
-   are rebuilt.  The rebuilds must move the txid source past the
-   txids they find, so that the later MPUT neither overwrites the first
-   one's decision nor is mistaken for it: each MPUT ends whole or
-   absent, by its own fate. *)
-let test_quarantined_txids ~first ~before () =
+   an MPUT over 0 and 1 runs — cut by a crash just after its decision
+   if [cut], else to completion, which leaves its decision record on
+   shard 0 until the next decision there — then the rest are rebuilt.
+   Each MPUT must end whole or absent, by its own fate.  After a
+   decision, the rebuild of shard 0 lifts the txid source past the
+   decided txid, so that the later MPUT does not overwrite its decision.
+   After a prepare alone, nothing the rebuilt shard 0 holds names the
+   aborted txid (the coordinator writes no prepare), so the later MPUT
+   reuses it: rebuilding shard 2 must not take that MPUT's decision
+   record for the aborted one's, whose participant list differs. *)
+let test_quarantined_txids ~first ~before ~cut () =
   let e = small_engine ~shards:3 ~num_threads:2 ~isolate:true () in
   let k = Array.init 3 (fun s -> key_on e s (Printf.sprintf "q%d" s)) in
   Array.iteri (fun s key -> okc (E.put e ~tid:0 ~key ~value:(Printf.sprintf "v%d" s))) k;
@@ -1827,8 +2195,12 @@ let test_quarantined_txids ~first ~before () =
   List.iter (fun s -> E.corrupt_shard e s ~seed:(21 + s) ~count:16) [ 0; 2 ];
   crash ();
   rebuild before;
-  crash_after C.Decide [ (k.(0), Some "P"); (k.(1), Some "Q") ];
-  crash ();
+  let second = [ (k.(0), Some "P"); (k.(1), Some "Q") ] in
+  if cut then begin
+    crash_after C.Decide second;
+    crash ()
+  end
+  else ignore (okc (E.multi_put e ~tid:0 second));
   rebuild (List.filter (fun s -> not (List.mem s before)) [ 0; 2 ]);
   crash ();
   Alcotest.(check (list (option string)))
@@ -2825,8 +3197,12 @@ let suites =
           test_scan_never_observes_partial_mput;
         Alcotest.test_case "stalled coordinator is helped to completion" `Quick
           test_stalled_coordinator_helping;
+        Alcotest.test_case "a writer stalled across its merged decision is helped"
+          `Quick test_stalled_writer_merged_commit;
         Alcotest.test_case "MPUT leaves a causally-ordered span tree" `Quick
           test_sched_span_tree;
+        Alcotest.test_case "a 4-shard MPUT costs 7 PTM transactions" `Quick
+          test_mput_txn_budget;
       ] );
     ( "serve-wire",
       [ Alcotest.test_case "loopback socket smoke" `Quick test_socket_smoke ] );
@@ -2889,6 +3265,8 @@ let suites =
       [
         Alcotest.test_case "quarantine isolates one shard under load" `Quick
           test_quarantine_under_load;
+        Alcotest.test_case "a snapshot carries only the live extent" `Quick
+          test_snapshot_live_extent;
         Alcotest.test_case "snapshot round-trips into a fresh region" `Quick
           test_snapshot_roundtrip;
         Alcotest.test_case "mid-2PC participant quarantine aborts cleanly"
@@ -2907,12 +3285,18 @@ let suites =
           `Quick test_rebuild_beside_live_commit;
         Alcotest.test_case "a rebuild under a live prepare aborts the MPUT"
           `Quick test_rebuild_under_prepare;
+        Alcotest.test_case "a rebuild under the merged decision answers by the record"
+          `Quick test_rebuild_under_decision;
+        Alcotest.test_case "forgets ride the coordinator's next decision" `Quick
+          test_forgets_ride_next_decision;
+        Alcotest.test_case "a helper ignores a dropped coordinator's record" `Quick
+          test_helper_stale_coordinator;
         Alcotest.test_case "txids of quarantined shards are never reused"
           `Quick
-          (test_quarantined_txids ~first:(C.Prepare 2) ~before:[ 0; 2 ]);
+          (test_quarantined_txids ~first:(C.Prepare 1) ~before:[ 0 ] ~cut:false);
         Alcotest.test_case "a rebuilt coordinator's txids are never reused"
           `Quick
-          (test_quarantined_txids ~first:C.Decide ~before:[ 0 ]);
+          (test_quarantined_txids ~first:C.Decide ~before:[ 0 ] ~cut:true);
         Alcotest.test_case "a reused txid never decides an aborted MPUT"
           `Quick test_reused_txid;
       ] );
