@@ -37,16 +37,13 @@ module P = Ptm.Redo_ptm.Opt
 let name = "RedoDB"
 
 (* One committed write transaction's effective operations, as recorded
-   by the (optional) volatile commit journal: plain puts/deletes plus
-   high-water max-merges.  Replaying a journal oldest-first onto an
-   older snapshot of the same store is last-writer-wins idempotent, so
-   a record present in both the snapshot and the journal is harmless —
-   which is what lets the journal cut and the snapshot export be two
-   separate steps (see [journal_cut]). *)
-type journal_rec = {
-  j_ops : (string * string option) list;
-  j_hwms : (string * int) list;
-}
+   by the (optional) volatile commit journal: plain puts and deletes.
+   Replaying a journal oldest-first onto an older snapshot of the same
+   store is last-writer-wins idempotent, so a record present in both the
+   snapshot and the journal is harmless — which is what lets the journal
+   cut and the snapshot export be two separate steps (see
+   [journal_cut]). *)
+type journal_rec = (string * string option) list
 
 type journal = {
   jlock : Sched.Mutex.t;  (* held across commit + append: journal order = commit order *)
@@ -304,20 +301,20 @@ let delete_tx tx key =
 let put t ~tid ~key ~value =
   Obs.Trace.span Obs.Trace.Db_op ~tid ~arg:0 @@ fun () ->
   journaled t ~tid
-    (fun () -> Some { j_ops = [ (key, Some value) ]; j_hwms = [] })
+    (fun () -> Some [ (key, Some value) ])
     (fun () -> ignore (P.update t.p ~tid (fun tx -> put_tx tx ~key ~value; 0L)))
 
 let delete t ~tid key =
   Obs.Trace.span Obs.Trace.Db_op ~tid ~arg:2 @@ fun () ->
   journaled t ~tid
-    (fun _ -> Some { j_ops = [ (key, None) ]; j_hwms = [] })
+    (fun _ -> Some [ (key, None) ])
     (fun () ->
       P.update t.p ~tid (fun tx -> if delete_tx tx key then 1L else 0L) = 1L)
 
 let write_batch t ~tid ops =
   Obs.Trace.span Obs.Trace.Db_op ~tid ~arg:3 @@ fun () ->
   journaled t ~tid
-    (fun () -> Some { j_ops = ops; j_hwms = [] })
+    (fun () -> Some ops)
     (fun () ->
       ignore
         (P.update t.p ~tid (fun tx ->
@@ -336,30 +333,27 @@ let lookup_tx tx key =
   if node = 0 then None
   else Some (read_string tx (Int64.to_int (P.get tx (node + 2))))
 
-(* Guarded conditional batch: in ONE transaction, iff [guard] is live,
-   apply [ops], delete [guard], and raise each decimal-string high-water
-   key in [hwms] to at least its paired value.  Returns whether the guard
-   was present (i.e. the batch applied).  The guard is what makes
-   cross-shard roll-forward idempotent: of all racing appliers of a
-   decided transaction (the committing writer, helping readers, recovery)
-   exactly one commits the data — a second attempt sees the guard gone
-   and leaves the shard untouched, so it can never revert keys that newer
-   transactions have since overwritten. *)
-let apply_guarded t ~tid ~guard ~hwms ops =
+(* Guarded conditional batch: in ONE transaction, iff [key] holds
+   exactly [live], apply [ops] and overwrite [key] with [settled].
+   Returns whether the guard held (i.e. the batch applied).  The guard
+   is what makes cross-shard roll-forward idempotent: of all racing
+   appliers of a decided transaction (the committing writer, helping
+   readers, recovery) exactly one commits the data — a second attempt
+   finds the guard settled and leaves the shard untouched, so it can
+   never revert keys that newer transactions have since overwritten.
+   [settled] keeps [live]'s length in the commit layer's use, so the
+   overwrite stores only the words that change. *)
+let apply_guarded t ~tid ~guard:(key, live) ~settled ops =
   Obs.Trace.span Obs.Trace.Db_op ~tid ~arg:3 @@ fun () ->
   journaled t ~tid
     (fun applied ->
-      (* Journal only an APPLIED batch — and include the guard delete,
-         so a replayed journal leaves the guard dead exactly like the
-         original commit did. *)
-      if applied then
-        Some { j_ops = ops @ [ (guard, None) ]; j_hwms = hwms }
-      else None)
+      (* Journal only an APPLIED batch — and include the guard's
+         overwrite, so a replayed journal leaves the guard settled
+         exactly like the original commit did. *)
+      if applied then Some (ops @ [ (key, Some settled) ]) else None)
   @@ fun () ->
   P.update t.p ~tid (fun tx ->
-      let h = header tx in
-      let _, _, g = locate tx h guard (hash_string guard) in
-      if g = 0 then 0L
+      if lookup_tx tx key <> Some live then 0L
       else begin
         List.iter
           (fun (key, v) ->
@@ -367,16 +361,7 @@ let apply_guarded t ~tid ~guard ~hwms ops =
             | Some value -> put_tx tx ~key ~value
             | None -> ignore (delete_tx tx key))
           ops;
-        ignore (delete_tx tx guard);
-        List.iter
-          (fun (key, n) ->
-            let cur =
-              match lookup_tx tx key with
-              | Some s -> Option.value (int_of_string_opt s) ~default:(-1)
-              | None -> -1
-            in
-            if n > cur then put_tx tx ~key ~value:(string_of_int n))
-          hwms;
+        put_tx tx ~key ~value:settled;
         1L
       end)
   = 1L
@@ -477,7 +462,7 @@ let live_words t ~tid =
    history would only duplicate it. *)
 let replay_journal t ~tid recs =
   List.iter
-    (fun { j_ops; j_hwms } ->
+    (fun ops ->
       ignore
         (P.update t.p ~tid (fun tx ->
              List.iter
@@ -485,16 +470,7 @@ let replay_journal t ~tid recs =
                  match v with
                  | Some value -> put_tx tx ~key ~value
                  | None -> ignore (delete_tx tx key))
-               j_ops;
-             List.iter
-               (fun (key, n) ->
-                 let cur =
-                   match lookup_tx tx key with
-                   | Some s -> Option.value (int_of_string_opt s) ~default:(-1)
-                   | None -> -1
-                 in
-                 if n > cur then put_tx tx ~key ~value:(string_of_int n))
-               j_hwms;
+               ops;
              0L)))
     recs
 

@@ -43,12 +43,10 @@ val live_words : t -> tid:int -> int
 
 (** {1 Commit journal and relocatable snapshots (shard rebuild)} *)
 
-(** One committed write transaction's effective operations: puts/deletes
-    plus high-water max-merges.  Replay is last-writer-wins idempotent. *)
-type journal_rec = {
-  j_ops : (string * string option) list;
-  j_hwms : (string * int) list;
-}
+(** One committed write transaction's effective operations: puts
+    ([Some v]) and deletes ([None]).  Replay is last-writer-wins
+    idempotent. *)
+type journal_rec = (string * string option) list
 
 (** Switch on the volatile commit journal (off by default, and off is
     free): every later committed write transaction appends one
@@ -100,21 +98,22 @@ val verify_meta : t -> (unit, string) result
     words only: invisible to live reads, caught by {!verify_meta}. *)
 val corrupt_durable_meta : t -> seed:int -> count:int -> unit
 
-(** [apply_guarded t ~tid ~guard ~hwms ops]: in ONE transaction, iff
-    [guard] is a live key, apply [ops] ([Some v] puts, [None] deletes),
-    delete [guard], and raise each decimal-string high-water key in
-    [hwms] to at least its paired value; returns whether the guard was
-    present (i.e. the batch applied).  The guard makes cross-shard
-    roll-forward idempotent: of all racing appliers of a decided
-    transaction (the committing writer, helping readers, recovery)
-    exactly one commits the data — a later attempt sees the guard gone
-    and leaves the shard untouched, so it can never revert keys that
-    newer transactions have since overwritten. *)
+(** [apply_guarded t ~tid ~guard:(key, live) ~settled ops]: in ONE
+    transaction, iff [key] holds exactly the value [live], apply [ops]
+    ([Some v] puts, [None] deletes) and overwrite [key] with [settled];
+    returns whether the guard held (i.e. the batch applied).  The guard
+    makes cross-shard roll-forward idempotent: of all racing appliers of
+    a decided transaction (the committing writer, helping readers,
+    recovery) exactly one commits the data — a later attempt finds the
+    guard settled and leaves the shard untouched, so it can never revert
+    keys that newer transactions have since overwritten.  A [settled] of
+    [live]'s allocator block size overwrites it in place, storing only
+    the words that change. *)
 val apply_guarded :
   t ->
   tid:int ->
-  guard:string ->
-  hwms:(string * int) list ->
+  guard:string * string ->
+  settled:string ->
   (string * string option) list ->
   bool
 

@@ -131,7 +131,7 @@ let create cfg =
       dbs;
       batchers;
       mutants;
-      commit = Commit.create ~num_threads:cfg.num_threads ~mutants;
+      commit = Commit.create ~shards:cfg.shards ~num_threads:cfg.num_threads ~mutants;
       ledger = Ledger.create ~mutants;
       health = Health.create ~shards:cfg.shards ~mutants;
       exports = Array.make cfg.shards None;
@@ -240,7 +240,7 @@ let refresh_export t ~tid s =
    Batched, the group goes to the shard's batcher in chunks the stage
    always admits whole on an idle queue; unbatched, every request is its
    own transaction. *)
-let submit_shard t ~tid shard (group : Batcher.write list) =
+let commit_on t ~tid shard (group : Batcher.write list) =
   let down ws = List.map (fun _ -> Error (Shard_down shard)) ws in
   let chunk = if t.cfg.batch then min t.cfg.max_batch t.cfg.queue_cap else 1 in
   let commit ws =
@@ -274,8 +274,31 @@ let submit_shard t ~tid shard (group : Batcher.write list) =
   in
   if Health.admits t.health shard then go [] group else down group
 
-let submit_one t ~tid ?(rid = 0) ?(deadline = 0.) shard ops =
-  List.hd (submit_shard t ~tid shard [ { Batcher.ops; rid; deadline } ])
+(* [commit_on] for single-shard writes, each paired with its client
+   token.  A batch drained before a quarantine can commit on the dropped
+   instance after the rebuild read its journal, so the rebuilt instance
+   never sees it.  The instance is taken before the submit; if it no
+   longer serves afterwards, each committed write is answered from the
+   current instance: a tokened one by its outcome record there
+   (present: committed; absent from an instance that still serves after
+   the read: lost, so refused), an untokened one, or any write while the
+   shard is down, as in doubt — never acked, never refused if it may
+   have survived. *)
+let submit_shard t ~tid shard (group : (Batcher.write * int) list) =
+  let db = view t shard in
+  let rs = commit_on t ~tid shard (List.map fst group) in
+  if not (Commit.moved ~view:(view t) (shard, db)) then rs
+  else
+    let answer tok =
+      match view t shard with
+      | Some now when tok > 0 ->
+          let found = Kv.Redodb.get now ~tid (Commit.outcome_key ~tok ~txid:0) in
+          if Commit.moved ~view:(view t) (shard, Some now) then Error (In_doubt 0)
+          else if found <> None then Result.Ok ()
+          else Error (Shard_down shard)
+      | _ -> Error (In_doubt 0)
+    in
+    List.map2 (fun (_, tok) r -> if Result.is_ok r then answer tok else r) group rs
 
 (* The ledger write rides in the SAME batch (hence the same PTM
    transaction) as the user write: the record exists iff the write
@@ -307,7 +330,7 @@ let write_group t ~tid (group : write list) =
         touch t s w.key;
         let ops = with_outcome t ~tok:w.tok [ (Commit.user_key w.key, w.value) ] in
         slices.(s) <-
-          (i, { Batcher.ops; rid = w.rid; deadline = w.deadline }) :: slices.(s)
+          (i, ({ Batcher.ops; rid = w.rid; deadline = w.deadline }, w.tok)) :: slices.(s)
       end)
     group;
   Ledger.with_active t.ledger ~tid !toks (fun () ->
@@ -353,11 +376,13 @@ let multi_put t ~tid ?(rid = 0) ?(tok = 0) ?(deadline = 0.) ops =
       match !slices with
       | [] -> Result.Ok (fast ())
       | [ (s, ops) ] ->
-          Result.map fast (submit_one t ~tid ~rid ~deadline s (with_outcome t ~tok ops))
+          let w = { Batcher.ops = with_outcome t ~tok ops; rid; deadline } in
+          Result.map fast (List.hd (submit_shard t ~tid s [ (w, tok) ]))
       | slices -> (
           match
             Commit.two_phase t.commit ~tid ~rid ~tok ~deadline ~view:(view t)
-              ~submit:(fun ~deadline s ops -> submit_one t ~tid ~rid ~deadline s ops)
+              ~submit:(fun ~deadline s ops ->
+                List.hd (commit_on t ~tid s [ { Batcher.ops; rid; deadline } ]))
               slices
           with
           | Result.Ok _ as ok -> ok

@@ -67,7 +67,11 @@ type error =
   | In_doubt of int
       (** the named cross-shard transaction prepared durably but its
           decide outcome is unknown; recovery will complete or roll it
-          back — the caller must re-read before replaying *)
+          back — the caller must re-read before replaying.  [In_doubt 0]:
+          a single-shard write whose shard was quarantined or rebuilt
+          under its submit may or may not have survived (a tokened one
+          is answered by its outcome record whenever the shard serves
+          again by the time it returns) *)
   | Timed_out
       (** the request's deadline expired while it queued: it was shed
           before any engine work (cross-shard: before any prepare
@@ -125,8 +129,14 @@ type write = {
     each shard's slice goes, in group order, through that shard's
     group-commit stage in chunks of at most [min max_batch queue_cap]
     requests — so writes to one key take effect in group order, and a
-    group never answers [Overloaded] against its own size.  [put] and
-    [delete] are the one-element case. *)
+    group never answers [Overloaded] against its own size.  A write is
+    acked only if the shard's instance still serves after its commit:
+    a batch drained before a quarantine can commit on the dropped
+    instance after the rebuild read its journal.  Otherwise a tokened
+    write is answered by its outcome record on the current instance
+    ([Ok] if there, [Shard_down] if not), and an untokened one, or any
+    while the shard is down, with [In_doubt 0].  [put] and [delete]
+    are the one-element case. *)
 val write_group : t -> tid:int -> write list -> (unit, error) result list
 
 val put :
