@@ -444,7 +444,13 @@ let key_on e ~shard tag =
    instead of refusing.  Every quarantined shard is rebuilt online, in
    an order drawn from the round seed, and the rebuilt image gets the
    same audit — the path where a rebuild must finish in-doubt commits
-   that recovery could not reach. *)
+   that recovery could not reach.  When the crash left the last
+   participant unapplied (at the decision or an earlier apply), that
+   pass also rots it before the crash, so recovery quarantines it and
+   the MPUT's slot stays claimed; then, before the rebuilds, more MPUTs
+   than a slot ring is long run over the healthy shards.  None may
+   reuse the claimed slot: a reused decision slot makes the rebuild
+   roll the participant back under an applied coordinator slice. *)
 
 let serve_mput_torture ~shards ~rounds ~seed ~evict_prob ~torn_prob ~bitflips
     ~crash_phase ~mutants =
@@ -469,9 +475,10 @@ let serve_mput_torture ~shards ~rounds ~seed ~evict_prob ~torn_prob ~bitflips
   let failf fail fmt = Printf.ksprintf fail fmt in
   (* One round's crash, replayable: the engine, churn, MPUT and crash
      are a pure function of the round seed. *)
+  let num_threads = 2 in
   let run_round ~round ~round_seed ~isolate =
     let st = Random.State.make [| round_seed; 0x2bc |] in
-    let e = E.create { E.default_config with shards; num_threads = 2; isolate } in
+    let e = E.create { E.default_config with shards; num_threads; isolate } in
     E.set_mutants e mutants;
     (* phase draw from the protocol's own boundary list: always consume
        the RNG so --crash-phase replays see the same stream, then
@@ -527,6 +534,10 @@ let serve_mput_torture ~shards ~rounds ~seed ~evict_prob ~torn_prob ~bitflips
     Option.iter
       (fun p -> if !fired <> Some p then failf fail "armed boundary %s never fired" (C.pp_phase p))
       phase;
+    let unapplied =
+      match !fired with Some C.Decide -> true | Some (C.Apply k) -> k < shards - 1 | _ -> false
+    in
+    if isolate && unapplied then E.corrupt_shard e (shards - 1) ~seed:round_seed ~count:16;
     let crashed =
       E.crash_hard_with_faults e ~seed:round_seed ~evict_prob ~torn_prob ~bitflips
     in
@@ -587,7 +598,7 @@ let serve_mput_torture ~shards ~rounds ~seed ~evict_prob ~torn_prob ~bitflips
     if bitflips > 0 then
       match run_round ~round ~round_seed ~isolate:true with
       | _, fail, _, _, _, Error detail -> failf fail "isolated recovery refused (%s)" detail
-      | (e, fail, _, _, _, Ok _) as r ->
+      | e, fail, model, mput_kvs, outcome, (Ok _ as crashed) ->
           let quarantined =
             List.filter
               (fun s ->
@@ -601,13 +612,31 @@ let serve_mput_torture ~shards ~rounds ~seed ~evict_prob ~torn_prob ~bitflips
               (List.sort compare
                  (List.map (fun s -> (Random.State.bits st, s)) quarantined))
           in
+          (* wrap the slot ring (K = 2 x shards x threads) while the
+             quarantined shards' transactions hold their slots *)
+          let healthy =
+            List.filter (fun s -> not (List.mem s quarantined)) (List.init shards Fun.id)
+          in
+          let model = ref model in
+          if quarantined <> [] && List.length healthy >= 2 then
+            for i = 1 to 2 * shards * num_threads + 1 do
+              let kvs =
+                List.map
+                  (fun s ->
+                    (key_on e ~shard:s (Printf.sprintf "w%d.%d.%d" round_seed i s), string_of_int i))
+                  healthy
+              in
+              match E.multi_put e ~tid:0 (List.map (fun (k, v) -> (k, Some v)) kvs) with
+              | Ok _ -> List.iter (fun (k, v) -> model := SM.add k v !model) kvs
+              | Error err -> failf fail "MPUT over the healthy shards failed (%s)" (E.pp_error err)
+            done;
           List.iter
             (fun s ->
               match E.rebuild_shard e ~tid:0 s with
               | Ok () -> ()
               | Error d -> failf fail "rebuild of shard %d refused (%s)" s d)
             order;
-          audit r
+          audit (e, fail, !model, mput_kvs, outcome, crashed)
   done;
   !failures
 
@@ -1431,11 +1460,8 @@ let () =
             | None ->
                 raise
                   (Arg.Bad
-                     (Printf.sprintf
-                        "--mutant: expected skip-2pc | no-rollforward | \
-                         no-read-validation | no-dedup-on-retry | \
-                         ack-before-commit | no-scrub-verify | \
-                         serve-while-rebuilding, got %S"
+                     (Printf.sprintf "--mutant: expected %s, got %S"
+                        (String.concat " | " Serve.Commit.mutant_names)
                         s))),
         "M drop a commit-protocol or health-plane guard in --serve-mput / \
          --serve-chaos / --serve-quarantine mode (the sweep must then \

@@ -301,7 +301,8 @@ let () =
             match Serve.Commit.parse_mutant s with
             | Some m -> mutants := !mutants @ [ m ]
             | None -> raise (Arg.Bad ("unknown mutant " ^ s))),
-        "NAME install a deliberately-unsound commit mutant (repeatable)" );
+        "NAME install a deliberately-unsound commit mutant (repeatable): "
+        ^ String.concat " | " Serve.Commit.mutant_names );
       ( "--supervise",
         Arg.Set_int supervise_rounds,
         "N supervisor mode: kill -9 + restart the real server N times \

@@ -216,7 +216,7 @@ type mutant =
   | Serve_while_rebuilding
   | Slot_reuse
 
-let mutant_names =
+let mutant_table =
   [
     (Skip_2pc, "skip-2pc");
     (No_rollforward, "no-rollforward");
@@ -228,8 +228,9 @@ let mutant_names =
     (Slot_reuse, "slot-reuse");
   ]
 
-let pp_mutant m = List.assoc m mutant_names
-let parse_mutant s = List.find_map (fun (m, n) -> if n = s then Some m else None) mutant_names
+let mutant_names = List.map snd mutant_table
+let pp_mutant m = List.assoc m mutant_table
+let parse_mutant s = List.find_map (fun (m, n) -> if n = s then Some m else None) mutant_table
 
 (* ---- the coordinator ---- *)
 
@@ -244,17 +245,28 @@ type ack = { txid : int; epoch : int }
    in. *)
 type txn = { txid : int; parts : int list; slot : int }
 
-(* A cross-shard transaction counted as decided, published so that any
-   reader can drive it to completion.  It is registered BEFORE its
-   merged commit is submitted (that commit makes the coordinator's slice
-   visible), so [p_confirmed] says whether its writer has seen the
-   decision commit; a helper settles an unconfirmed entry by the durable
+(* A decision's idle rewrite (its forget): queued for the coordinator's
+   next decision, or riding one not yet answered. *)
+type forget = No_forget | Queued of (string * string option) | Riding
+
+(* One transaction's claim on its slot: the one record of what may still
+   write that transaction's slots, guarded by the claim lock.
+
+   [decided] publishes a transaction counted as decided so that any
+   reader can drive it to completion.  It is set BEFORE the merged
+   commit is submitted (that commit makes the coordinator's slice
+   visible), so [confirmed] says whether the writer has seen the
+   decision commit; a helper settles an unconfirmed one by the durable
    decision record instead (see [help_one]). *)
-type pending = {
-  p_txn : txn;
-  p_dec : record;  (* the decision record its merged commit writes *)
-  p_preps : (int * record) list;  (* the prepared participants' live prepare records *)
-  mutable p_confirmed : bool;  (* guarded by reg_lock *)
+type claim = {
+  txn : txn;
+  mutable writing : bool;  (* its writer is inside [two_phase] *)
+  mutable decided : (record * (int * record) list) option;
+      (* not yet completed: the decision record its merged commit
+         writes, and the prepared participants' live prepare records *)
+  mutable confirmed : bool;
+  mutable settled : bool;  (* no record of it left that an apply or a forget needs *)
+  mutable forget : forget;
 }
 
 type t = {
@@ -264,24 +276,9 @@ type t = {
   next_txid : int A.t;
   epoch_src : int A.t;  (* last granted commit epoch; gaps are harmless *)
   decided : int A.t;  (* cross-shard txns registered as decided *)
-  applied : int A.t;  (* of those, completed (claimed from the registry) *)
-  reg_lock : Sched.Mutex.t;
-  registry : (int, pending) Hashtbl.t;  (* guarded by reg_lock *)
-  live : (int, int list) Hashtbl.t;
-      (* guarded by reg_lock: txid -> participants of the commits inside
-         two_phase *)
-  holds : (txn, bool) Hashtbl.t;
-      (* guarded by reg_lock: the transactions whose slot is claimed, and
-         whether each is settled — no record of it left that one of its
-         applies or its forget still needs *)
-  held : int array;  (* guarded by reg_lock: per slot, how many hold it *)
-  forgets : (int, (txn * (string * string option)) list) Hashtbl.t;
-      (* guarded by reg_lock: per coordinator shard, the idle rewrites of
-         completed transactions' decision records, carried by its next
-         decision *)
-  forgetting : (txn, unit) Hashtbl.t;
-      (* guarded by reg_lock: transactions whose forget is queued or
-         rides a decision not yet answered *)
+  applied : int A.t;  (* of those, completed *)
+  lock : Sched.Mutex.t;  (* guards [claims] and every claim in it *)
+  claims : claim list array;  (* per slot (mod K), the claims on it *)
   window : bool array;  (* per tid: between registration and confirmation *)
   c_prep : Obs.Metrics.counter;
   c_dec : Obs.Metrics.counter;
@@ -310,13 +307,8 @@ let create ~shards ~num_threads ~mutants =
     epoch_src = A.make 0;
     decided = A.make 0;
     applied = A.make 0;
-    reg_lock = Sched.Mutex.create ();
-    registry = Hashtbl.create 16;
-    live = Hashtbl.create 16;
-    holds = Hashtbl.create 16;
-    held = Array.make slots 0;
-    forgets = Hashtbl.create 4;
-    forgetting = Hashtbl.create 16;
+    lock = Sched.Mutex.create ();
+    claims = Array.make slots [];
     window = Array.make num_threads false;
     c_prep = Obs.Metrics.counter "serve.commit.prepares";
     c_dec = Obs.Metrics.counter "serve.commit.decides";
@@ -349,18 +341,18 @@ let stats_json c =
       ("next_txid", Int (A.get c.next_txid));
       ("decided", Int (A.get c.decided));
       ("applied", Int (A.get c.applied));
-      ("pending_commits", Int (Hashtbl.length c.registry));
+      ("pending_commits", Int (A.get c.decided - A.get c.applied));
     ]
 
 let stall_hazard c ~tid =
   (tid >= 0 && tid < Array.length c.window && c.window.(tid))
-  || Sched.Mutex.holder c.reg_lock = Some tid
+  || Sched.Mutex.holder c.lock = Some tid
 
-(* [f ()] under reg_lock; [f] never raises. *)
+(* [f ()] under the claim lock; [f] never raises. *)
 let locked c ~tid f =
-  Sched.Mutex.lock c.reg_lock ~tid;
+  Sched.Mutex.lock c.lock ~tid;
   let r = f () in
-  Sched.Mutex.unlock c.reg_lock ~tid;
+  Sched.Mutex.unlock c.lock ~tid;
   r
 
 let maybe_crash c phase =
@@ -384,40 +376,42 @@ let stage h kind ~tid ~arg ~rid f =
 
 (* ---- slot claims ----
 
-   A transaction holds its slot from the moment its txid is drawn until
-   it is settled and nothing can still write its records: no writer
-   inside [two_phase], no registry entry, no forget queued or riding a
-   decision.  Only then may a later txid overwrite the slot.  All three
-   functions run under reg_lock. *)
+   A transaction claims its slot from the moment its txid is drawn until
+   nothing can still write its records: its writer has left
+   [two_phase], it is no longer published as decided, it is settled and
+   no forget of it is queued or riding a decision.  Only then does
+   [release] drop the claim, and a later txid may overwrite the slot.
+   All of these run under the claim lock. *)
 
-let drop_if_done c (txn : txn) =
-  match Hashtbl.find_opt c.holds txn with
-  | Some true
-    when Hashtbl.find_opt c.live txn.txid <> Some txn.parts
-         && (match Hashtbl.find_opt c.registry txn.txid with
-            | Some p -> p.p_txn <> txn
-            | None -> true)
-         && not (Hashtbl.mem c.forgetting txn) ->
-      Hashtbl.remove c.holds txn;
-      if txn.slot < c.slots then c.held.(txn.slot) <- c.held.(txn.slot) - 1
+let find c (txn : txn) = List.find_opt (fun cl -> cl.txn = txn) c.claims.(txn.slot mod c.slots)
+let fold_claims c f init = Array.fold_left (List.fold_left f) init c.claims
+
+let release c cl =
+  if (not cl.writing) && cl.decided = None && cl.settled && cl.forget = No_forget then
+    let i = cl.txn.slot mod c.slots in
+    c.claims.(i) <- List.filter (( != ) cl) c.claims.(i)
+
+let add c txn ~writing =
+  let cl = { txn; writing; decided = None; confirmed = false; settled = false; forget = No_forget } in
+  let i = txn.slot mod c.slots in
+  c.claims.(i) <- cl :: c.claims.(i);
+  cl
+
+(* Record whether [txn] is settled: a settled claim may be released; an
+   unsettled transaction that recovery or a rebuild found keeps its
+   slot. *)
+let mark c txn ~settled =
+  match (find c txn, settled) with
+  | Some cl, true ->
+      cl.settled <- true;
+      release c cl
+  | None, false -> ignore (add c txn ~writing:false)
   | _ -> ()
 
-let hold c (txn : txn) =
-  if not (Hashtbl.mem c.holds txn) then begin
-    Hashtbl.replace c.holds txn false;
-    if txn.slot < c.slots then c.held.(txn.slot) <- c.held.(txn.slot) + 1
-  end
-
-let settled c txn =
-  if Hashtbl.mem c.holds txn then begin
-    Hashtbl.replace c.holds txn true;
-    drop_if_done c txn
-  end
-
 (* Draw a txid for a commit over [parts] and claim its slot: the next
-   txid from the source whose slot nobody holds (the Slot_reuse mutant
-   takes the next txid whatever holds its slot).  Should every slot be
-   held, wait for a release. *)
+   txid from the source whose slot nobody claims (the Slot_reuse mutant
+   takes the next txid whatever claims its slot).  Should every slot be
+   claimed, wait for a release. *)
 let draw c ~tid parts =
   let rec go n =
     let found =
@@ -426,18 +420,15 @@ let draw c ~tid parts =
             if i = c.slots then None
             else
               let txid = A.fetch_and_add c.next_txid 1 in
-              let txn = { txid; parts; slot = txid mod c.slots } in
-              if c.held.(txn.slot) = 0 || has c Slot_reuse then begin
-                hold c txn;
-                Hashtbl.replace c.live txid parts;
-                Some txn
-              end
+              let slot = txid mod c.slots in
+              if c.claims.(slot) = [] || has c Slot_reuse then
+                Some (add c { txid; parts; slot } ~writing:true)
               else next (i + 1)
           in
           next 0)
     in
     match found with
-    | Some txn -> txn
+    | Some cl -> cl
     | None ->
         Park.pause n;
         go (n + 1)
@@ -459,38 +450,53 @@ type fate = Decided of record | Aborted | Undecided
    spans), a helping reader, or crash recovery / a rebuild. *)
 type by = Writer of int | Helper | Recovery
 
-(* Registry check-and-remove under reg_lock: the completion point of a
-   live commit.  Exactly one of the racing completers (writer, helping
-   readers) claims it and counts it applied.  [settle] marks the
-   transaction settled first: a helper that finds it aborted. *)
-let claim ?(settle = false) c ~tid txn =
+(* The completion point of a live commit: exactly one of the racing
+   completers (writer, helping readers) finds [txn] published as
+   decided, withdraws it and counts it applied.  That one queues
+   [forget], the idle rewrite of its decision, for the coordinator's
+   next decision.  [settle] marks the transaction settled: a helper that
+   finds it aborted. *)
+let complete ?(settle = false) ?forget c ~tid txn =
   locked c ~tid @@ fun () ->
-  if settle then settled c txn;
-  match Hashtbl.find_opt c.registry txn.txid with
-  | Some p when p.p_txn = txn ->
-      Hashtbl.remove c.registry txn.txid;
-      A.incr c.applied;
-      drop_if_done c txn;
-      true
-  | _ -> false
+  match find c txn with
+  | None -> false
+  | Some cl ->
+      let mine = cl.decided <> None in
+      if mine then begin
+        cl.decided <- None;
+        A.incr c.applied;
+        Option.iter (fun op -> cl.forget <- Queued op) forget
+      end;
+      if settle then cl.settled <- true;
+      release c cl;
+      mine
 
-(* Decision idle rewrites to carry in shard [coord]'s next decision. *)
-let queue_forgets c ~tid coord items =
-  if items <> [] then
-    locked c ~tid @@ fun () ->
-    List.iter (fun (txn, _) -> Hashtbl.replace c.forgetting txn ()) items;
-    Hashtbl.replace c.forgets coord
-      (items @ Option.value (Hashtbl.find_opt c.forgets coord) ~default:[])
+(* Under the claim lock: the forgets queued for shard [coord], now
+   riding its decision. *)
+let board c coord =
+  fold_claims c
+    (fun acc cl ->
+      match cl.forget with
+      | Queued op when List.hd cl.txn.parts = coord ->
+          cl.forget <- Riding;
+          (cl, op) :: acc
+      | _ -> acc)
+    []
 
-(* The forgets [items] committed: those decisions are idle. *)
-let forgotten c ~tid items =
-  if items <> [] then
+(* The decision that [riding] rode committed ([ok]: those decisions are
+   idle) or did not (they queue again). *)
+let landed c ~tid riding ~ok =
+  if riding <> [] then
     locked c ~tid @@ fun () ->
     List.iter
-      (fun (txn, _) ->
-        Hashtbl.remove c.forgetting txn;
-        settled c txn)
-      items
+      (fun (cl, op) ->
+        if ok then begin
+          cl.forget <- No_forget;
+          cl.settled <- true;
+          release c cl
+        end
+        else cl.forget <- Queued op)
+      riding
 
 (* Settle a live record in [key] on [db]: in one transaction, iff the
    slot still holds [r], apply [ops] and rewrite the record idle. *)
@@ -554,24 +560,16 @@ let settle c ~tid ~view ~by (txn : txn) fate preps =
             (view s);
           match by with Writer _ -> maybe_crash c (Apply (i + 1)) | _ -> ())
         preps;
-      let coord = List.hd txn.parts in
       let idle = { d with live = false } in
-      (by = Recovery || claim c ~tid txn)
-      && List.for_all (fun s -> Option.is_some (view s)) txn.parts
-      &&
-      match by with
-      | Recovery -> (
-          match view coord with
-          | Some db ->
-              ignore (guarded db ~tid (dec_key txn.slot) { d with live = true } ~idle []);
-              true
-          | None -> false)
-      | Writer _ ->
-          queue_forgets c ~tid coord [ (txn, (dec_key txn.slot, Some (encode idle))) ];
-          maybe_crash c Forget;
+      let reachable = List.for_all (fun s -> Option.is_some (view s)) txn.parts in
+      match (by, view (List.hd txn.parts)) with
+      | Recovery, Some db when reachable ->
+          ignore (guarded db ~tid (dec_key txn.slot) { d with live = true } ~idle []);
           true
-      | Helper ->
-          queue_forgets c ~tid coord [ (txn, (dec_key txn.slot, Some (encode idle))) ];
+      | Recovery, _ -> false
+      | (Writer _ | Helper), _ ->
+          let forget = if reachable then Some (dec_key txn.slot, Some (encode idle)) else None in
+          if complete c ~tid ?forget txn && reachable && by <> Helper then maybe_crash c Forget;
           true
 
 (* Instance [db], taken from [view s] earlier, no longer serves shard
@@ -654,6 +652,21 @@ let scan db ~tid txns =
         | None, _ when old_format v -> (mt, me, earlier () :: bad)
         | _ -> (mt, me, Printf.sprintf "corrupt %s record %S" ring k :: bad))
 
+(* Settle each of [txns], found by recovery or a rebuild, once its
+   writer has returned; one left unsettled keeps its slot claimed. *)
+let resolve_found c ~tid ~view txns =
+  Hashtbl.iter
+    (fun (txn : txn) () ->
+      let writing () = Option.fold (find c txn) ~none:false ~some:(fun cl -> cl.writing) in
+      let n = ref 0 in
+      while locked c ~tid writing do
+        Park.pause !n;
+        incr n
+      done;
+      let ok = resolve c ~tid ~view txn in
+      locked c ~tid (fun () -> mark c txn ~settled:ok))
+    txns
+
 (* Crash recovery, from the durable records alone (any prepare record
    names all participants): settle every transaction with a live record
    on a reachable shard.  A record that fails its digest is corruption
@@ -684,17 +697,10 @@ let recover c ~shards ~view =
       A.set c.epoch_src !me;
       A.set c.decided 0;
       A.set c.applied 0;
-      Hashtbl.reset c.registry;
-      Hashtbl.reset c.live;
-      Hashtbl.reset c.holds;
-      Array.fill c.held 0 c.slots 0;
-      Hashtbl.reset c.forgets;
-      Hashtbl.reset c.forgetting;
-      Sched.Mutex.reset c.reg_lock;
+      Array.fill c.claims 0 c.slots [];
+      Sched.Mutex.reset c.lock;
       Array.fill c.window 0 (Array.length c.window) false;
-      Hashtbl.iter
-        (fun txn () -> if not (resolve c ~tid:0 ~view txn) then locked c ~tid:0 (fun () -> hold c txn))
-        txns;
+      resolve_found c ~tid:0 ~view txns;
       Result.Ok ()
 
 (* A rebuild settles every transaction with a live record on the
@@ -717,26 +723,18 @@ let resolve_shard c ~tid ~view db =
   let mt, me, _ = scan db ~tid txns in
   let serves s = match view s with Some d -> d == db | None -> false in
   locked c ~tid (fun () ->
-      Hashtbl.iter
-        (fun (txn : txn) settled ->
-          if (not settled) && List.exists serves txn.parts then Hashtbl.replace txns txn ())
-        c.holds);
+      fold_claims c
+        (fun () cl ->
+          if (not cl.settled) && List.exists serves cl.txn.parts then
+            Hashtbl.replace txns cl.txn ())
+        ());
   let rec lift src m =
     let n = A.get src in
     if n < m && not (A.compare_and_set src n m) then lift src m
   in
   lift c.next_txid (mt + 1);
   lift c.epoch_src me;
-  Hashtbl.iter
-    (fun (txn : txn) () ->
-      let n = ref 0 in
-      while locked c ~tid (fun () -> Hashtbl.mem c.live txn.txid) do
-        Park.pause !n;
-        incr n
-      done;
-      let ok = resolve c ~tid ~view txn in
-      locked c ~tid (fun () -> if ok then settled c txn else hold c txn))
-    txns
+  resolve_found c ~tid ~view txns
 
 (* Drive one registered transaction to completion.  A confirmed entry is
    rolled forward.  An unconfirmed one is settled by the [fate_of] rule:
@@ -744,32 +742,31 @@ let resolve_shard c ~tid ~view db =
    still inside [two_phase], wait for it — one transaction of the
    writer's, which its stall-hazard window keeps from being frozen;
    absent once the writer is gone, the merged commit never landed, so
-   claim it as aborted and leave its prepares to be overwritten (no
+   complete it as aborted and leave its prepares to be overwritten (no
    apply can match them).  The writer's liveness is read before the
    record, so a writer seen gone has already returned from its submit.
    A record read on a coordinator instance dropped since is no evidence
    either way ([fate_of] answers Undecided), so the helper waits or
-   claims it, still holding its slot, for the coordinator's rebuild. *)
-let help_one c ~tid ~view txid =
+   completes it, still holding its slot, for the coordinator's rebuild. *)
+let help_one c ~tid ~view txn =
   let rec go n =
     match
       locked c ~tid (fun () ->
-          Option.map
-            (fun p -> (p, p.p_confirmed, Hashtbl.mem c.live txid))
-            (Hashtbl.find_opt c.registry txid))
+          Option.bind (find c txn) (fun cl ->
+              Option.map (fun dp -> (dp, cl.confirmed, cl.writing)) cl.decided))
     with
     | None -> ()
-    | Some (p, confirmed, live) -> (
-        let roll d = ignore (settle c ~tid ~view ~by:Helper p.p_txn (Decided d) p.p_preps) in
-        if confirmed then roll p.p_dec
+    | Some ((dec, preps), confirmed, live) -> (
+        let roll d = ignore (settle c ~tid ~view ~by:Helper txn (Decided d) preps) in
+        if confirmed then roll dec
         else
-          match fate_of c ~tid ~view p.p_txn with
+          match fate_of c ~tid ~view txn with
           | Decided d -> roll d
           | Aborted | Undecided when live ->
               Park.pause n;
               go (n + 1)
-          | Aborted -> ignore (claim ~settle:true c ~tid p.p_txn)
-          | Undecided -> ignore (claim c ~tid p.p_txn))
+          | Aborted -> ignore (complete ~settle:true c ~tid txn)
+          | Undecided -> ignore (complete c ~tid txn))
   in
   go 0
 
@@ -778,7 +775,8 @@ let help_one c ~tid ~view txid =
    snapshot reads from blocking on (or being blocked by) writers. *)
 let help c ~tid ~view =
   let pend =
-    locked c ~tid (fun () -> Hashtbl.fold (fun txid _ acc -> txid :: acc) c.registry [])
+    locked c ~tid (fun () ->
+        fold_claims c (fun acc cl -> if cl.decided <> None then cl.txn :: acc else acc) [])
   in
   List.iter (help_one c ~tid ~view) (List.sort compare pend)
 
@@ -825,12 +823,13 @@ let two_phase c ~tid ~rid ~tok ~deadline ~view ~submit slices =
      index order, so a crash between them durably applies a part of the
      write set. *)
   let skip_2pc = has c Skip_2pc in
-  let txn = draw c ~tid parts in
+  let cl = draw c ~tid parts in
+  let txn = cl.txn in
   let txid = txn.txid in
   Fun.protect ~finally:(fun () ->
       locked c ~tid (fun () ->
-          Hashtbl.remove c.live txid;
-          drop_if_done c txn))
+          cl.writing <- false;
+          release c cl))
   @@ fun () ->
   Obs.Trace.span Obs.Trace.Commit ~tid ~arg:txid ~rid @@ fun () ->
   (* every epoch granted before this txid's slot was released is at most
@@ -845,7 +844,7 @@ let two_phase c ~tid ~rid ~tok ~deadline ~view ~submit slices =
      slot may be reused (an unreachable one is settled by its rebuild) *)
   let abort () =
     ignore (settle c ~tid ~view ~by:(Writer rid) txn Aborted preps);
-    locked c ~tid (fun () -> settled c txn)
+    locked c ~tid (fun () -> mark c txn ~settled:true)
   in
   (* PREPARE: stage each other participant's slice, shards in index
      order; the coordinator's slice waits for the decision.  The request
@@ -905,14 +904,11 @@ let two_phase c ~tid ~rid ~tok ~deadline ~view ~submit slices =
           Fun.protect ~finally:(fun () -> c.window.(tid) <- false) @@ fun () ->
           let epoch = 1 + A.fetch_and_add c.epoch_src 1 in
           let dec = { live = true; txid; epoch; parts; ops = [] } in
-          let entry = { p_txn = txn; p_dec = dec; p_preps = preps; p_confirmed = false } in
           let forgets =
             locked c ~tid (fun () ->
-                Hashtbl.replace c.registry txid entry;
+                cl.decided <- Some (dec, preps);
                 A.incr c.decided;
-                let f = Option.value (Hashtbl.find_opt c.forgets coord) ~default:[] in
-                Hashtbl.remove c.forgets coord;
-                f)
+                board c coord)
           in
           let dec_ops =
             coord_ops
@@ -923,7 +919,7 @@ let two_phase c ~tid ~rid ~tok ~deadline ~view ~submit slices =
              unseen *)
           let db = view coord in
           let withdraw () =
-            ignore (claim c ~tid txn);
+            ignore (complete c ~tid txn);
             c.window.(tid) <- false
           in
           match
@@ -932,7 +928,7 @@ let two_phase c ~tid ~rid ~tok ~deadline ~view ~submit slices =
           with
           | Error e ->
               (* a rejected submit was never committed: definite abort *)
-              queue_forgets c ~tid coord forgets;
+              landed c ~tid forgets ~ok:false;
               withdraw ();
               abort ();
               Error (`Refused e)
@@ -943,7 +939,7 @@ let two_phase c ~tid ~rid ~tok ~deadline ~view ~submit slices =
                  txid so the client can reason about the replay after
                  recovery.  Helpers settle the entry by the record once
                  this writer is gone; it holds its slot meanwhile. *)
-              queue_forgets c ~tid coord forgets;
+              landed c ~tid forgets ~ok:false;
               Error (`In_doubt txid)
           | Result.Ok () -> (
               Obs.Metrics.incr c.c_dec ~tid;
@@ -955,13 +951,11 @@ let two_phase c ~tid ~rid ~tok ~deadline ~view ~submit slices =
               let fate =
                 if moved ~view (coord, db) then fate_of c ~tid ~view txn else Decided dec
               in
-              (match fate with
-              | Decided _ -> forgotten c ~tid forgets
-              | Aborted | Undecided -> queue_forgets c ~tid coord forgets);
+              landed c ~tid forgets ~ok:(match fate with Decided _ -> true | _ -> false);
               maybe_crash c Decide;
               match fate with
               | Decided d ->
-                  locked c ~tid (fun () -> entry.p_confirmed <- true);
+                  locked c ~tid (fun () -> cl.confirmed <- true);
                   (* confirmed: freezing this thread is harmless again *)
                   c.window.(tid) <- false;
                   if not (has c No_rollforward) then

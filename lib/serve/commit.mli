@@ -30,23 +30,25 @@
     maps to the slot overwrites the idle record in place.  RedoDB's
     in-place overwrite stores only the words that change, so no commit
     record costs an allocation, a free, a chain node, a bucket head or a
-    count update.  A txid's slot is claimed when the txid is drawn, and
-    the txid source skips a txid whose slot is still claimed: until its
-    holder is out of the coordinator, out of the registry and its
-    decision is idle (or it definitely aborted), no later txid
-    overwrites its records.  Recovery and a rebuild settle every live
-    slot they find before the shard serves; what they leave unsettled
-    keeps its slot claimed.
+    count update.  A transaction's one claim record holds its slot from
+    the draw of its txid until its writer has left the coordinator, it
+    is no longer published as decided, it is settled (decision idle, or
+    a definite abort) and no forget of it is queued or riding; the txid
+    source skips a txid whose slot is claimed.  Recovery and a rebuild
+    settle every live slot they find before the shard serves; a
+    transaction they leave unsettled keeps its claim.
 
     {b Forgets.}  Once every participant has applied, the decision record
     is no longer needed.  A live commit does not settle it on the ack
-    path: the idle rewrite is queued in memory and rides the coordinator
-    shard's next decision transaction.  Records left live when
-    cross-shard traffic stops (or by a crash, which drops the queue) are
-    forgotten by recovery or by a rebuild of the coordinator, the same
-    way a crashed writer's records are.  A decision that cannot be
+    path: the idle rewrite is queued on the transaction's claim and
+    rides the coordinator shard's next decision transaction (queued
+    again if that one does not commit).  Records left live when
+    cross-shard traffic stops (or by a crash, which drops the claims)
+    are forgotten by recovery or by a rebuild of the coordinator, the
+    same way a crashed writer's records are.  A decision that cannot be
     forgotten because a participant is out of reach after its apply
-    keeps its slot claimed until that participant's rebuild forgets it.
+    leaves its claim unsettled until that participant's rebuild forgets
+    it.
 
     {b High-water argument.}  Recovery takes the txid and epoch sources
     from the largest txid and epoch in any slot, live or idle, on the
@@ -207,6 +209,9 @@ type mutant =
 val pp_mutant : mutant -> string
 val parse_mutant : string -> mutant option
 
+(** Every mutant's name, in declaration order. *)
+val mutant_names : string list
+
 (** {2 The coordinator} *)
 
 (** See {!Engine.ack}. *)
@@ -232,14 +237,14 @@ val current_epoch : t -> int
 
 (** (decided, applied) cross-shard commit counts since last recovery: a
     transaction counts as decided when it registers, just before its
-    merged decision is submitted, and as applied when it is claimed
-    complete — or withdrawn, if that decision never committed. *)
+    merged decision is submitted, and as applied when it is completed —
+    or withdrawn, if that decision never committed. *)
 val stats : t -> int * int
 
 (** Epoch, next txid, decided/applied counts and pending commits. *)
 val stats_json : t -> (string * Obs.Json.t) list
 
-(** [tid] holds the registry lock or sits between registering its
+(** [tid] holds the claim lock or sits between registering its
     transaction and confirming (or withdrawing) it: a helper may wait on
     it there. *)
 val stall_hazard : t -> tid:int -> bool

@@ -115,13 +115,20 @@ let test_invalid_args () =
 
 let qcheck_alloc_free_consistency =
   (* Random alloc/free interleavings: blocks never overlap, contents are
-     preserved, and freeing everything returns live_words to zero. *)
+     preserved, and freeing everything returns live_words to zero.  A long
+     draw can fill the heap: Out_of_memory ends the draw when the block
+     truly cannot fit — no freed block of its size to recycle and no room
+     left past the high-water mark — and fails the property otherwise. *)
   QCheck.Test.make ~name:"random alloc/free keeps blocks disjoint" ~count:100
     QCheck.(list (int_bound 20))
     (fun sizes ->
       let mem, _ = mk_mem 65536 in
       Palloc.format mem ~words:65536;
       let live = Hashtbl.create 16 in
+      (* per block size, the freed blocks still on the free lists: an
+         allocation that leaves used_words unchanged recycled one *)
+      let free = Hashtbl.create 8 in
+      let freed bs = Option.value (Hashtbl.find_opt free bs) ~default:0 in
       let next_tag = ref 1 in
       let check_all () =
         Hashtbl.iter
@@ -132,26 +139,37 @@ let qcheck_alloc_free_consistency =
             done)
           live
       in
-      List.iteri
-        (fun i sz ->
-          if i mod 3 = 2 && Hashtbl.length live > 0 then begin
+      let rec run i = function
+        | [] -> ()
+        | _ :: rest when i mod 3 = 2 && Hashtbl.length live > 0 ->
             (* free an arbitrary live block *)
-            let addr, _ = Hashtbl.fold (fun a v _ -> (a, v)) live (0, (0, 0)) in
+            let addr, (n, _) = Hashtbl.fold (fun a v _ -> (a, v)) live (0, (0, 0)) in
             Palloc.dealloc mem addr;
-            Hashtbl.remove live addr
-          end
-          else begin
+            Hashtbl.remove live addr;
+            let bs = Palloc.block_words n in
+            Hashtbl.replace free bs (freed bs + 1);
+            check_all ();
+            run (i + 1) rest
+        | sz :: rest -> (
             let n = 1 + sz in
-            let addr = Palloc.alloc mem n in
-            let tag = !next_tag in
-            next_tag := tag + 1000;
-            for j = 0 to n - 1 do
-              mem.Palloc.set (addr + j) (Int64.of_int (tag + j))
-            done;
-            Hashtbl.replace live addr (n, tag)
-          end;
-          check_all ())
-        sizes;
+            let bs = Palloc.block_words n in
+            let used = Palloc.used_words mem in
+            match Palloc.alloc mem n with
+            | exception Palloc.Out_of_memory ->
+                if freed bs > 0 || Palloc.heap_base + used + bs <= Palloc.heap_end mem then
+                  QCheck.Test.fail_reportf "out of memory with room for a %d-word block" bs
+            | addr ->
+                if Palloc.used_words mem = used then Hashtbl.replace free bs (freed bs - 1);
+                let tag = !next_tag in
+                next_tag := tag + 1000;
+                for j = 0 to n - 1 do
+                  mem.Palloc.set (addr + j) (Int64.of_int (tag + j))
+                done;
+                Hashtbl.replace live addr (n, tag);
+                check_all ();
+                run (i + 1) rest)
+      in
+      run 0 sizes;
       Hashtbl.iter (fun addr _ -> Palloc.dealloc mem addr) live;
       Palloc.live_words mem = 0)
 

@@ -961,11 +961,11 @@ let test_stalled_writer_merged_commit () =
   in
   Alcotest.(check bool) "the sweep catches the no-read-validation mutant" true caught
 
-(* A writer frozen between its prepare and its decision while two other
+(* A writer frozen between its prepare and its forget while two other
    writers commit more MPUTs than a ring has slots (K = 2 x shards x
    threads = 12 here), every MPUT over shards 0 and 1 with keys of its
    own.  The frozen writer holds its slot, so the txid source skips it
-   and no later MPUT overwrites its live prepare.  Once resumed, every
+   and no later MPUT overwrites its live records.  Once resumed, every
    MPUT must pass the exactly-once audit (acked ones whole, none
    half-applied), live and after a clean power failure.  The other
    writers spin until the freeze point [at], so the schedule up to it
@@ -1028,15 +1028,16 @@ let slot_reuse_run ~mutants ~seed ?crash ?(at = max_int) () =
   (!crashed_at, live @ audit ())
 
 (* Twelve freeze points from the writer's prepare crash point to its
-   decision crash point, on three seeds; a freeze is deferred while the
-   writer leads a batch or holds a lock, which would stall the others
-   instead. *)
+   forget crash point, on three seeds: past the decision, its claim is
+   still held by its published decision or by its queued forget.  A
+   freeze is deferred while the writer leads a batch or holds a lock,
+   which would stall the others instead. *)
 let test_slot_reuse () =
   let caught = ref 0 in
   List.iter
     (fun seed ->
       let step phase = fst (slot_reuse_run ~mutants:[] ~seed ~crash:phase ()) in
-      let first = step (C.Prepare 1) and last = step C.Decide in
+      let first = step (C.Prepare 1) and last = step C.Forget in
       Alcotest.(check bool) (Printf.sprintf "seed %d: window found" seed) true
         (first > 0 && last > first);
       for i = 0 to 11 do
