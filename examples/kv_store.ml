@@ -105,5 +105,5 @@ let () =
         (dt *. 1000.) (E.count e ~tid:0)
   | Error d -> failwith d);
   Printf.printf "group-commit batches on shard 0: %d\n"
-    (List.length (E.batch_sizes e ~shard:0));
+    (E.batches_committed e ~shard:0);
   print_endline "done."

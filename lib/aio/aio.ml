@@ -17,11 +17,14 @@ external epoll_wait : int -> int -> int array -> int = "aio_epoll_wait"
 
 type waited = [ `Ready | `Timed_out ]
 
-(* One suspended wait.  Cancellation (timeout, close) marks [done_]
-   rather than unlinking: the wake and timer paths skip finished
-   waiters, so a record may sit in a list or the heap after its fate
-   is sealed without being resumed twice. *)
-type waiter = { mutable done_ : bool; resume : waited -> unit }
+(* One suspended wait; [result] is [None] until its fate is sealed.
+   Cancellation (timeout, close) seals it rather than unlinking: the
+   wake and timer paths skip sealed waiters, so a record may sit in a
+   list or the heap after its fate is sealed without being resumed
+   twice. *)
+type waiter = { mutable result : waited option; mutable resume : unit -> unit }
+
+let pending w = Option.is_none w.result
 
 type fdrec = {
   ufd : Unix.file_descr;  (* for the select backend and close *)
@@ -31,12 +34,12 @@ type fdrec = {
   mutable wq : waiter list;
 }
 
-(* Binary min-heap of deadline timers, lazy deletion via [cancelled]. *)
+(* Binary min-heap of deadline timers. *)
 module Heap = struct
-  type e = { at : float; mutable cancelled : bool; tf : unit -> unit }
+  type e = { at : float; tf : unit -> unit }
   type t = { mutable a : e array; mutable n : int }
 
-  let dummy = { at = 0.; cancelled = true; tf = ignore }
+  let dummy = { at = 0.; tf = ignore }
   let make () = { a = Array.make 16 dummy; n = 0 }
 
   let push h e =
@@ -114,12 +117,6 @@ let c_wakeups = Obs.Metrics.counter "aio.wakeups"
 let cur : loop option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 let active () = Domain.DLS.get cur <> None
 
-type _ Effect.t +=
-  | Yield_e : unit Effect.t
-  | Wait_e : (Unix.file_descr * bool * float) -> waited Effect.t
-  | Sleep_e : float -> unit Effect.t
-  | Suspend_e : ((unit -> unit) -> unit) -> unit Effect.t
-
 let create ?(tid = 0) () =
   let backend = if epoll_supported () then Epoll (epoll_create ()) else Select in
   let wake_rd, wake_wr = Unix.pipe ~cloexec:true () in
@@ -145,10 +142,8 @@ let create ?(tid = 0) () =
     ltid = tid;
   }
 
-let fibers l = l.live
-
 let add_timer l at tf =
-  Heap.push l.timers { Heap.at; cancelled = false; tf }
+  Heap.push l.timers { Heap.at; tf }
 
 let push_ready l f = Queue.push f l.ready
 
@@ -164,35 +159,32 @@ let getrec l fd =
       | Select -> ());
       r
 
-let add_waiter l fd ~write deadline resume =
-  let r = getrec l fd in
-  let wt = { done_ = false; resume } in
+(* Seal a pending waiter's result and resume it; a sealed one is left
+   alone. *)
+let settle w v =
+  if pending w then begin
+    w.result <- Some v;
+    w.resume ()
+  end
+
+let add_waiter l r ~write deadline wt =
   if write then r.wq <- wt :: r.wq else r.rq <- wt :: r.rq;
   if Obs.Metrics.is_on () then Obs.Metrics.incr c_waits ~tid:l.ltid;
   if deadline > 0. then
     add_timer l deadline (fun () ->
-        if not wt.done_ then begin
-          wt.done_ <- true;
-          Obs.Metrics.incr c_timeouts ~tid:l.ltid;
-          wt.resume `Timed_out
-        end)
+        if pending wt then Obs.Metrics.incr c_timeouts ~tid:l.ltid;
+        settle wt `Timed_out)
 
 (* Wake one direction of an fd: resume every pending waiter, or record
    the edge in the sticky flag when nobody is listening. *)
-let wake_dir l r ~write =
+let wake_dir r ~write =
   let q = if write then r.wq else r.rq in
-  let pending = List.filter (fun w -> not w.done_) q in
+  let waiting = List.filter pending q in
   if write then r.wq <- [] else r.rq <- [];
-  if pending = [] then begin
+  if waiting = [] then begin
     if write then r.w_ready <- true else r.r_ready <- true
   end
-  else
-    List.iter
-      (fun w ->
-        w.done_ <- true;
-        w.resume `Ready)
-      pending;
-  ignore l
+  else List.iter (fun w -> settle w `Ready) waiting
 
 let drain_wake_pipe l =
   let rec go () =
@@ -207,41 +199,14 @@ let drain_wake_pipe l =
 
 (* ---- fibers ---- *)
 
-let handler l : (unit, unit) Effect.Deep.handler =
-  {
-    retc = (fun () -> l.live <- l.live - 1);
-    exnc =
-      (fun e ->
-        l.live <- l.live - 1;
-        Obs.Metrics.incr c_raised ~tid:l.ltid;
-        Printf.eprintf "aio: fiber raised %s\n%!" (Printexc.to_string e));
-    effc =
-      (fun (type a) (eff : a Effect.t) ->
-        match eff with
-        | Yield_e ->
-            Some
-              (fun (k : (a, unit) Effect.Deep.continuation) ->
-                push_ready l (fun () -> Effect.Deep.continue k ()))
-        | Wait_e (fd, write, deadline) ->
-            Some
-              (fun (k : (a, unit) Effect.Deep.continuation) ->
-                add_waiter l fd ~write deadline (fun v ->
-                    push_ready l (fun () -> Effect.Deep.continue k v)))
-        | Sleep_e d ->
-            Some
-              (fun (k : (a, unit) Effect.Deep.continuation) ->
-                add_timer l
-                  (Unix.gettimeofday () +. d)
-                  (fun () -> push_ready l (fun () -> Effect.Deep.continue k ())))
-        | Suspend_e register ->
-            Some
-              (fun (k : (a, unit) Effect.Deep.continuation) ->
-                register (fun () ->
-                    push_ready l (fun () -> Effect.Deep.continue k ())))
-        | _ -> None);
-  }
-
-let start_fiber l f = Effect.Deep.match_with f () (handler l)
+let start_fiber l f =
+  Park.fiber
+    ~finished:(fun () -> l.live <- l.live - 1)
+    ~raised:(fun e ->
+      l.live <- l.live - 1;
+      Obs.Metrics.incr c_raised ~tid:l.ltid;
+      Printf.eprintf "aio: fiber raised %s\n%!" (Printexc.to_string e))
+    f
 
 let spawn_on l f =
   l.live <- l.live + 1;
@@ -279,7 +244,6 @@ let fire_due_timers l =
   let now = Unix.gettimeofday () in
   let rec go () =
     match Heap.peek l.timers with
-    | Some e when e.Heap.cancelled -> ignore (Heap.pop l.timers); go ()
     | Some e when e.Heap.at <= now ->
         ignore (Heap.pop l.timers);
         if Obs.Metrics.is_on () then Obs.Metrics.incr c_timers ~tid:l.ltid;
@@ -289,14 +253,7 @@ let fire_due_timers l =
   in
   go ()
 
-let next_timer l =
-  let rec go () =
-    match Heap.peek l.timers with
-    | Some e when e.Heap.cancelled -> ignore (Heap.pop l.timers); go ()
-    | Some e -> Some e.Heap.at
-    | None -> None
-  in
-  go ()
+let next_timer l = Option.map (fun e -> e.Heap.at) (Heap.peek l.timers)
 
 let dispatch l fdi flags =
   if fdi = int_of_fd l.wake_rd then drain_wake_pipe l
@@ -304,8 +261,8 @@ let dispatch l fdi flags =
     match Hashtbl.find_opt l.fds fdi with
     | None -> ()  (* closed while the event was in flight *)
     | Some r ->
-        if flags land 1 <> 0 then wake_dir l r ~write:false;
-        if flags land 2 <> 0 then wake_dir l r ~write:true
+        if flags land 1 <> 0 then wake_dir r ~write:false;
+        if flags land 2 <> 0 then wake_dir r ~write:true
 
 (* One kernel wait.  [timeout] seconds; negative = block until an
    event, a post, or stop. *)
@@ -326,8 +283,8 @@ let poll l timeout =
       let rd = ref [ l.wake_rd ] and wr = ref [] in
       Hashtbl.iter
         (fun _ r ->
-          if List.exists (fun w -> not w.done_) r.rq then rd := r.ufd :: !rd;
-          if List.exists (fun w -> not w.done_) r.wq then wr := r.ufd :: !wr)
+          if List.exists pending r.rq then rd := r.ufd :: !rd;
+          if List.exists pending r.wq then wr := r.ufd :: !wr)
         l.fds;
       let tmo = if timeout < 0. then -1. else timeout in
       (match Unix.select !rd !wr [] tmo with
@@ -338,12 +295,22 @@ let poll l timeout =
 
 (* ---- fiber-facing API ---- *)
 
-let yield () = if active () then Effect.perform Yield_e
+(* Every suspension is the one fiber effect; each registers the resume
+   where its wake comes from, and the wake moves it to the ready queue. *)
+let suspend_on l register =
+  Effect.perform (Park.Suspend (fun k -> register (fun () -> push_ready l k)))
+
+let yield () =
+  match Domain.DLS.get cur with
+  | Some l -> Effect.perform (Park.Suspend (push_ready l))
+  | None -> ()
 
 let sleep s =
-  if s <= 0. then yield ()
-  else if active () then Effect.perform (Sleep_e s)
-  else Unix.sleepf s
+  match Domain.DLS.get cur with
+  | Some l when s > 0. ->
+      suspend_on l (add_timer l (Unix.gettimeofday () +. s))
+  | Some _ -> yield ()
+  | None -> if s > 0. then Unix.sleepf s
 
 (* The loop's park record: a spinning fiber yields to its siblings, and
    past a burst parks on a timer so an idle loop does not spin its core. *)
@@ -396,8 +363,9 @@ let run l main =
   done
 
 let suspend register =
-  if not (active ()) then invalid_arg "Aio.suspend: not inside a running loop";
-  Effect.perform (Suspend_e register)
+  match Domain.DLS.get cur with
+  | Some l -> suspend_on l register
+  | None -> invalid_arg "Aio.suspend: not inside a running loop"
 
 (* Blocking fallback used outside any loop, and so by every
    Protocol.Io and Client wait there: select, restarted on EINTR and
@@ -433,7 +401,13 @@ let wait_io ~write ?(deadline = 0.) fd =
         `Ready
       end
       else if deadline > 0. && Unix.gettimeofday () >= deadline then `Timed_out
-      else Effect.perform (Wait_e (fd, write, deadline))
+      else begin
+        let wt = { result = None; resume = ignore } in
+        suspend_on l (fun resume ->
+            wt.resume <- resume;
+            add_waiter l r ~write deadline wt);
+        Option.get wt.result
+      end
 
 let wait_readable ?deadline fd = wait_io ~write:false ?deadline fd
 let wait_writable ?deadline fd = wait_io ~write:true ?deadline fd
@@ -450,11 +424,5 @@ let close fd =
           (match l.backend with
           | Epoll ep -> ( try epoll_ctl ep 1 fdi with Unix.Unix_error _ -> ())
           | Select -> ());
-          List.iter
-            (fun w ->
-              if not w.done_ then begin
-                w.done_ <- true;
-                w.resume `Ready
-              end)
-            (r.rq @ r.wq)));
+          List.iter (fun w -> settle w `Ready) (r.rq @ r.wq)));
   try Unix.close fd with Unix.Unix_error _ -> ()

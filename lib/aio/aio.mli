@@ -1,14 +1,17 @@
 (** Edge-triggered epoll event loop running OCaml-effects fibers.
 
     One {!loop} owns one domain: fibers are cooperative coroutines
-    multiplexed over that domain, suspended by effects and resumed by
-    the loop when their IO readiness, timer, or hand-rolled wake
-    condition arrives.  The suspend/resume machinery mirrors
-    {!Sched} — a domain-local hook makes {!yield}/{!active} safe to
-    call from library code that never heard of the loop (it no-ops
-    outside one).  Library waits reach the loop through {!Park}: {!run}
-    installs the loop's park record, so the serving engine's spin-waits
-    become fiber yields instead of reactor stalls.
+    multiplexed over that domain, resumed by the loop when their IO
+    readiness, timer, or hand-rolled wake condition arrives.  Fibers run
+    on the fiber core {!Sched} shares ({!Park.fiber}): {!yield},
+    {!sleep}, the fd waits and {!suspend} all perform the one
+    {!Park.Suspend} effect and differ only in where the resume goes —
+    the ready queue, a timer, an fd waiter or the caller's callback.
+    A domain-local current loop makes {!yield}/{!active} safe to call
+    from library code that never heard of the loop (it no-ops outside
+    one).  Library waits reach the loop through {!Park}: {!run}
+    installs the loop's park record, so the serving engine's
+    [Park.await] polls become fiber yields instead of reactor stalls.
 
     {b IO contract}: file descriptors handed to {!wait_readable}/
     {!wait_writable} must be non-blocking, and a fiber must only wait
@@ -54,9 +57,6 @@ val post : loop -> (unit -> unit) -> unit
     continuations are dropped), so stop only once their resources are
     already being torn down. *)
 val stop : loop -> unit
-
-(** Live fibers of the loop (diagnostics). *)
-val fibers : loop -> int
 
 (** True iff the calling context is a fiber of a running loop. *)
 val active : unit -> bool

@@ -20,7 +20,34 @@ let[@inline] pause n = (Domain.DLS.get key).pause n
 let[@inline] sleep s = (Domain.DLS.get key).sleep s
 let[@inline] now_us () = (Domain.DLS.get key).now_us ()
 
+let await poll =
+  let rec go n =
+    match poll () with
+    | Some v -> v
+    | None ->
+        pause n;
+        go (n + 1)
+  in
+  go 0
+
 let within ops f =
   let prev = Domain.DLS.get key in
   Domain.DLS.set key ops;
   Fun.protect ~finally:(fun () -> Domain.DLS.set key prev) f
+
+type _ Effect.t += Suspend : ((unit -> unit) -> unit) -> unit Effect.t
+
+let fiber ~finished ~raised f =
+  Effect.Deep.match_with f ()
+    {
+      retc = finished;
+      exnc = raised;
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | Suspend register ->
+              Some
+                (fun (k : (a, unit) Effect.Deep.continuation) ->
+                  register (fun () -> Effect.Deep.continue k ()))
+          | _ -> None);
+    }

@@ -1,8 +1,6 @@
 (* Deterministic cooperative scheduler: PTM workers as effect fibers,
    one yield point per interposed atomic/Pmem access.  See sched.mli. *)
 
-type _ Effect.t += Yield_eff : unit Effect.t
-
 let nop = fun () -> ()
 
 (* Number of scheduled runs live in the process (0 or 1: see [run]).
@@ -19,8 +17,6 @@ let[@inline] yield () =
 
 let active () =
   Stdlib.Atomic.get live_runs > 0 && Domain.DLS.get hook_key != nop
-
-let perform_yield () = Effect.perform Yield_eff
 
 let spin os_wait = if active () then yield () else os_wait ()
 
@@ -131,8 +127,7 @@ let pp_status ppf = function
 
 type fiber = {
   id : int;
-  mutable cont : (unit, unit) Effect.Deep.continuation option;
-  mutable started : bool;
+  mutable cont : unit -> unit;  (* its next step: the start, then each resume *)
   mutable status : status;
   mutable wake_at : int;  (* only meaningful while [status = Stalled] *)
   mutable pending : injection option;  (* due/deferred adversary action *)
@@ -141,57 +136,42 @@ type fiber = {
 let run ?(seed = 0) ?(budget = 2_000_000) ?(injections = []) ?hazard ?stop_at
     ~num_fibers body =
   if active () then invalid_arg "Sched.run: nested run";
-  List.iter
-    (fun inj ->
-      let tid = match inj with Stall { tid; _ } | Kill { tid; _ } -> tid in
-      if tid < 0 || tid >= num_fibers then
-        invalid_arg "Sched.run: injection tid out of range")
-    injections;
   let fibers =
     Array.init num_fibers (fun id ->
-        {
-          id;
-          cont = None;
-          started = false;
-          status = Runnable;
-          wake_at = max_int;
-          pending = None;
-        })
+        { id; cont = nop; status = Runnable; wake_at = max_int; pending = None })
   in
   List.iter
     (fun inj ->
       let tid = match inj with Stall { tid; _ } | Kill { tid; _ } -> tid in
+      if tid < 0 || tid >= num_fibers then
+        invalid_arg "Sched.run: injection tid out of range";
       fibers.(tid).pending <- Some inj)
     injections;
   let rng = Random.State.make [| seed; 0x5ced |] in
   let applied = ref [] in
   let budget_exhausted = ref false in
-  let handler (f : fiber) :
-      (unit, unit) Effect.Deep.handler =
-    {
-      retc = (fun () -> f.status <- Finished);
-      exnc = (fun e -> f.status <- Excepted e);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Yield_eff ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  f.cont <- Some k)
-          | _ -> None);
-    }
+  (* A yield suspends the running fiber and stores its resume in the
+     fiber's record, which the next [resume] of it calls. *)
+  let suspend =
+    Park.Suspend (fun k -> fibers.(Option.get !cur_fiber).cont <- k)
   in
+  let perform_yield () = Effect.perform suspend in
+  Array.iter
+    (fun f ->
+      f.cont <-
+        (fun () ->
+          Park.fiber
+            ~finished:(fun () -> f.status <- Finished)
+            ~raised:(fun e -> f.status <- Excepted e)
+            (fun () -> body f.id)))
+    fibers;
   let resume (f : fiber) =
     incr step_counter;
     cur_fiber := Some f.id;
     Domain.DLS.set hook_key perform_yield;
-    (match f.cont with
-    | Some k ->
-        f.cont <- None;
-        Effect.Deep.continue k ()
-    | None ->
-        f.started <- true;
-        Effect.Deep.match_with body f.id (handler f));
+    let k = f.cont in
+    f.cont <- nop;
+    k ();
     Domain.DLS.set hook_key nop;
     cur_fiber := None
   in
@@ -214,7 +194,7 @@ let run ?(seed = 0) ?(budget = 2_000_000) ?(injections = []) ?hazard ?stop_at
           match inj with
           | Kill _ ->
               f.status <- Killed;
-              f.cont <- None
+              f.cont <- nop
           | Stall { duration; _ } ->
               f.status <- Stalled;
               f.wake_at <-
@@ -229,14 +209,6 @@ let run ?(seed = 0) ?(budget = 2_000_000) ?(injections = []) ?hazard ?stop_at
       f.status <- Runnable;
       f.wake_at <- max_int
     end
-  in
-  let finish () =
-    {
-      steps = !step_counter;
-      statuses = Array.map (fun f -> f.status) fibers;
-      applied = List.rev !applied;
-      budget_exhausted = !budget_exhausted;
-    }
   in
   if not (Stdlib.Atomic.compare_and_set live_runs 0 1) then
     invalid_arg "Sched.run: another run is live in this process";
@@ -281,4 +253,9 @@ let run ?(seed = 0) ?(budget = 2_000_000) ?(injections = []) ?hazard ?stop_at
           let f = List.nth fs (Random.State.int rng (List.length fs)) in
           resume f
   done;
-  finish ()
+  {
+    steps = !step_counter;
+    statuses = Array.map (fun f -> f.status) fibers;
+    applied = List.rev !applied;
+    budget_exhausted = !budget_exhausted;
+  }

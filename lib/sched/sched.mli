@@ -1,10 +1,12 @@
 (** Deterministic cooperative scheduler for progress testing.
 
-    PTM workers run as fibers (OCaml effects) inside a single domain.
-    Every interposed atomic operation ({!Atomic}, and the word-granular
-    Pmem accessors) is a yield point: the fiber suspends and a seeded
-    scheduler picks the next runnable fiber, so a whole multi-threaded
-    execution becomes a deterministic function of the schedule seed.
+    PTM workers run as fibers inside a single domain, on the fiber core
+    [Aio] shares ({!Park.fiber}).  Every interposed atomic operation
+    ({!Atomic}, and the word-granular Pmem accessors) is a yield point:
+    the fiber suspends through the one {!Park.Suspend} effect, its
+    resume is stored in its record, and a seeded scheduler picks the
+    next runnable fiber, so a whole multi-threaded execution becomes a
+    deterministic function of the schedule seed.
 
     On top of the seeded-random strategy the scheduler supports two
     adversarial injections aimed at wait-freedom:
@@ -144,10 +146,10 @@ val pp_status : Format.formatter -> status -> unit
     this value, leaving fibers suspended — the whole-machine crash used
     by the stall+crash+recovery composition.
 
-    For the extent of the run the calling domain's {!Park} record is the
-    scheduler's: [pause] and [sleep] are each one {!yield}, and [now_us]
-    is [float (now ())].  The previous record is restored when [run]
-    returns or raises.
+    For the run the calling domain's {!Park} record is the scheduler's:
+    [pause] and [sleep] are each one {!yield} (so a {!Park.await} spends
+    one step per failed poll), [now_us] is [float (now ())], and the
+    previous record is restored when [run] returns or raises.
 
     @raise Invalid_argument on a [run] nested in a fiber, on a [run]
     while another one is live anywhere in the process, or on

@@ -36,6 +36,24 @@
 
 module A = Sched.Atomic
 
+let window = 1024
+
+(* The last [window] entries of an append-only log, and how many were
+   ever appended. *)
+module Recent = struct
+  type 'a t = { slots : 'a option array; mutable total : int }
+
+  let make () = { slots = Array.make window None; total = 0 }
+
+  let push r x =
+    r.slots.(r.total mod window) <- Some x;
+    r.total <- r.total + 1
+
+  let to_list r =
+    let n = min r.total window in
+    List.init n (fun i -> Option.get r.slots.((r.total - n + i) mod window))
+end
+
 type write = {
   ops : (string * string option) list;
   rid : int;  (* wire request id (0 = none), carried into trace spans *)
@@ -71,9 +89,9 @@ type t = {
          their batch transaction commits.  Deliberately unsound — the
          supervised kill-restart audit must catch the acked-write loss a
          kill in the ack-to-commit window produces. *)
-  mutable sizes : int list;  (* committed batch sizes, newest first *)
-  mutable attempts : string list list;
-      (* keys of every drained batch, logged BEFORE its commit: the
+  sizes : int Recent.t;  (* committed batch sizes *)
+  attempts : string list Recent.t;
+      (* keys of each drained batch, logged BEFORE its commit: the
          mid-batch crash oracle checks all-or-nothing against this *)
   c_overload : Obs.Metrics.counter;
   c_shed : Obs.Metrics.counter;  (* requests dropped on TTL expiry *)
@@ -102,8 +120,8 @@ let create ~db ~shard ~max_batch ~linger_us ~queue_cap =
     crashing = A.make false;
     quarantined = A.make false;
     ack_early = A.make false;
-    sizes = [];
-    attempts = [];
+    sizes = Recent.make ();
+    attempts = Recent.make ();
     c_overload = Obs.Metrics.counter "serve.overload_rejections";
     c_shed = Obs.Metrics.counter "serve.shed.expired";
     c_batches = Obs.Metrics.counter "serve.batches";
@@ -159,7 +177,7 @@ let shed t ~tid expired =
 let commit_batch t ~tid batch =
   let keys = List.concat_map (fun r -> List.map fst r.w.ops) batch in
   Sched.Mutex.lock t.lock ~tid;
-  t.attempts <- keys :: t.attempts;
+  Recent.push t.attempts keys;
   Sched.Mutex.unlock t.lock ~tid;
   let size = List.length batch in
   let t_txn = if Obs.Metrics.is_on () then Unix.gettimeofday () else 0. in
@@ -190,7 +208,7 @@ let commit_batch t ~tid batch =
         (int_of_float ((Unix.gettimeofday () -. t_txn) *. 1e9))
   end;
   Sched.Mutex.lock t.lock ~tid;
-  t.sizes <- size :: t.sizes;
+  Recent.push t.sizes size;
   Sched.Mutex.unlock t.lock ~tid;
   List.iter (fun r -> A.set r.state 1) batch
 
@@ -220,16 +238,14 @@ let run_leader t ~tid ~pending =
       let obs = Obs.is_active () in
       let t_linger = if obs then Unix.gettimeofday () else 0. in
       let opened = Park.now_us () in
-      let spins = ref 0 in
-      while
-        A.get t.qlen < t.max_batch
-        && Park.now_us () -. opened < t.linger_us
-        && (not (A.get t.crashing))
-        && not (A.get t.quarantined)
-      do
-        Park.pause !spins;
-        incr spins
-      done;
+      Park.await (fun () ->
+          if
+            A.get t.qlen < t.max_batch
+            && Park.now_us () -. opened < t.linger_us
+            && (not (A.get t.crashing))
+            && not (A.get t.quarantined)
+          then None
+          else Some ());
       let t_drain = if obs then Unix.gettimeofday () else 0. in
       Sched.Mutex.lock t.lock ~tid;
       let batch = drain_locked t in
@@ -310,20 +326,19 @@ let submit t ~tid group =
   else begin
     let mine = admit t ~tid group in
     let pending () = List.exists (fun r -> A.get r.state = 0) mine in
-    let rec wait n =
-      if pending () then
-        if A.get t.leader = -1 && A.compare_and_set t.leader (-1) tid then begin
-          Fun.protect
-            ~finally:(fun () -> A.set t.leader (-1))
-            (fun () -> run_leader t ~tid ~pending);
-          wait n
-        end
-        else begin
-          Park.pause n;
-          wait (n + 1)
-        end
+    (* Lead whenever the leader slot is free, then look again at once;
+       only a follower's failed look pauses. *)
+    let rec poll () =
+      if not (pending ()) then Some ()
+      else if A.get t.leader = -1 && A.compare_and_set t.leader (-1) tid then begin
+        Fun.protect
+          ~finally:(fun () -> A.set t.leader (-1))
+          (fun () -> run_leader t ~tid ~pending);
+        poll ()
+      end
+      else None
     in
-    wait 0;
+    Park.await poll;
     List.map (fun r -> result_of_state (A.get r.state)) mine
   end
 
@@ -353,6 +368,6 @@ let stall_hazard t ~tid =
   A.get t.leader = tid || Sched.Mutex.holder t.lock = Some tid
 
 let queue_depth t = A.get t.qlen
-let batch_sizes t = List.rev t.sizes
-let attempted_batches t = List.rev t.attempts
-let batches_committed t = List.length t.sizes
+let batch_sizes t = Recent.to_list t.sizes
+let attempted_batches t = Recent.to_list t.attempts
+let batches_committed t = t.sizes.total

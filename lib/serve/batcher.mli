@@ -105,12 +105,18 @@ val stall_hazard : t -> tid:int -> bool
 
 val queue_depth : t -> int
 
-(** Committed batch sizes, oldest first. *)
+(** How many recent batches {!batch_sizes} and {!attempted_batches}
+    keep (1024): a batcher's memory does not grow with its history. *)
+val window : int
+
+(** Sizes of the last {!window} committed batches, oldest first. *)
 val batch_sizes : t -> int list
 
-(** Keys of every drained batch, oldest first, logged {e before} the
-    batch commits: the mid-batch crash oracle checks each batch is
-    all-or-nothing against this. *)
+(** Keys of the last {!window} drained batches, oldest first, logged
+    {e before} each batch commits: the mid-batch crash oracle checks
+    each batch is all-or-nothing against this. *)
 val attempted_batches : t -> string list list
 
+(** Batches committed over the batcher's life (an exact count, not
+    bounded by {!window}). *)
 val batches_committed : t -> int

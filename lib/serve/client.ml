@@ -220,15 +220,6 @@ let attempt ?timeout ?(ttl_us = 0) ?(tok = 0) t req =
           | Result.Ok (_, resp) -> Result.Ok resp))
 
 
-(* Raw single round-trip (no retries), kept for harnesses that drive
-   the protocol directly.  Honors the policy call timeout. *)
-let call t req =
-  ensure t;
-  match attempt t req with
-  | Result.Ok resp -> resp
-  | Error Timed_out -> raise (Protocol_error "request timed out")
-  | Error (Conn_dead reason) -> raise (Protocol_error reason)
-
 let last_rid t = t.next_rid - 1
 
 let idempotent = function

@@ -76,15 +76,10 @@ val close : t -> unit
     re-submitting after an [`InDoubt] give-up. *)
 val fresh_tok : t -> int
 
-(** One raw round-trip, no retries (reconnects if the connection is
-    dead).  Honors the policy call timeout; a timeout or transport
-    failure raises {!Protocol_error}.  Every request is sent with a
-    fresh per-connection request id (from 1); a response echoing a
-    different non-zero id raises (a zero id — a pre-RID server — is
-    tolerated). *)
-val call : t -> Protocol.req -> Protocol.resp
-
-(** Request id of the most recent {!call} (0 before the first). *)
+(** Request id of the most recent request sent (0 before the first).
+    Every request goes out with a fresh per-connection request id, from
+    1; a response echoing a different non-zero id is a transport
+    failure (a zero id — a pre-RID server — is tolerated). *)
 val last_rid : t -> int
 
 (** {2 Typed wrappers} — [`Overloaded] is admission-control backpressure

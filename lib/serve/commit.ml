@@ -413,8 +413,7 @@ let mark c txn ~settled =
    takes the next txid whatever claims its slot).  Should every slot be
    claimed, wait for a release. *)
 let draw c ~tid parts =
-  let rec go n =
-    let found =
+  Park.await (fun () ->
       locked c ~tid (fun () ->
           let rec next i =
             if i = c.slots then None
@@ -425,15 +424,7 @@ let draw c ~tid parts =
                 Some (add c { txid; parts; slot } ~writing:true)
               else next (i + 1)
           in
-          next 0)
-    in
-    match found with
-    | Some cl -> cl
-    | None ->
-        Park.pause n;
-        go (n + 1)
-  in
-  go 0
+          next 0))
 
 (* ---- the resolver ---- *)
 
@@ -658,11 +649,7 @@ let resolve_found c ~tid ~view txns =
   Hashtbl.iter
     (fun (txn : txn) () ->
       let writing () = Option.fold (find c txn) ~none:false ~some:(fun cl -> cl.writing) in
-      let n = ref 0 in
-      while locked c ~tid writing do
-        Park.pause !n;
-        incr n
-      done;
+      Park.await (fun () -> if locked c ~tid writing then None else Some ());
       let ok = resolve c ~tid ~view txn in
       locked c ~tid (fun () -> mark c txn ~settled:ok))
     txns
@@ -749,26 +736,24 @@ let resolve_shard c ~tid ~view db =
    either way ([fate_of] answers Undecided), so the helper waits or
    completes it, still holding its slot, for the coordinator's rebuild. *)
 let help_one c ~tid ~view txn =
-  let rec go n =
-    match
-      locked c ~tid (fun () ->
-          Option.bind (find c txn) (fun cl ->
-              Option.map (fun dp -> (dp, cl.confirmed, cl.writing)) cl.decided))
-    with
-    | None -> ()
-    | Some ((dec, preps), confirmed, live) -> (
-        let roll d = ignore (settle c ~tid ~view ~by:Helper txn (Decided d) preps) in
-        if confirmed then roll dec
-        else
-          match fate_of c ~tid ~view txn with
-          | Decided d -> roll d
-          | Aborted | Undecided when live ->
-              Park.pause n;
-              go (n + 1)
-          | Aborted -> ignore (complete ~settle:true c ~tid txn)
-          | Undecided -> ignore (complete c ~tid txn))
-  in
-  go 0
+  Park.await (fun () ->
+      match
+        locked c ~tid (fun () ->
+            Option.bind (find c txn) (fun cl ->
+                Option.map (fun dp -> (dp, cl.confirmed, cl.writing)) cl.decided))
+      with
+      | None -> Some ()
+      | Some ((dec, preps), confirmed, live) -> (
+          let roll d =
+            Some (ignore (settle c ~tid ~view ~by:Helper txn (Decided d) preps))
+          in
+          if confirmed then roll dec
+          else
+            match fate_of c ~tid ~view txn with
+            | Decided d -> roll d
+            | Aborted | Undecided when live -> None
+            | Aborted -> Some (ignore (complete ~settle:true c ~tid txn))
+            | Undecided -> Some (ignore (complete c ~tid txn))))
 
 (* Readers help every published decided commit to completion before
    taking their snapshots — the lock-free-style helping that keeps
@@ -793,27 +778,18 @@ let help c ~tid ~view =
    repeatedly.) *)
 let snapshot_read c ~tid ~view f =
   if has c No_read_validation then f ()
-  else begin
-    let rec loop n =
-      help c ~tid ~view;
-      let d0 = A.get c.decided in
-      if A.get c.applied <> d0 then begin
-        Obs.Metrics.incr c.c_retry ~tid;
-        Park.pause n;
-        loop (n + 1)
-      end
-      else begin
-        let r = f () in
-        if A.get c.decided <> d0 then begin
-          Obs.Metrics.incr c.c_retry ~tid;
-          Park.pause n;
-          loop (n + 1)
-        end
-        else r
-      end
-    in
-    loop 0
-  end
+  else
+    Park.await (fun () ->
+        help c ~tid ~view;
+        let d0 = A.get c.decided in
+        let r =
+          if A.get c.applied <> d0 then None
+          else
+            let r = f () in
+            if A.get c.decided <> d0 then None else Some r
+        in
+        if Option.is_none r then Obs.Metrics.incr c.c_retry ~tid;
+        r)
 
 let two_phase c ~tid ~rid ~tok ~deadline ~view ~submit slices =
   let parts = List.map fst slices in

@@ -585,11 +585,10 @@ let crash_with_faults t ~tid ~seed ~evict_prob ~torn_prob ~bitflips =
   let t0 = Unix.gettimeofday () in
   A.set t.crashing true;
   Array.iter (fun b -> Batcher.set_crashing b true) t.batchers;
-  let n = ref 0 in
-  while A.get t.inflight > 0 || not (Array.for_all Batcher.quiesced t.batchers) do
-    Park.pause !n;
-    incr n
-  done;
+  Park.await (fun () ->
+      if A.get t.inflight > 0 || not (Array.for_all Batcher.quiesced t.batchers)
+      then None
+      else Some ());
   match recover_all t ~seed ~evict_prob ~torn_prob ~bitflips with
   | Result.Ok _ ->
       Array.iter (fun b -> Batcher.set_crashing b false) t.batchers;
@@ -618,6 +617,7 @@ let stall_hazard t ~tid =
   || Ledger.stall_hazard t.ledger ~tid
 
 let batch_sizes t ~shard = Batcher.batch_sizes t.batchers.(shard)
+let batches_committed t ~shard = Batcher.batches_committed t.batchers.(shard)
 
 let attempted_batches t ~shard =
   List.map
@@ -650,7 +650,7 @@ let stats_json t =
                  else Obs.Json.Null );
                ( "batches_committed",
                  if t.cfg.batch then
-                   Obs.Json.Int (Batcher.batches_committed t.batchers.(i))
+                   Obs.Json.Int (batches_committed t ~shard:i)
                  else Obs.Json.Null );
                ( "heat",
                  Obs.Json.List

@@ -306,12 +306,18 @@ val refresh_export : t -> tid:int -> int -> unit
     they cannot help to completion. *)
 val stall_hazard : t -> tid:int -> bool
 
-(** Committed batch sizes of one shard, oldest first (batching only). *)
+(** Sizes of one shard's last {!Batcher.window} committed batches,
+    oldest first (batching only). *)
 val batch_sizes : t -> shard:int -> int list
 
-(** USER keys of every drained batch of one shard, oldest first, logged
-    before commit — the mid-batch crash oracle's ground truth.  Commit
-    metadata writes are excluded: they are not acked user data. *)
+(** Batches one shard has committed since the engine started, or since
+    the shard's last rebuild (batching only). *)
+val batches_committed : t -> shard:int -> int
+
+(** USER keys of one shard's last {!Batcher.window} drained batches,
+    oldest first, logged before commit — the mid-batch crash oracle's
+    ground truth.  Commit metadata writes are excluded: they are not
+    acked user data. *)
 val attempted_batches : t -> shard:int -> string list list
 
 (** Device counters summed over every shard's current instance. *)

@@ -358,10 +358,21 @@ let test_sched_mutex_owner_checks () =
 
 (* ---- Park: one park interface behind one domain-local hook ---- *)
 
+(* A poll that fails [fails] times, then answers [v]. *)
+let failing_poll fails v =
+  let left = ref fails in
+  fun () ->
+    if !left = 0 then Some v
+    else begin
+      decr left;
+      None
+    end
+
 (* Inside a run every park op is exactly one schedule step, whatever the
-   spin count, and the clock is the step counter. *)
+   spin count, and the clock is the step counter; an await spends one
+   step per failed poll and returns the poll's value. *)
 let test_park_in_sched () =
-  let steps = ref [] and clock_ok = ref true in
+  let steps = ref [] and clock_ok = ref true and got = ref 0 in
   let park op =
     let before = Sched.now () in
     op ();
@@ -371,9 +382,12 @@ let test_park_in_sched () =
   ignore
     (Sched.run ~num_fibers:1 (fun _ ->
          List.iter (fun n -> park (fun () -> Park.pause n)) [ 0; 63; 64; 10_000 ];
-         park (fun () -> Park.sleep 0.5)));
-  Alcotest.(check (list int)) "one step per pause and per sleep"
-    [ 1; 1; 1; 1; 1 ] !steps;
+         park (fun () -> Park.sleep 0.5);
+         park (fun () -> got := Park.await (failing_poll 0 7));
+         park (fun () -> got := !got + Park.await (failing_poll 70 35))));
+  Alcotest.(check (list int)) "one step per pause, sleep and failed poll"
+    [ 70; 0; 1; 1; 1; 1; 1 ] !steps;
+  Alcotest.(check int) "await returns the poll's value" 42 !got;
   Alcotest.(check bool) "now_us is the step counter" true !clock_ok
 
 (* On an event loop a pausing or sleeping fiber lets its siblings run
@@ -390,9 +404,14 @@ let test_park_in_aio () =
       Park.sleep 0.01;
       slept := Unix.gettimeofday () -. t0;
       push "slept";
-      wall := Float.abs (Park.now_us () -. (Unix.gettimeofday () *. 1e6)) < 1e6);
+      wall := Float.abs (Park.now_us () -. (Unix.gettimeofday () *. 1e6)) < 1e6;
+      let set = ref false in
+      Aio.spawn (fun () ->
+          push "setter";
+          set := true);
+      push (Park.await (fun () -> if !set then Some "awaited" else None)));
   Alcotest.(check (list string)) "siblings run inside the parks"
-    [ "sibling"; "paused"; "sibling2"; "slept" ]
+    [ "sibling"; "paused"; "sibling2"; "slept"; "setter"; "awaited" ]
     (List.rev !order);
   Alcotest.(check bool) "sleep lasts its duration" true (!slept >= 0.01);
   Alcotest.(check bool) "wall clock on the loop" true !wall
@@ -414,7 +433,17 @@ let check_plain_park what =
     Park.pause (n land 31)
   done;
   Alcotest.(check bool) (what ^ ": pause allocates nothing") true
-    (Gc.minor_words () -. w0 < 100.)
+    (Gc.minor_words () -. w0 < 100.);
+  let flag = Stdlib.Atomic.make false in
+  let setter =
+    Domain.spawn (fun () ->
+        Unix.sleepf 0.002;
+        Stdlib.Atomic.set flag true)
+  in
+  Park.await (fun () -> if Stdlib.Atomic.get flag then Some () else None);
+  Domain.join setter;
+  Alcotest.(check bool) (what ^ ": await returns once another domain sets the flag")
+    true (Stdlib.Atomic.get flag)
 
 (* Each run restores the record it found, on return and on raise: the
    plain one at top level, the loop's inside a fiber. *)

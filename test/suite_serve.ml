@@ -329,6 +329,30 @@ let test_batch_determinism () =
   Alcotest.(check bool) "group commit coalesced some batch" true
     (List.exists (fun s -> s > 1) (b0 @ b1))
 
+(* A batcher keeps a window of its recent batches, not its whole history:
+   past the window the committed count stays exact while the sizes and
+   attempted-key logs stop growing. *)
+let test_batch_history_bounded () =
+  let e = small_engine ~shards:1 () in
+  let n = Serve.Batcher.window + 100 in
+  for i = 1 to n do
+    match E.put e ~tid:0 ~key:(Printf.sprintf "k%d" (i mod 10)) ~value:"v" with
+    | Ok () -> ()
+    | Error _ -> Alcotest.fail "put"
+  done;
+  Alcotest.(check int) "every batch counted" n (E.batches_committed e ~shard:0);
+  let sizes = E.batch_sizes e ~shard:0 in
+  Alcotest.(check int) "sizes keep the window" Serve.Batcher.window
+    (List.length sizes);
+  Alcotest.(check bool) "each write its own batch" true
+    (List.for_all (( = ) 1) sizes);
+  let attempted = E.attempted_batches e ~shard:0 in
+  Alcotest.(check int) "attempts keep the window" Serve.Batcher.window
+    (List.length attempted);
+  Alcotest.(check (list string)) "newest attempt last"
+    [ Printf.sprintf "k%d" (n mod 10) ]
+    (List.nth attempted (Serve.Batcher.window - 1))
+
 (* A stalled client must not block other clients' batches: stall fiber 0
    at a sweep of steps (deferred while it is leader / holds the stage
    lock, so the stall always lands on a *waiting* client); every other
@@ -3522,6 +3546,8 @@ let suites =
           test_scan_beside_commit_metadata;
         Alcotest.test_case "deterministic batch formation" `Quick
           test_batch_determinism;
+        Alcotest.test_case "batch history keeps a window" `Quick
+          test_batch_history_bounded;
         Alcotest.test_case "stalled client cannot block batches" `Quick
           test_stalled_client_adversary;
         Alcotest.test_case "mid-batch crash atomicity" `Quick
