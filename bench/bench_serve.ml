@@ -694,10 +694,7 @@ let () =
           ("server_windows", windows);
           ( "server_batching",
             Obj
-              [
-                ("queue_wait", server_hist "serve.stage.queue");
-                ("batch_size", server_hist "serve.batch_size");
-              ] );
+              [ ("batch_size", server_hist "serve.batch_size") ] );
           ("slo", slo_json slo_rows);
           ("server_stats", stats);
         ]

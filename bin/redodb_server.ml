@@ -207,9 +207,7 @@ let () =
   let host = ref "127.0.0.1" in
   let port = ref 7599 in
   let shards = ref 4 in
-  let no_batch = ref false in
   let max_batch = ref 16 in
-  let linger_us = ref 0.0 in
   let queue_cap = ref 64 in
   let max_conns = ref 8 in
   let reactors = ref 1 in
@@ -235,13 +233,16 @@ let () =
       ("--host", Arg.Set_string host, "ADDR bind address (default 127.0.0.1)");
       ("--port", Arg.Set_int port, "P listen port, 0 = ephemeral (default 7599)");
       ("--shards", Arg.Set_int shards, "N hash-partitioned RedoDB shards (default 4)");
-      ("--no-batch", Arg.Set no_batch, " bypass group commit (one txn per write)");
       ( "--max-batch",
         Arg.Set_int max_batch,
-        "N group-commit batch size cap (default 16)" );
+        "N writes per batch transaction at most; 1 commits each write \
+         alone (default 16)" );
       ( "--linger-us",
-        Arg.Set_float linger_us,
-        "US flush deadline of a non-full batch (default 0)" );
+        Arg.Float
+          (fun us ->
+            if us <> 0. then raise (Arg.Bad "--linger-us: only 0 is accepted")),
+        "US accepted for compatibility, only as 0: no batch waits for \
+         more writes" );
       ( "--queue-cap",
         Arg.Set_int queue_cap,
         "N per-shard admission bound; beyond it requests get OVERLOADED (default 64)" );
@@ -348,7 +349,6 @@ let () =
         "--port"; string_of_int !port;
         "--shards"; string_of_int !shards;
         "--max-batch"; string_of_int !max_batch;
-        "--linger-us"; Printf.sprintf "%g" !linger_us;
         "--queue-cap"; string_of_int !queue_cap;
         "--max-conns"; string_of_int !max_conns;
         "--reactors"; string_of_int !reactors;
@@ -358,7 +358,6 @@ let () =
         "--flush-cost"; string_of_int !flush_cost;
         "--pmem-dir"; dir;
       ]
-      @ (if !no_batch then [ "--no-batch" ] else [])
       @ (if !metrics then [ "--metrics" ] else [])
       @ List.concat_map
           (fun m -> [ "--mutant"; Serve.Commit.pp_mutant m ])
@@ -383,9 +382,7 @@ let () =
       Serve.Engine.default_config with
       shards = !shards;
       capacity_bytes = !capacity;
-      batch = not !no_batch;
       max_batch = !max_batch;
-      linger_us = !linger_us;
       queue_cap = !queue_cap;
       backing_dir = (if !pmem_dir = "" then None else Some !pmem_dir);
       isolate = !isolate || scrubbing;
@@ -417,8 +414,7 @@ let () =
     (Serve.Reactor.port srv) !shards
     (if !shards = 1 then "" else "s")
     !reactors !workers
-    (if !no_batch then "unbatched"
-     else Printf.sprintf "batched: max %d, linger %.0fus" !max_batch !linger_us)
+    (Printf.sprintf "batches of at most %d" !max_batch)
     (if !pmem_dir = "" then "" else ", backed by " ^ !pmem_dir)
     (if !chaos = "" then "" else ", chaos " ^ !chaos);
   let quit = Atomic.make false in

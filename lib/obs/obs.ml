@@ -668,9 +668,6 @@ module Trace = struct
     | Batch
     | Commit
     | Ingress
-    | Queue_wait
-    | Linger
-    | Drain
     | Prepare
     | Decide
     | Ack
@@ -696,9 +693,6 @@ module Trace = struct
     | Batch -> "batch"
     | Commit -> "commit"
     | Ingress -> "ingress"
-    | Queue_wait -> "queue_wait"
-    | Linger -> "linger"
-    | Drain -> "drain"
     | Prepare -> "prepare"
     | Decide -> "decide"
     | Ack -> "ack"
@@ -706,8 +700,7 @@ module Trace = struct
   let kind_cat = function
     | Fence | Crash -> "pm"
     | Rwlock_acquire | Rwlock_contend | Sleep -> "sync"
-    | Db_op | Serve_op | Batch | Commit | Ingress | Queue_wait | Linger | Drain
-    | Prepare | Decide | Ack ->
+    | Db_op | Serve_op | Batch | Commit | Ingress | Prepare | Decide | Ack ->
         "db"
     | _ -> "ptm"
 

@@ -170,12 +170,11 @@ module Trace : sig
     | Crash  (** simulated crash / injected crash point (instant) *)
     | Db_op  (** RedoDB API call (span) *)
     | Serve_op  (** serving-engine request (span; arg = opcode) *)
-    | Batch  (** group-commit batch transaction (span; arg = batch size) *)
+    | Batch
+        (** one shard's batch transaction (span; arg = batch size, rid =
+            its first request's) *)
     | Commit  (** cross-shard two-phase commit (span; arg = txid) *)
     | Ingress  (** wire-frame parse of one request (span) *)
-    | Queue_wait  (** request sat in a batcher queue awaiting drain (span) *)
-    | Linger  (** leader's batch-fill window (span; arg = batch size) *)
-    | Drain  (** leader drained the queue into a batch (span; arg = size) *)
     | Prepare  (** 2PC prepare on one shard (span; arg = shard) *)
     | Decide
         (** 2PC decision commit on the coordinator, carrying its own slice

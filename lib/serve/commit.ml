@@ -521,8 +521,8 @@ let settle c ~tid ~view ~by (txn : txn) fate preps =
   match fate with
   | Undecided -> false
   | Aborted ->
-      (* straight to the PTM, not through the batcher: an abort must also
-         work while the batcher is rejecting during a crash start *)
+      (* straight to the PTM, not through the engine's submit: an abort
+         must also work while a crash start refuses new batches *)
       let dbs = List.filter_map (fun (s, r) -> Option.map (fun db -> (db, r)) (view s)) preps in
       List.iter
         (fun (db, r) -> ignore (guarded db ~tid (prep_key txn.slot) r ~idle:{ r with live = false } []))
@@ -851,8 +851,8 @@ let two_phase c ~tid ~rid ~tok ~deadline ~view ~submit slices =
       match List.find_opt (moved ~view) prepared_on with
       | Some (down, _) ->
           (* A participant was quarantined between its prepare and the
-             decision, or rebuilt under it: a prepare that entered the
-             old instance's batcher may have committed there after the
+             decision, or rebuilt under it: a prepare that passed the
+             old instance's admission check may have committed there after the
              rebuild read its journal, so the fresh instance lacks it
              and a decided apply would find no guard.  No decision
              record exists, so this is a definite abort: roll the

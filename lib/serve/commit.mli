@@ -179,10 +179,10 @@ val parse_phase : string -> phase option
       writes, so a client retry after a dropped response re-commits the
       transaction — two outcome records under one token, a duplicated
       (non-exactly-once) commit the chaos sweep must catch.
-    - [Ack_early]: the batcher acknowledges a write BEFORE its batch
-      transaction commits, so a kill in the ack-to-commit window loses an
-      acked write — the violation the supervised kill-restart audit must
-      catch.
+    - [Ack_early]: the reactor writes a write unit's acknowledgements
+      BEFORE the unit's batch transaction commits, so a kill in the
+      ack-to-commit window loses an acked write — the violation the
+      supervised kill-restart audit must catch.
     - [No_scrub_verify]: the online scrubber walks every shard on
       schedule but skips the durable-checksum re-verification, so silent
       media rot is never promoted to Suspect and the shard is never
@@ -267,7 +267,7 @@ val moved : view:view -> int * Kv.Redodb.t option -> bool
     for helping readers, the merged decision (the coordinator's slice,
     the decision record, [tok]'s outcome record and the queued forgets)
     on the coordinator, then the settle step.  [submit ~deadline s ops]
-    commits [ops] on shard [s] through its group-commit stage; a submit
+    commits [ops] on shard [s] as one batch; a submit
     error aborts with [`Refused].  A participant unreachable or rebuilt
     after its prepare aborts with [`Shard_down].  A coordinator rebuilt
     under the decision's submit is answered from the current view: its

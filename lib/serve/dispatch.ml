@@ -4,7 +4,8 @@
    figures, read through the [conn_stats] callback given at [create]).
 
    Degradation order under pressure: TTL-expired requests are shed
-   first (queued writes by the batcher, reads here at execution), then
+   first (writes by the engine before their batch, reads here at
+   execution), then
    scans, then multi-gets — cheap point ops and writes keep flowing
    until admission control itself pushes back. *)
 
@@ -130,7 +131,7 @@ let stats_json t =
 
 (* [deadline] is absolute ([Unix.gettimeofday]; 0. = none), computed at
    ingress from the TTL envelope prefix.  Writes carry it into the
-   engine (the batcher sheds queued expired requests); reads check it
+   engine (which sheds expired requests before their batch); reads check it
    here at execution — either way an expired request answers the
    retryable [Timeout], never a half-executed result.  PUT and DEL have
    already run as part of their unit's write group: [written] hands

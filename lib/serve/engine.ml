@@ -1,9 +1,10 @@
 (* The router and the wiring of the serving engine (contract in
-   engine.mli): config and create, the public operations, crash and
-   rebuild orchestration, and stats.  Cross-shard commit, snapshot reads
-   and the in-doubt resolver live in Commit, the exactly-once outcome
-   ledger in Ledger, the per-shard health machine in Health.  User keys
-   are escaped at this boundary (Commit.user_key).  Crashes route
+   engine.mli): config and create, the public operations, each shard's
+   write admission, crash and rebuild orchestration, and stats.
+   Cross-shard commit, snapshot reads and the in-doubt resolver live in
+   Commit, the exactly-once outcome ledger in Ledger, the per-shard
+   health machine in Health.  User keys are escaped at this boundary
+   (Commit.user_key).  Crashes route
    through the per-shard media-fault path (Redodb.crash_with_faults)
    with distinct derived seeds, then through Commit's recovery. *)
 
@@ -35,10 +36,41 @@ let default_config =
     isolate = false;
   }
 
+let batch_window = 1024
+
+(* The last [batch_window] entries of an append-only log, and how many
+   were ever appended. *)
+module Recent = struct
+  type 'a t = { slots : 'a option array; mutable total : int }
+
+  let make () = { slots = Array.make batch_window None; total = 0 }
+
+  let push r x =
+    r.slots.(r.total mod batch_window) <- Some x;
+    r.total <- r.total + 1
+
+  let to_list r =
+    let n = min r.total batch_window in
+    List.init n (fun i -> Option.get r.slots.((r.total - n + i) mod batch_window))
+end
+
+(* What a shard's writes need besides the PTM, which already combines
+   concurrent transactions: an admission count and the recent-batch
+   windows.  [log] is never held across a yield point, so a stalled
+   fiber never holds it. *)
+type stage = {
+  writing : int A.t;  (* writes in flight on the shard, at most queue_cap *)
+  log : Mutex.t;  (* protects sizes and attempts *)
+  sizes : int Recent.t;  (* committed batch sizes *)
+  attempts : string list Recent.t;
+      (* keys of each batch, logged BEFORE its commit: the mid-batch
+         crash oracle checks all-or-nothing against this *)
+}
+
 type t = {
   cfg : config;
   dbs : Kv.Redodb.t array;  (* a rebuild swaps entries in place *)
-  batchers : Batcher.t array;  (* empty when cfg.batch = false *)
+  stages : stage array;
   mutants : Commit.mutant list ref;  (* shared with commit, ledger, health *)
   commit : Commit.t;
   ledger : Ledger.t;
@@ -50,6 +82,11 @@ type t = {
   crash_gate : Sched.Mutex.t;  (* serializes whole-engine crashes *)
   c_reqs : Obs.Metrics.counter;
   c_multi : Obs.Metrics.counter;
+  c_overload : Obs.Metrics.counter;
+  c_shed : Obs.Metrics.counter;  (* writes dropped on TTL expiry *)
+  c_batches : Obs.Metrics.counter;
+  h_batch : Obs.Metrics.histogram;
+  h_txn : Obs.Metrics.histogram;  (* one batch's write_batch, ns *)
   heat : int array array;  (* per-shard key-popularity sketch *)
 }
 
@@ -94,6 +131,9 @@ let view t s = if Health.admits t.health s then Some t.dbs.(s) else None
 let create cfg =
   if cfg.shards < 1 then invalid_arg "Engine.create: shards";
   if cfg.num_threads < 1 then invalid_arg "Engine.create: num_threads";
+  if cfg.max_batch < 1 then invalid_arg "Engine.create: max_batch";
+  if cfg.queue_cap < 1 then invalid_arg "Engine.create: queue_cap";
+  if cfg.linger_us <> 0. then invalid_arg "Engine.create: linger_us must be 0";
   let per_shard = max (1 lsl 14) (cfg.capacity_bytes / cfg.shards) in
   let reused = ref false in
   let dbs =
@@ -117,19 +157,15 @@ let create cfg =
               Kv.Redodb.open_backed ~num_threads:cfg.num_threads
                 ~capacity_bytes:per_shard ~backing:f ())
   in
-  let batchers =
-    if not cfg.batch then [||]
-    else
-      Array.init cfg.shards (fun shard ->
-          Batcher.create ~db:dbs.(shard) ~shard ~max_batch:cfg.max_batch
-            ~linger_us:cfg.linger_us ~queue_cap:cfg.queue_cap)
+  let stage _ =
+    { writing = A.make 0; log = Mutex.create (); sizes = Recent.make (); attempts = Recent.make () }
   in
   let mutants = ref [] in
   let t =
     {
       cfg;
       dbs;
-      batchers;
+      stages = Array.init cfg.shards stage;
       mutants;
       commit = Commit.create ~shards:cfg.shards ~num_threads:cfg.num_threads ~mutants;
       ledger = Ledger.create ~mutants;
@@ -141,6 +177,11 @@ let create cfg =
       crash_gate = Sched.Mutex.create ();
       c_reqs = Obs.Metrics.counter "serve.requests";
       c_multi = Obs.Metrics.counter "serve.multi_shard_ops";
+      c_overload = Obs.Metrics.counter "serve.overload_rejections";
+      c_shed = Obs.Metrics.counter "serve.shed.expired";
+      c_batches = Obs.Metrics.counter "serve.batches";
+      h_batch = Obs.Metrics.histogram "serve.batch_size";
+      h_txn = Obs.Metrics.histogram "serve.stage.txn";
       heat = Array.make_matrix cfg.shards 16 0;
     }
   in
@@ -169,19 +210,13 @@ let commit t = t.commit
 let health t = t.health
 
 (* Engine alone maps shards to instances: the health machine gets, per
-   call, the verification of the one serving [s] and its batcher's drain. *)
+   call, the verification of the one serving [s]. *)
 let verify_shard t s = Kv.Redodb.verify_meta t.dbs.(s)
 let corrupt_shard t s ~seed ~count = Kv.Redodb.corrupt_durable_meta t.dbs.(s) ~seed ~count
-let drain t s () = if t.cfg.batch then Batcher.set_quarantined t.batchers.(s) true
-let quarantine t ~tid s ~reason = Health.quarantine t.health ~tid s ~reason ~drain:(drain t s)
-
-let scrub_step t ~tid s =
-  Health.scrub_step t.health ~tid s ~verify:(fun () -> verify_shard t s) ~drain:(drain t s)
-
-let set_mutants t ms =
-  t.mutants := ms;
-  let early = List.mem Commit.Ack_early ms in
-  Array.iter (fun b -> Batcher.set_ack_early b early) t.batchers
+let quarantine t ~tid s ~reason = Health.quarantine t.health ~tid s ~reason
+let scrub_step t ~tid s = Health.scrub_step t.health ~tid s ~verify:(fun () -> verify_shard t s)
+let set_mutants t ms = t.mutants := ms
+let mutants t = !(t.mutants)
 
 (* FNV-1a over the USER key (routing is independent of the internal
    escaping), deliberately different from the Hashtbl.hash the per-shard
@@ -236,46 +271,102 @@ let refresh_export t ~tid s =
 
 (* ---- writes ---- *)
 
-(* Commit a group of write requests on one shard, results in order.
-   Batched, the group goes to the shard's batcher in chunks the stage
-   always admits whole on an idle queue; unbatched, every request is its
-   own transaction. *)
-let commit_on t ~tid shard (group : Batcher.write list) =
-  let down ws = List.map (fun _ -> Error (Shard_down shard)) ws in
+(* One request's write set as its shard commits it: [ops] already holds
+   its outcome record, if any.  [rid] is the wire request id (0 =
+   none) and [deadline] an absolute gettimeofday time (0. = none). *)
+type job = {
+  ops : (string * string option) list;
+  rid : int;
+  deadline : float;
+}
+
+(* Claim up to [n] of the shard's [queue_cap] write slots; how many. *)
+let rec claim t st n =
+  let cur = A.get st.writing in
+  let k = min n (t.cfg.queue_cap - cur) in
+  if k <= 0 then 0
+  else if A.compare_and_set st.writing cur (cur + k) then k
+  else claim t st n
+
+(* [live] as one write_batch, one PTM transaction.  Its keys are logged
+   before the commit (the mid-batch crash oracle's ground truth); an
+   acknowledgement is written only after it returns. *)
+let commit_batch t ~tid shard (live : job list) =
+  let st = t.stages.(shard) in
+  let keys = List.concat_map (fun j -> List.map fst j.ops) live in
+  Mutex.protect st.log (fun () -> Recent.push st.attempts keys);
+  let size = List.length live in
+  let t_txn = if Obs.Metrics.is_on () then Unix.gettimeofday () else 0. in
+  Obs.Trace.span Obs.Trace.Batch ~tid ~arg:size ~rid:(List.hd live).rid (fun () ->
+      Kv.Redodb.write_batch t.dbs.(shard) ~tid (List.concat_map (fun j -> j.ops) live));
+  if t_txn > 0. then begin
+    Obs.Metrics.incr t.c_batches ~tid;
+    Obs.Metrics.record_ns t.h_batch ~tid size;
+    Obs.Metrics.record_ns t.h_txn ~tid (int_of_float ((Unix.gettimeofday () -. t_txn) *. 1e9))
+  end;
+  Mutex.protect st.log (fun () -> Recent.push st.sizes size)
+
+(* One chunk of a shard's slice: refused whole while the shard is down
+   or the engine crashing; otherwise a job whose deadline passed is shed
+   before any engine work, and the rest commit as one batch as far as
+   the shard's admission bound lets them, in order — past it, every
+   later job of the chunk answers [Overloaded].  Deadlines are wall
+   clock only: scheduled-mode callers pass none, so replay stays a pure
+   function of the seed. *)
+let commit_chunk t ~tid shard (jobs : job list) =
+  if not (Health.admits t.health shard) then List.map (fun _ -> Error (Shard_down shard)) jobs
+  else if A.get t.crashing then
+    List.map (fun _ -> Error (Unavailable "crashed before commit")) jobs
+  else begin
+    let now =
+      if List.exists (fun j -> j.deadline > 0.) jobs then Unix.gettimeofday () else 0.
+    in
+    let expired j = j.deadline > 0. && now > j.deadline in
+    let fresh = List.filter (fun j -> not (expired j)) jobs in
+    let st = t.stages.(shard) in
+    let admitted = claim t st (List.length fresh) in
+    if admitted > 0 then
+      Fun.protect
+        ~finally:(fun () -> ignore (A.fetch_and_add st.writing (-admitted)))
+        (fun () -> commit_batch t ~tid shard (List.filteri (fun i _ -> i < admitted) fresh));
+    let seen = ref 0 in
+    List.map
+      (fun j ->
+        if expired j then begin
+          Obs.Metrics.incr t.c_shed ~tid;
+          Error Timed_out
+        end
+        else begin
+          incr seen;
+          if !seen <= admitted then Result.Ok ()
+          else begin
+            Obs.Metrics.incr t.c_overload ~tid;
+            Error Overloaded
+          end
+        end)
+      jobs
+  end
+
+(* Commit a group of jobs on one shard, results in order, in chunks of
+   [min max_batch queue_cap] (of one when [batch] is off), so that a
+   group never overloads against its own size. *)
+let commit_on t ~tid shard (group : job list) =
   let chunk = if t.cfg.batch then min t.cfg.max_batch t.cfg.queue_cap else 1 in
-  let commit ws =
-    if t.cfg.batch then
-      List.map
-        (function
-          | Result.Ok () -> Result.Ok ()
-          | Error `Overloaded -> Error Overloaded
-          | Error `Rejected -> Error (Unavailable "crashed before commit")
-          | Error `Shed -> Error Timed_out
-          | Error `Quarantined -> Error (Shard_down shard))
-        (Batcher.submit t.batchers.(shard) ~tid ws)
-    else
-      List.map
-        (fun (w : Batcher.write) ->
-          Kv.Redodb.write_batch t.dbs.(shard) ~tid w.ops;
-          Result.Ok ())
-        ws
-  in
   let rec go acc = function
     | [] -> List.rev acc
-    | ws -> (
-        match commit (List.filteri (fun i _ -> i < chunk) ws) with
-        | rs -> go (List.rev_append rs acc) (List.filteri (fun i _ -> i >= chunk) ws)
-        | exception Ptm.Ptm_intf.Unrecoverable { detail; _ }
-          when t.cfg.isolate ->
+    | jobs -> (
+        match commit_chunk t ~tid shard (List.filteri (fun i _ -> i < chunk) jobs) with
+        | rs -> go (List.rev_append rs acc) (List.filteri (fun i _ -> i >= chunk) jobs)
+        | exception Ptm.Ptm_intf.Unrecoverable { detail; _ } when t.cfg.isolate ->
             (* a live op tripped over the shard's region: fault-isolate
                it instead of taking the engine down *)
             quarantine t ~tid shard ~reason:detail;
-            List.rev_append acc (down ws))
+            List.rev_append acc (List.map (fun _ -> Error (Shard_down shard)) jobs))
   in
-  if Health.admits t.health shard then go [] group else down group
+  go [] group
 
 (* [commit_on] for single-shard writes, each paired with its client
-   token.  A batch drained before a quarantine can commit on the dropped
+   token.  A batch admitted before a quarantine can commit on the dropped
    instance after the rebuild read its journal, so the rebuilt instance
    never sees it.  The instance is taken before the submit; if it no
    longer serves afterwards, each committed write is answered from the
@@ -284,7 +375,7 @@ let commit_on t ~tid shard (group : Batcher.write list) =
    the read: lost, so refused), an untokened one, or any write while the
    shard is down, as in doubt — never acked, never refused if it may
    have survived. *)
-let submit_shard t ~tid shard (group : (Batcher.write * int) list) =
+let submit_shard t ~tid shard (group : (job * int) list) =
   let db = view t shard in
   let rs = commit_on t ~tid shard (List.map fst group) in
   if not (Commit.moved ~view:(view t) (shard, db)) then rs
@@ -330,7 +421,7 @@ let write_group t ~tid (group : write list) =
         touch t s w.key;
         let ops = with_outcome t ~tok:w.tok [ (Commit.user_key w.key, w.value) ] in
         slices.(s) <-
-          (i, ({ Batcher.ops; rid = w.rid; deadline = w.deadline }, w.tok)) :: slices.(s)
+          (i, ({ ops; rid = w.rid; deadline = w.deadline }, w.tok)) :: slices.(s)
       end)
     group;
   Ledger.with_active t.ledger ~tid !toks (fun () ->
@@ -376,13 +467,13 @@ let multi_put t ~tid ?(rid = 0) ?(tok = 0) ?(deadline = 0.) ops =
       match !slices with
       | [] -> Result.Ok (fast ())
       | [ (s, ops) ] ->
-          let w = { Batcher.ops = with_outcome t ~tok ops; rid; deadline } in
+          let w = { ops = with_outcome t ~tok ops; rid; deadline } in
           Result.map fast (List.hd (submit_shard t ~tid s [ (w, tok) ]))
       | slices -> (
           match
             Commit.two_phase t.commit ~tid ~rid ~tok ~deadline ~view:(view t)
               ~submit:(fun ~deadline s ops ->
-                List.hd (commit_on t ~tid s [ { Batcher.ops; rid; deadline } ]))
+                List.hd (commit_on t ~tid s [ { ops; rid; deadline } ]))
               slices
           with
           | Result.Ok _ as ok -> ok
@@ -475,14 +566,10 @@ let txstat t ~tid tok =
   Commit.help t.commit ~tid ~view:(view t);
   Result.Ok (Ledger.status t.ledger ~tid ~dbs:t.dbs tok)
 
+let queue_depths t = Array.to_list (Array.map (fun st -> A.get st.writing) t.stages)
+
 let overload_hint t =
-  if not t.cfg.batch || t.cfg.queue_cap <= 0 then 0.
-  else begin
-    let worst =
-      Array.fold_left (fun acc b -> max acc (Batcher.queue_depth b)) 0 t.batchers
-    in
-    float_of_int worst /. float_of_int t.cfg.queue_cap
-  end
+  float_of_int (List.fold_left max 0 (queue_depths t)) /. float_of_int t.cfg.queue_cap
 
 (* User keys only — commit metadata and high-water marks are not data. *)
 let count t ~tid =
@@ -567,12 +654,6 @@ let rebuild_shard t ~tid s =
             Error ("rebuild: " ^ detail)
         | Result.Ok fresh ->
             t.dbs.(s) <- fresh;
-            if Array.length t.batchers > 0 then begin
-              t.batchers.(s) <-
-                Batcher.create ~db:fresh ~shard:s ~max_batch:t.cfg.max_batch
-                  ~linger_us:t.cfg.linger_us ~queue_cap:t.cfg.queue_cap;
-              Batcher.set_ack_early t.batchers.(s) (List.mem Commit.Ack_early !(t.mutants))
-            end;
             Kv.Redodb.journal_cut fresh ~tid;
             t.exports.(s) <- Some (Kv.Redodb.export_snapshot fresh ~tid);
             Health.finish_rebuild t.health ~tid s ~ok:true;
@@ -584,20 +665,15 @@ let crash_with_faults t ~tid ~seed ~evict_prob ~torn_prob ~bitflips =
   @@ fun () ->
   let t0 = Unix.gettimeofday () in
   A.set t.crashing true;
-  Array.iter (fun b -> Batcher.set_crashing b true) t.batchers;
-  Park.await (fun () ->
-      if A.get t.inflight > 0 || not (Array.for_all Batcher.quiesced t.batchers)
-      then None
-      else Some ());
+  Park.await (fun () -> if A.get t.inflight > 0 then None else Some ());
   match recover_all t ~seed ~evict_prob ~torn_prob ~bitflips with
   | Result.Ok _ ->
-      Array.iter (fun b -> Batcher.set_crashing b false) t.batchers;
       A.set t.crashing false;
       Result.Ok (Unix.gettimeofday () -. t0)
   | Error _ as e -> e (* unrecoverable: the engine stays down *)
 
 let crash_hard_with_faults t ~seed ~evict_prob ~torn_prob ~bitflips =
-  Array.iter Batcher.reset t.batchers;
+  Array.iter (fun st -> A.set st.writing 0) t.stages;
   A.set t.inflight 0;
   A.set t.crashing false;
   Sched.Mutex.reset t.crash_gate;
@@ -611,26 +687,20 @@ let set_flush_cost t iters =
   t.flush_cost <- Some iters;
   Array.iter (fun db -> Kv.Redodb.set_flush_cost db iters) t.dbs
 
-let stall_hazard t ~tid =
-  Array.exists (fun b -> Batcher.stall_hazard b ~tid) t.batchers
-  || Commit.stall_hazard t.commit ~tid
-  || Ledger.stall_hazard t.ledger ~tid
-
-let batch_sizes t ~shard = Batcher.batch_sizes t.batchers.(shard)
-let batches_committed t ~shard = Batcher.batches_committed t.batchers.(shard)
+let stall_hazard t ~tid = Commit.stall_hazard t.commit ~tid || Ledger.stall_hazard t.ledger ~tid
+let recent st log = Mutex.protect st.log (fun () -> Recent.to_list log)
+let batch_sizes t ~shard = recent t.stages.(shard) t.stages.(shard).sizes
+let batches_committed t ~shard = t.stages.(shard).sizes.total
 
 let attempted_batches t ~shard =
   List.map
     (List.filter_map (fun k ->
          if String.length k > 0 && k.[0] = 'u' then Some (Commit.user_of_internal k)
          else None))
-    (Batcher.attempted_batches t.batchers.(shard))
+    (recent t.stages.(shard) t.stages.(shard).attempts)
 
 let pmem_stats t =
   Array.fold_left (fun acc db -> Pmem.Stats.add acc (Kv.Redodb.stats db)) Pmem.Stats.zero t.dbs
-
-let queue_depths t =
-  Array.to_list (Array.map Batcher.queue_depth t.batchers)
 
 let stats_json t =
   let shard_rows =
@@ -645,13 +715,8 @@ let stats_json t =
                ("keys", Obs.Json.Int (Kv.Redodb.count db ~tid:0));
                ("nvm_words", Obs.Json.Int nvm);
                ("volatile_words", Obs.Json.Int vol);
-               ( "queue_depth",
-                 if t.cfg.batch then Obs.Json.Int (Batcher.queue_depth t.batchers.(i))
-                 else Obs.Json.Null );
-               ( "batches_committed",
-                 if t.cfg.batch then
-                   Obs.Json.Int (batches_committed t ~shard:i)
-                 else Obs.Json.Null );
+               ("queue_depth", Obs.Json.Int (A.get t.stages.(i).writing));
+               ("batches_committed", Obs.Json.Int (batches_committed t ~shard:i));
                ( "heat",
                  Obs.Json.List
                    (Array.to_list (Array.map (fun n -> Obs.Json.Int n) t.heat.(i)))

@@ -3,8 +3,9 @@
     its own RedoOpt-PTM region.  Single-shard ops route directly;
     multi-shard ops visit shards in index order — never holding one
     shard while waiting on a lower-numbered one — so the engine is
-    deadlock-free by construction.  With [batch = true], each shard's
-    writes flow through a {!Batcher} group-commit stage.
+    deadlock-free by construction.  Each shard commits its writes as
+    [Kv.Redodb.write_batch] batches, one PTM transaction each; the PTM's
+    own combiner is where concurrent batches meet.
 
     Contract: an [Ok] write is durable and visible (its PTM transaction
     committed before the ack).  A cross-shard [multi_put] is
@@ -19,12 +20,17 @@ type config = {
   shards : int;
   num_threads : int;  (** accepted tids are [0 .. num_threads - 1] *)
   capacity_bytes : int;  (** total user-data budget, split across shards *)
-  batch : bool;  (** route writes through the group-commit stage *)
-  max_batch : int;  (** group-commit batch size cap *)
+  batch : bool;
+      (** [false] commits every write as its own batch of one, on the
+          same path as [true] ([max_batch = 1] says the same); due to be
+          removed together with the benchmark's use of it *)
+  max_batch : int;  (** batch size cap *)
   linger_us : float;
-      (** flush deadline of a non-full batch, on {!Park.now_us}'s clock
-          (scheduler steps under {!Sched}) *)
-  queue_cap : int;  (** per-shard admission bound *)
+      (** must be [0.] ({!create} raises [Invalid_argument] otherwise):
+          no batch waits for more writes.  Due to be removed together
+          with the benchmark's use of it *)
+  queue_cap : int;
+      (** per-shard admission bound: writes in flight on one shard *)
   backing_dir : string option;
       (** when set, each shard's durable image is a [MAP_SHARED] region
           file [<dir>/shard-<i>.region]: acked writes survive a [kill
@@ -44,8 +50,8 @@ type config = {
           exactly and pays no journal/export overhead. *)
 }
 
-(** 4 shards, 9 tids, 1 MiB, batching on (cap 16, zero linger), queue
-    cap 64, no backing directory (volatile, in-process regions), fault
+(** 4 shards, 9 tids, 1 MiB, batches of at most 16 writes, zero linger,
+    queue cap 64, no backing directory (volatile, in-process regions), fault
     isolation off. *)
 val default_config : config
 
@@ -60,7 +66,9 @@ type t
 type ack = Commit.ack = { txid : int; epoch : int }
 
 type error =
-  | Overloaded  (** bounded queue full — explicit backpressure, nothing enqueued *)
+  | Overloaded
+      (** the shard already has [queue_cap] writes in flight — explicit
+          backpressure, nothing durable happened *)
   | Unavailable of string
       (** crashing/crashed or definitely aborted; the request took no
           durable effect and is safe to retry after recovery *)
@@ -73,7 +81,7 @@ type error =
           is answered by its outcome record whenever the shard serves
           again by the time it returns) *)
   | Timed_out
-      (** the request's deadline expired while it queued: it was shed
+      (** the request's deadline expired before it ran: it was shed
           before any engine work (cross-shard: before any prepare
           landed, or the staged prepares were rolled back), nothing
           durable happened, and retrying is always safe *)
@@ -100,8 +108,9 @@ val health : t -> Health.t
 val shard_of : t -> string -> int
 
 (** Write entry points take an optional wire request id [rid] (0 =
-    none): it rides into every trace span the request produces — queue
-    wait, 2PC prepare/decide/apply, the commit itself — so one request's
+    none): it rides into every trace span the request produces — the
+    batch (which carries its first request's id), 2PC
+    prepare/decide/apply, the commit itself — so one request's
     span tree can be followed across threads in the trace export.
 
     They also take an optional client write token [tok] (0 = none) and
@@ -111,8 +120,8 @@ val shard_of : t -> string -> int
     token is exactly-once: if the first attempt committed, the retry is
     answered from the ledger ([serve.retry.dedup_hits]) without
     re-running; {!txstat} resolves the token after a lost ack.  A
-    deadline that expires while the request queues sheds it with
-    [Timed_out] before any durable work. *)
+    deadline that has expired when the request's batch is about to
+    commit sheds it with [Timed_out] before any durable work. *)
 
 (** One single-key write request: [Some v] puts, [None] deletes. *)
 type write = {
@@ -126,13 +135,16 @@ type write = {
 (** Commit a group of single-key writes; results come back in group
     order, one per request.  Each request keeps its own token dedup,
     outcome record, deadline and rid.  The group is split by shard, and
-    each shard's slice goes, in group order, through that shard's
-    group-commit stage in chunks of at most [min max_batch queue_cap]
-    requests — so writes to one key take effect in group order, and a
-    group never answers [Overloaded] against its own size.  A write is
-    acked only if the shard's instance still serves after its commit:
-    a batch drained before a quarantine can commit on the dropped
-    instance after the rebuild read its journal.  Otherwise a tokened
+    each shard's slice commits, in group order, as batches of at most
+    [min max_batch queue_cap] requests (one when [batch] is off) — so
+    writes to one key take effect in group order, and a group never
+    answers [Overloaded] against its own size.  Before each batch the
+    shard's health and the engine's crash state are checked, expired
+    requests are shed, and the rest are admitted while the shard has
+    fewer than [queue_cap] writes in flight.  A write is acked only if
+    the shard's instance still serves after its commit: a batch that
+    passed its admission check before a quarantine can commit on the
+    dropped instance after the rebuild read its journal.  Otherwise a tokened
     write is answered by its outcome record on the current instance
     ([Ok] if there, [Shard_down] if not), and an untokened one, or any
     while the shard is down, with [In_doubt 0].  [put] and [delete]
@@ -201,15 +213,17 @@ val count : t -> tid:int -> int
 
 (** Install guard-dropping protocol mutants (sweep calibration only):
     the one list {!Commit}, {!Ledger} and {!Health} each check for the
-    guards they own; {!Commit.Ack_early} is forwarded into every shard's
-    batcher ({!Batcher.set_ack_early}). *)
+    guards they own; {!Reactor} checks {!Commit.Ack_early}. *)
 val set_mutants : t -> Commit.mutant list -> unit
+
+(** The installed mutants. *)
+val mutants : t -> Commit.mutant list
 
 (** {2 Crash and recovery} *)
 
-(** Whole-engine power failure under load: new requests bounce with
-    [Unavailable], queued unacknowledged writes drain by rejection,
-    in-flight batch commits finish (their acks stay valid), then every
+(** Whole-engine power failure under load: new requests and batches not
+    yet begun bounce with [Unavailable], in-flight batch commits finish
+    (their acks stay valid), then every
     shard crashes through the media-fault path
     ({!Kv.Redodb.crash_with_faults}, seed derived per shard) and
     recovers, and commit recovery settles in-doubt cross-shard
@@ -229,9 +243,9 @@ val crash_with_faults :
 (** Hard power failure for harnesses that guarantee no live thread is
     inside the engine (scheduler fibers suspended forever, a
     single-threaded loop, or the thread that just raised
-    {!Commit.Injected_crash}): volatile stage, health, ledger and commit
-    state (queues, leaders, every lock, the commit registry, the armed
-    crash) is dropped as the machine would lose it — this is how a crash
+    {!Commit.Injected_crash}): volatile admission, health, ledger and
+    commit state (in-flight counts, every lock, the commit registry, the
+    armed crash) is dropped as the machine would lose it — this is how a crash
     lands mid-batch or mid-2PC — then the shards recover and commit
     recovery runs.  [Ok total_recovery_seconds]. *)
 val crash_hard_with_faults :
@@ -255,8 +269,8 @@ val set_flush_cost : t -> int -> unit
     [count] serve the healthy subset of the keyspace. *)
 
 (** Quarantine one shard (FREEZE, a confirmed scrub anomaly, or a live
-    {!Ptm.Ptm_intf.Unrecoverable} under [isolate]): admission flips off
-    and its batcher drains with no acks. *)
+    {!Ptm.Ptm_intf.Unrecoverable} under [isolate]): admission flips off,
+    and batches not yet begun on it answer [Shard_down]. *)
 val quarantine : t -> tid:int -> int -> reason:string -> unit
 
 (** One online-scrub step over one shard ({!Health.scrub_step} on the
@@ -279,7 +293,7 @@ val corrupt_shard : t -> int -> seed:int -> count:int -> unit
     volatile ledger survived the media rot), settle every txid with a
     prepare or decision on it, once its live coordinator has returned,
     by {!Commit}'s rule over the reachable shards and the fresh one,
-    swap it in with a fresh batcher, re-anchor the journal at a fresh
+    swap it in, re-anchor the journal at a fresh
     export, and readmit the shard.  The other shards serve throughout.
     [Error] (not quarantined, no export, corrupt snapshot, or [isolate]
     off) leaves the shard quarantined; the rebuild may be retried. *)
@@ -298,23 +312,27 @@ val refresh_export : t -> tid:int -> int -> unit
 
 (** {2 Introspection} *)
 
-(** Scheduler-adversary hazard: [tid] is a committing batch leader,
-    holds a stage, registry or active-token lock, or sits between
-    registering a cross-shard commit and confirming its decision (see
-    {!Batcher.stall_hazard}, {!Commit.stall_hazard}).
+(** Scheduler-adversary hazard: [tid] holds a registry or active-token
+    lock, or sits between registering a cross-shard commit and
+    confirming its decision (see {!Commit.stall_hazard}).
     Freezing a thread there could wedge readers with a decided commit
     they cannot help to completion. *)
 val stall_hazard : t -> tid:int -> bool
 
-(** Sizes of one shard's last {!Batcher.window} committed batches,
-    oldest first (batching only). *)
+(** How many recent batches {!batch_sizes} and {!attempted_batches}
+    keep per shard (1024): the logs do not grow with the engine's
+    history. *)
+val batch_window : int
+
+(** Sizes of one shard's last {!batch_window} committed batches, oldest
+    first. *)
 val batch_sizes : t -> shard:int -> int list
 
-(** Batches one shard has committed since the engine started, or since
-    the shard's last rebuild (batching only). *)
+(** Batches one shard has committed since the engine started (an exact
+    count, not bounded by {!batch_window}). *)
 val batches_committed : t -> shard:int -> int
 
-(** USER keys of one shard's last {!Batcher.window} drained batches,
+(** USER keys of one shard's last {!batch_window} attempted batches,
     oldest first, logged before commit — the mid-batch crash oracle's
     ground truth.  Commit metadata writes are excluded: they are not
     acked user data. *)
@@ -323,17 +341,17 @@ val attempted_batches : t -> shard:int -> string list list
 (** Device counters summed over every shard's current instance. *)
 val pmem_stats : t -> Pmem.Stats.snapshot
 
-(** Current per-shard queue depths (batching only; [[]] otherwise). *)
+(** Writes in flight on each shard, in shard order. *)
 val queue_depths : t -> int list
 
-(** Fraction of the busiest shard's admission queue in use ([0.] when
-    batching is off): the server's overload signal for per-class
-    shedding — scans go first, then multi-key writes.  Cheap (no locks),
-    monotone with queue growth, and deliberately pessimistic: one hot
-    shard is enough to start shedding scans. *)
+(** Fraction of the busiest shard's admission bound in use: the server's
+    overload signal for per-class shedding — scans go first, then
+    multi-key reads.  Cheap (no locks), monotone with load, and
+    deliberately pessimistic: one hot shard is enough to start shedding
+    scans. *)
 val overload_hint : t -> float
 
-(** Engine + per-shard stats (counters, queue depths, key-popularity
+(** Engine + per-shard stats (counters, in-flight writes, key-popularity
     heat sketches), commit-state snapshot, the sliding-window percentile
     snapshots ([windows]), and the full metrics registry, as JSON (the
     STATS wire response). *)

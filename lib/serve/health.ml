@@ -63,19 +63,16 @@ let move h ~tid s ~from ~to_ ~reason =
        true
      end
 
-(* [drain] (the engine's batcher drain) runs under the lock, so before any
-   rebuild can swap in a fresh batcher. *)
-let quarantine h ~tid s ~reason ~drain =
+let quarantine h ~tid s ~reason =
   locked h ~tid @@ fun () ->
   let st = A.get h.state.(s) in
   if st <> 2 && st <> 3 then begin
     A.set h.state.(s) 2;
     h.reason.(s) <- reason;
-    drain ();
     bump h ~tid quarantines
   end
 
-let scrub_step h ~tid s ~verify ~drain =
+let scrub_step h ~tid s ~verify =
   match A.get h.state.(s) with
   | 2 | 3 -> `Skipped
   | st -> (
@@ -94,7 +91,7 @@ let scrub_step h ~tid s ~verify ~drain =
             `Suspected detail
           end
           else begin
-            quarantine h ~tid s ~reason:detail ~drain;
+            quarantine h ~tid s ~reason:detail;
             `Confirmed detail
           end)
 

@@ -33,9 +33,9 @@ val shard : t -> int -> string * string * int
 val counters : t -> (string * int) list
 
 (** Quarantine one shard (see {!Engine.quarantine}): admission flips
-    off and, under the transition lock, [drain] runs — only if this call
-    moved the shard out of Healthy or Suspect. *)
-val quarantine : t -> tid:int -> int -> reason:string -> drain:(unit -> unit) -> unit
+    off, and the quarantine is counted only if this call moved the shard
+    out of Healthy or Suspect. *)
+val quarantine : t -> tid:int -> int -> reason:string -> unit
 
 (** One online-scrub step over one shard: [verify] its durable sealed
     PTM metadata ({!Kv.Redodb.verify_meta}) against silent media rot,
@@ -44,8 +44,8 @@ val quarantine : t -> tid:int -> int -> reason:string -> drain:(unit -> unit) ->
     marks the shard Suspect ([`Suspected], still serving — live
     operations never read the durable image, so nothing wrong has been
     served yet — and the caller re-steps immediately to confirm); the
-    second quarantines with [drain] ([`Confirmed]).  A Suspect shard that re-verifies clean is
-    re-trusted.  [`Skipped] for Quarantined/Rebuilding shards.  Under
+    second quarantines ([`Confirmed]).  A Suspect shard that re-verifies
+    clean is re-trusted.  [`Skipped] for Quarantined/Rebuilding shards.  Under
     {!Commit.No_scrub_verify} the walk still advances (scrub progress
     looks alive) but never verifies. *)
 val scrub_step :
@@ -53,7 +53,6 @@ val scrub_step :
   tid:int ->
   int ->
   verify:(unit -> (unit, string) result) ->
-  drain:(unit -> unit) ->
   [ `Clean | `Suspected of string | `Confirmed of string | `Skipped ]
 
 (** Run [f] under the health lock iff the shard is Healthy. *)

@@ -15,10 +15,10 @@
      connections interleave freely, and a response completes whenever
      its engine call does, out of order within each connection's
      window; the RID echoed on every response is the correlator that
-     lets the client match them back up.  Ingress is where group commit
-     forms its batches: a worker that pops a single-key write takes
-     every further queued write with it (see [take]) and hands the
-     engine the whole group;
+     lets the client match them back up.  Ingress is where batches
+     form: a worker that pops a single-key write takes every further
+     queued write with it (see [take]) and hands the engine the whole
+     group;
    - an on-demand WRITER fiber per connection flushes the outgoing
      buffer and parks on write readiness when the socket pushes back.
 
@@ -253,12 +253,11 @@ let kind : Protocol.req -> [ `Read | `Write | `Barrier ] = function
 
 (* The next unit of work: the head request alone, or — when the head is
    a single-key write — the head plus every further queued write in
-   ingress order, up to the next barrier.  At zero linger a unit runs
-   to completion without yielding its reactor, so writes take effect in
-   ingress order.  A unit that does yield (a follower of another
-   reactor's batch leader, a linger window) overlaps later units; their
-   requests were in flight together on the wire, so either order is
-   linearizable. *)
+   ingress order, up to the next barrier.  A write unit runs to
+   completion without yielding its reactor, so writes take effect in
+   ingress order.  A unit that does yield (an MPUT waiting on another
+   commit) overlaps later units; their requests were in flight together
+   on the wire, so either order is linearizable. *)
 let take r =
   match Queue.take_opt r.ingress with
   | None -> None
@@ -282,6 +281,13 @@ let take r =
       Queue.transfer skipped r.ingress;
       Some g
 
+(* What the ack-before-commit mutant answers a write before it commits:
+   an MPUT gets the single-shard form of its acknowledgement. *)
+let early_ack : Protocol.req -> Protocol.resp option = function
+  | Put _ | Del _ -> Some Ok
+  | Mput _ -> Some (Committed { txid = 0; epoch = 0 })
+  | _ -> None
+
 let rec worker_loop t r ~tid =
   match take r with
   | Some unit ->
@@ -291,14 +297,31 @@ let rec worker_loop t r ~tid =
          gate must catch the fairness collapse. *)
       if t.cfg.block_in_reactor then
         List.iter (fun _ -> ignore (Unix.select [] [] [] 0.02)) unit;
+      let rid (_, it) = it.Dispatch.env.Protocol.rid in
+      (* The ack-before-commit mutant: a write unit's acks are written,
+         and the worker parks so the loop flushes them, BEFORE the unit
+         commits.  Deliberately unsound: a kill inside the park loses
+         acked writes, which the supervised kill-restart audit must
+         catch. *)
+      let early =
+        List.mem Commit.Ack_early (Engine.mutants t.eng)
+        && early_ack (snd (List.hd unit)).Dispatch.req <> None
+      in
+      if early then begin
+        List.iter
+          (fun ((c, it) as x) ->
+            deliver t c ~rid:(rid x) (Option.get (early_ack it.Dispatch.req)))
+          unit;
+        Aio.sleep 0.005
+      end;
       (* Execute even if the peer vanished meanwhile: a tokened write
          may be the one its client is already retrying elsewhere. *)
       let resps =
         Dispatch.serve t.disp ~tid ~extra_wins:r.rwins (List.map snd unit)
       in
       List.iter2
-        (fun (c, it) resp ->
-          deliver t c ~rid:it.Dispatch.env.Protocol.rid resp;
+        (fun ((c, _) as x) resp ->
+          if not early then deliver t c ~rid:(rid x) resp;
           retire t c)
         unit resps;
       worker_loop t r ~tid

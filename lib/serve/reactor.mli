@@ -19,8 +19,8 @@
     parks its read fiber (TCP backpressure) until a response retires.
 
     Degradation under pressure, in order: TTL-expired requests are shed
-    with the retryable [Timeout] (queued writes by the batcher, reads at
-    execution), then scans, then multi-gets (per-class thresholds on
+    with the retryable [Timeout] (writes by the engine before their
+    batch commits, reads at execution), then scans, then multi-gets (per-class thresholds on
     {!Engine.overload_hint}); point ops and writes keep flowing until
     admission control pushes back with [Overloaded].  Malformed
     requests answer [Err] without killing the connection; a broken

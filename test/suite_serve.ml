@@ -12,7 +12,7 @@ module C = Serve.Commit
 module H = Serve.Health
 
 let small_engine ?(shards = 2) ?(num_threads = 4) ?(batch = true) ?(max_batch = 4)
-    ?(linger_us = 0.) ?(queue_cap = 16) ?(isolate = false) ?backing_dir () =
+    ?(queue_cap = 16) ?(isolate = false) ?backing_dir () =
   E.create
     {
       E.shards;
@@ -20,7 +20,7 @@ let small_engine ?(shards = 2) ?(num_threads = 4) ?(batch = true) ?(max_batch = 
       capacity_bytes = 1 lsl 16;
       batch;
       max_batch;
-      linger_us;
+      linger_us = 0.;
       queue_cap;
       backing_dir;
       isolate;
@@ -287,23 +287,24 @@ let status_strings r =
 
 (* Fingerprint of a scheduled serving run: scheduler steps, fiber
    statuses, global ack order, and per-shard committed batch sizes must
-   be a pure function of the schedule seed. *)
+   be a pure function of the schedule seed.  Each fiber commits one
+   group of three writes, so over two shards some slice holds two. *)
 let serve_fingerprint ~seed () =
-  let e = small_engine ~linger_us:4. () in
+  let e = small_engine () in
   let ack_seq = Stdlib.Atomic.make 0 in
   let per_fiber = 3 in
   let acks = Array.make (4 * per_fiber) (-1) in
   let body fid =
-    for i = 0 to per_fiber - 1 do
-      match
-        E.put e ~tid:fid
-          ~key:(Printf.sprintf "f%d-%d" fid i)
-          ~value:(Printf.sprintf "v%d.%d" fid i)
-      with
-      | Ok () ->
-          acks.((fid * per_fiber) + i) <- Sched.Atomic.fetch_and_add ack_seq 1
-      | Error _ -> ()
-    done
+    let group =
+      List.init per_fiber (fun i ->
+          { E.key = Printf.sprintf "f%d-%d" fid i; value = Some (Printf.sprintf "v%d.%d" fid i);
+            rid = 0; tok = 0; deadline = 0. })
+    in
+    List.iteri
+      (fun i r ->
+        if r = Ok () then
+          acks.((fid * per_fiber) + i) <- Sched.Atomic.fetch_and_add ack_seq 1)
+      (E.write_group e ~tid:fid group)
   in
   let r = Sched.run ~seed ~num_fibers:4 body in
   ( r.Sched.steps,
@@ -329,12 +330,12 @@ let test_batch_determinism () =
   Alcotest.(check bool) "group commit coalesced some batch" true
     (List.exists (fun s -> s > 1) (b0 @ b1))
 
-(* A batcher keeps a window of its recent batches, not its whole history:
+(* A shard keeps a window of its recent batches, not its whole history:
    past the window the committed count stays exact while the sizes and
    attempted-key logs stop growing. *)
 let test_batch_history_bounded () =
   let e = small_engine ~shards:1 () in
-  let n = Serve.Batcher.window + 100 in
+  let n = E.batch_window + 100 in
   for i = 1 to n do
     match E.put e ~tid:0 ~key:(Printf.sprintf "k%d" (i mod 10)) ~value:"v" with
     | Ok () -> ()
@@ -342,30 +343,50 @@ let test_batch_history_bounded () =
   done;
   Alcotest.(check int) "every batch counted" n (E.batches_committed e ~shard:0);
   let sizes = E.batch_sizes e ~shard:0 in
-  Alcotest.(check int) "sizes keep the window" Serve.Batcher.window
+  Alcotest.(check int) "sizes keep the window" E.batch_window
     (List.length sizes);
   Alcotest.(check bool) "each write its own batch" true
     (List.for_all (( = ) 1) sizes);
   let attempted = E.attempted_batches e ~shard:0 in
-  Alcotest.(check int) "attempts keep the window" Serve.Batcher.window
+  Alcotest.(check int) "attempts keep the window" E.batch_window
     (List.length attempted);
   Alcotest.(check (list string)) "newest attempt last"
     [ Printf.sprintf "k%d" (n mod 10) ]
-    (List.nth attempted (Serve.Batcher.window - 1))
+    (List.nth attempted (E.batch_window - 1))
+
+(* [batch = false] commits each write as its own batch on the same path,
+   and reports those batches like any other. *)
+let test_unbatched_reports_batches () =
+  let e = small_engine ~batch:false () in
+  let keys = List.init 6 (fun i -> Printf.sprintf "u%d" i) in
+  List.iter
+    (fun r -> if r <> Ok () then Alcotest.fail "unbatched write")
+    (E.write_group e ~tid:0
+       (List.map (fun key -> { E.key; value = Some "v"; rid = 0; tok = 0; deadline = 0. }) keys));
+  for shard = 0 to 1 do
+    let mine = List.filter (fun k -> E.shard_of e k = shard) keys in
+    let n = List.length mine in
+    Alcotest.(check int) (Printf.sprintf "shard %d: a batch per write" shard) n
+      (E.batches_committed e ~shard);
+    Alcotest.(check (list int)) (Printf.sprintf "shard %d: each of size 1" shard)
+      (List.init n (fun _ -> 1)) (E.batch_sizes e ~shard);
+    Alcotest.(check (list (list string))) (Printf.sprintf "shard %d: one key each" shard)
+      (List.map (fun k -> [ k ]) mine) (E.attempted_batches e ~shard)
+  done;
+  Alcotest.(check (list int)) "nothing left in flight" [ 0; 0 ] (E.queue_depths e)
 
 (* A stalled client must not block other clients' batches: stall fiber 0
-   at a sweep of steps (deferred while it is leader / holds the stage
-   lock, so the stall always lands on a *waiting* client); every other
+   at a sweep of steps (deferred while it is a stall hazard); every other
    fiber must still finish and its writes must be durable.  If the stall
-   lands after the victim enqueued, some other leader commits the
-   victim's op — the helped case, which must occur somewhere in the
-   sweep. *)
+   lands after the victim announced its transaction, another fiber's
+   PTM combiner commits the victim's op — the helped case, which must
+   occur somewhere in the sweep. *)
 let test_stalled_client_adversary () =
   let helped = ref false in
   let landed = ref false in
   List.iter
     (fun at ->
-      let e = small_engine ~shards:1 ~linger_us:6. () in
+      let e = small_engine ~shards:1 () in
       let body fid =
         let n = if fid = 0 then 1 else 3 in
         for i = 0 to n - 1 do
@@ -408,25 +429,33 @@ let test_stalled_client_adversary () =
     [ 5; 15; 30; 60; 120; 240 ];
   Alcotest.(check bool) "some stall actually landed" true !landed;
   Alcotest.(check bool)
-    "a waiting victim's op was committed by another leader" true !helped
+    "a waiting victim's op was committed by another fiber" true !helped
 
-(* Crash at an arbitrary scheduler step, drop all volatile batching
-   state, recover every shard through the media-fault path: each drained
-   batch (logged before its commit) must be all-or-nothing, surviving
-   values must be exact, and every acknowledged write must be durable. *)
+(* Crash at an arbitrary scheduler step, drop all volatile engine
+   state, recover every shard through the media-fault path: each
+   attempted batch (logged before its commit) must be all-or-nothing,
+   surviving values must be exact, and every acknowledged write must be
+   durable.  Each fiber commits two groups of three writes over two
+   shards, so batches hold up to three keys. *)
 let test_midbatch_crash_atomicity () =
   List.iter
     (fun stop ->
-      let e = small_engine ~num_threads:3 ~max_batch:3 ~linger_us:3. () in
-      let per_fiber = 4 in
+      let e = small_engine ~num_threads:3 ~max_batch:3 () in
+      let per_fiber = 6 and group = 3 in
       let acked = Array.make (3 * per_fiber) false in
       let key fid i = Printf.sprintf "f%d-%d" fid i in
       let value fid i = Printf.sprintf "V%d.%d" fid i in
       let body fid =
-        for i = 0 to per_fiber - 1 do
-          match E.put e ~tid:fid ~key:(key fid i) ~value:(value fid i) with
-          | Ok () -> acked.((fid * per_fiber) + i) <- true
-          | Error _ -> ()
+        for g = 0 to (per_fiber / group) - 1 do
+          let is = List.init group (fun j -> (g * group) + j) in
+          List.iter2
+            (fun i r -> if r = Ok () then acked.((fid * per_fiber) + i) <- true)
+            is
+            (E.write_group e ~tid:fid
+               (List.map
+                  (fun i ->
+                    { E.key = key fid i; value = Some (value fid i); rid = 0; tok = 0; deadline = 0. })
+                  is))
         done
       in
       ignore (Sched.run ~seed:5 ~stop_at:stop ~num_fibers:3 body);
@@ -475,31 +504,40 @@ let test_midbatch_crash_atomicity () =
       done)
     [ 10; 25; 40; 60; 90; 130; 200; 300 ]
 
-(* Bounded-queue admission control: with a long linger and a tiny queue,
-   excess clients get an immediate Overloaded — and the rejection counter
-   matches. *)
+(* Admission control: six writers inside one shard's commit at once (the
+   scheduler interleaves them inside the PTM transaction) against an
+   admission bound of two.  An observer fiber samples the writes in
+   flight: the bound must be reached and never passed, excess writers
+   get an immediate Overloaded, and the rejection counter matches. *)
 let test_overload_backpressure () =
   let was_on = Obs.Metrics.is_on () in
   Obs.Metrics.enable true;
   Fun.protect ~finally:(fun () -> Obs.Metrics.enable was_on) @@ fun () ->
   let c = Obs.Metrics.counter "serve.overload_rejections" in
   let before = Obs.Metrics.counter_value c in
-  let e =
-    small_engine ~shards:1 ~num_threads:6 ~max_batch:4 ~linger_us:50.
-      ~queue_cap:2 ()
-  in
+  let e = small_engine ~shards:1 ~num_threads:7 ~max_batch:4 ~queue_cap:2 () in
   let outcomes = Array.make 6 `Pending in
+  let finished = ref 0 and deepest = ref 0 in
   let body fid =
-    outcomes.(fid) <-
-      (match E.put e ~tid:fid ~key:(Printf.sprintf "k%d" fid) ~value:"v" with
-      | Ok () -> `Acked
-      | Error E.Overloaded -> `Overloaded
-      | Error (E.Unavailable _ | E.In_doubt _ | E.Timed_out | E.Shard_down _)
-        -> `Unavailable)
+    if fid = 6 then
+      while !finished < 6 do
+        deepest := max !deepest (List.hd (E.queue_depths e));
+        Sched.yield ()
+      done
+    else begin
+      outcomes.(fid) <-
+        (match E.put e ~tid:fid ~key:(Printf.sprintf "k%d" fid) ~value:"v" with
+        | Ok () -> `Acked
+        | Error E.Overloaded -> `Overloaded
+        | Error (E.Unavailable _ | E.In_doubt _ | E.Timed_out | E.Shard_down _)
+          -> `Unavailable);
+      incr finished
+    end
   in
-  let r = Sched.run ~seed:3 ~num_fibers:6 body in
+  let r = Sched.run ~seed:3 ~num_fibers:7 body in
   List.iter (fun s -> Alcotest.(check string) "no fiber wedged" "finished" s)
     (status_strings r);
+  Alcotest.(check int) "the bound was reached, never passed" 2 !deepest;
   let rejected =
     Array.to_list outcomes |> List.filter (fun o -> o = `Overloaded) |> List.length
   in
@@ -780,7 +818,7 @@ let test_mutant_no_rollforward () =
    guarantees it on every seed, and the No_read_validation mutant is
    caught observing a half-applied MPUT somewhere in the same sweep. *)
 let scan_partial_violations ~mutants ~seed =
-  let e = small_engine ~shards:2 ~num_threads:4 ~linger_us:2. () in
+  let e = small_engine ~shards:2 ~num_threads:4 () in
   E.set_mutants e mutants;
   let ka = key_on e 0 "pa" and kb = key_on e 1 "pb" in
   let violations = ref 0 in
@@ -825,7 +863,7 @@ let test_scan_never_observes_partial_mput () =
     "sweep catches the no-read-validation mutant on some seed" true caught
 
 (* Stall the coordinator at a sweep of steps (deferred while it is
-   hazard-protected: leader, registry lock holder, or inside the
+   hazard-protected: registry lock holder, or inside the
    decide->publish window).  Readers must never see a partial MPUT, and
    when the stall lands after the decision, another client's helping
    completes the commit the coordinator never finished. *)
@@ -839,7 +877,7 @@ let test_stalled_coordinator_helping () =
   let completed_by_others = ref 0 in
   List.iter
     (fun at ->
-      let e = small_engine ~shards:2 ~num_threads:4 ~linger_us:4. () in
+      let e = small_engine ~shards:2 ~num_threads:4 () in
       let ka = key_on e 0 "ha" and kb = key_on e 1 "hb" in
       let partial = ref false in
       let body fid =
@@ -909,7 +947,7 @@ let test_stalled_coordinator_helping () =
 let read_bound = 5_000
 
 let stalled_writer_run ~mutants ~seed ?crash ?stall () =
-  let e = small_engine ~shards:3 ~num_threads:2 ~linger_us:2. () in
+  let e = small_engine ~shards:3 ~num_threads:2 () in
   E.set_mutants e mutants;
   let keys = List.init 3 (fun s -> key_on e s "w") in
   List.iter (fun key -> okc (E.put e ~tid:0 ~key ~value:"o")) keys;
@@ -1080,13 +1118,13 @@ let test_slot_reuse () =
    in the trace, linked by its request id: the commit umbrella span, a
    prepare per participant other than the coordinator, exactly one
    decision — on the coordinator, whose slice it commits — an apply per
-   prepared participant, and the queue-wait spans of the batcher
-   submissions — ordered commit <= prepares <= decide <= applies by
-   start timestamp. *)
+   prepared participant, and a batch span for each shard commit the
+   prepares and the decision ride in — ordered commit <= prepares <=
+   decide <= applies by start timestamp. *)
 let test_sched_span_tree () =
   Obs.Trace.enable ();
   Fun.protect ~finally:(fun () -> Obs.Trace.disable ()) @@ fun () ->
-  let e = small_engine ~shards:3 ~num_threads:2 ~linger_us:2. () in
+  let e = small_engine ~shards:3 ~num_threads:2 () in
   let keys = List.init 3 (fun s -> key_on e s "t") in
   let committed = ref false in
   let body _fid =
@@ -1140,8 +1178,8 @@ let test_sched_span_tree () =
   Alcotest.(check (list int)) "an apply span per prepared participant" [ 1; 2 ]
     (shards_of "apply");
   Alcotest.(check int) "one commit umbrella span" 1 (count "commit");
-  Alcotest.(check bool) "queue-wait spans from the batcher" true
-    (count "queue_wait" >= 1);
+  Alcotest.(check (list int)) "a batch span per prepare and the decision" [ 1; 1; 1 ]
+    (shards_of "batch");
   let mn l = List.fold_left min infinity l in
   let mx l = List.fold_left max neg_infinity l in
   let t_commit = List.hd (ts_of "commit") in
@@ -1207,8 +1245,8 @@ let test_mput_txn_budget () =
 (* ---- loopback TCP smoke (reactor + client over a real socket) ---- *)
 
 let reactor_config ?(reactors = 2) ?(workers = 2) ?(max_conns = 16)
-    ?(max_inflight = 8) ?(linger_us = 0.) ?(queue_cap = E.default_config.queue_cap)
-    ?chaos () =
+    ?(max_inflight = 8) ?(queue_cap = E.default_config.queue_cap)
+    ?(block_in_reactor = false) ?chaos () =
   {
     Serve.Reactor.host = "127.0.0.1";
     port = 0;
@@ -1223,12 +1261,11 @@ let reactor_config ?(reactors = 2) ?(workers = 2) ?(max_conns = 16)
         shards = 2;
         capacity_bytes = 1 lsl 16;
         max_batch = 8;
-        linger_us;
         queue_cap;
       };
     chaos;
     scrub_pause_us = None;
-    block_in_reactor = false;
+    block_in_reactor;
   }
 
 let test_socket_smoke () =
@@ -1691,9 +1728,10 @@ let test_midframe_disconnect_no_leak () =
       | Error _ -> Alcotest.fail "server must keep serving after the churn"
 
 let test_ttl_shed_over_wire () =
-  (* 1 ms TTL inside a 30 ms group-commit linger window: the batcher
-     must shed the queued write with TIMEOUT and commit nothing. *)
-  match Serve.Reactor.start (reactor_config ~linger_us:30_000. ()) with
+  (* 1 ms TTL against a worker that blocks its loop for 20 ms before it
+     executes each request: the engine must shed the expired write with
+     TIMEOUT and commit nothing. *)
+  match Serve.Reactor.start (reactor_config ~block_in_reactor:true ()) with
   | exception e when loopback_unavailable e ->
       Printf.printf "ttl shed skipped: loopback sockets unavailable\n"
   | srv ->
@@ -1712,7 +1750,7 @@ let test_ttl_shed_over_wire () =
       | _ -> Alcotest.fail "shed write must leave nothing durable");
       (match Serve.Client.put c ~key:"fresh" ~value:"v" with
       | Ok () -> ()
-      | Error _ -> Alcotest.fail "untimed put must ride the linger window");
+      | Error _ -> Alcotest.fail "untimed put must outlast the block");
       match Serve.Client.get c "fresh" with
       | Ok (Some "v") -> ()
       | _ -> Alcotest.fail "fresh write must be readable"
@@ -2170,8 +2208,8 @@ let test_rebuild_beside_live_commit () =
   Alcotest.(check int) "the sweep reaches both outcomes" 2 (Hashtbl.length outcomes)
 
 (* The writer's shard-1 prepare, swept densely: freezes at every second
-   step across it, each outlasting the whole rebuild.  A freeze while the
-   prepare sits in the old instance's batcher lets the operator
+   step across it, each outlasting the whole rebuild.  A freeze after the
+   prepare passed the old instance's admission check lets the operator
    quarantine shard 1 and rebuild it from a journal that lacks the
    prepare; the prepare then commits on the dropped instance.  The
    writer must see that shard 1's instance changed under its prepare and
@@ -2179,7 +2217,7 @@ let test_rebuild_beside_live_commit () =
    holding no guard, refuses its own — an acked (A, b0).  The prepare's
    steps are the writer's, run alone, from its start to its prepare crash
    point, doubled as in the coarse sweep.  Only the first half is swept:
-   the race is the prepare's trip through the batcher, ahead of its PTM
+   the race is the prepare's trip from its admission check to its PTM
    commit, which holds the journal lock the rebuild's journal read waits
    for. *)
 let steps_to phase =
@@ -2198,9 +2236,9 @@ let test_rebuild_under_prepare () =
 (* The coordinator's merged decision, swept densely the same way: the
    operator rebuilds shard 0 while the writer is frozen at every second
    step across the decision's submit, from its prepare crash point to
-   its decision crash point.  A decision that sits in the old instance's
-   batcher while the rebuild reads the journal commits on the dropped
-   instance — the coordinator's slice and the decision record are lost
+   its decision crash point.  A decision that passed the old
+   instance's admission check before the rebuild read the journal
+   commits on the dropped instance — the coordinator's slice and the decision record are lost
    with it — so the writer must answer from the current view: roll the
    participant back and refuse when the rebuilt coordinator lacks the
    decision, or report the transaction in doubt while it is still
@@ -2223,7 +2261,7 @@ let test_rebuild_under_decision () =
 (* A single-shard write across a rebuild of its shard: a PUT (tokened
    or not) frozen at every second step of twice its run alone, each
    freeze outlasting the whole rebuild, while an operator quarantines
-   shard 0 and rebuilds it.  A batch drained before the quarantine can
+   shard 0 and rebuilds it.  A batch admitted before the quarantine can
    commit on the dropped instance after the rebuild read its journal;
    the write must then not be acked.  An acked PUT is present, live and
    after one more clean power failure; a refused one (anything but
@@ -2960,12 +2998,14 @@ let test_client_on_fiber () =
         Alcotest.failf "a client wait stalled the loop for %.0f ms" (!worst *. 1000.)
 
 (* Four connections, fibers of one loop, keep 16 PUTs in flight each
-   against shard queues of one slot whose leaders linger 2 ms: writes
-   from the other reactor find the queue full.  [policy] decides what
+   against shards that admit one write at a time, on two reactors whose
+   commits a costly flush keeps long: a write that meets the other
+   reactor's commit on its shard is refused.  [policy] decides what
    those OVERLOADED answers become. *)
 let overload_pipeline policy =
-  let srv = Serve.Reactor.start (reactor_config ~queue_cap:1 ~linger_us:2000. ()) in
+  let srv = Serve.Reactor.start (reactor_config ~queue_cap:1 ()) in
   Fun.protect ~finally:(fun () -> Serve.Reactor.stop srv) @@ fun () ->
+  E.set_flush_cost (Serve.Reactor.engine srv) 20_000;
   let answers = ref [] and retries = ref 0 in
   Aio.run (Aio.create ()) (fun () ->
       for conn = 0 to 3 do
@@ -3426,8 +3466,8 @@ let pipeline_at_once ~port reqs =
     reqs;
   Array.to_list (Array.map Option.get out)
 
-(* Group commit forms its batches at the reactor's ingress: at zero
-   linger on one event loop, 40 PUTs to one shard pipelined in one go
+(* Group commit forms its batches at the reactor's ingress: on one
+   event loop, 40 PUTs to one shard pipelined in one go
    must share PTM transactions (a worker that committed each request
    alone would leave every batch at size 1), and every acked PUT must
    read back. *)
@@ -3548,6 +3588,8 @@ let suites =
           test_batch_determinism;
         Alcotest.test_case "batch history keeps a window" `Quick
           test_batch_history_bounded;
+        Alcotest.test_case "an unbatched engine reports its batches" `Quick
+          test_unbatched_reports_batches;
         Alcotest.test_case "stalled client cannot block batches" `Quick
           test_stalled_client_adversary;
         Alcotest.test_case "mid-batch crash atomicity" `Quick
